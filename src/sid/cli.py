@@ -44,8 +44,6 @@ class RunManifest:
     scenario: str
     model_kind: str
     pipeline: str
-    strategy: str
-    n_track: int
 
     def __post_init__(self):
         if self.scenario == "lad" and self.model_kind in pipeline.TWO_CLASS_KINDS:
@@ -58,10 +56,6 @@ class RunManifest:
             )
         if self.pipeline not in pipeline.PIPELINES + ("idaas",):
             raise ManifestError(f"unknown pipeline {self.pipeline!r}")
-        if self.strategy not in ("looped", "unrolled"):
-            raise ManifestError(f"unknown strategy {self.strategy!r}")
-        if self.n_track < 1:
-            raise ManifestError("n_track must be >= 1")
 
 
 class ManifestError(ValueError):
@@ -96,10 +90,6 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
     parser.set_defaults(**defaults)
     for sub in getattr(parser, "_sid_subparsers", []):
         sub.set_defaults(**defaults)
-
-
-def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
 
 
 def _write(path, text):
@@ -202,8 +192,6 @@ def cmd_detect(args) -> int:
         scenario=args.scenario,
         model_kind=args.model_kind or ("lstm" if args.scenario == "lad" else "mlp"),
         pipeline=args.pipeline if args.scenario == "lad" else "idaas",
-        strategy=args.strategy,
-        n_track=args.n_track,
     )
     sequences = data.hapt_load(args.data)
     if manifest.scenario == "lad":
@@ -227,8 +215,7 @@ def cmd_detect(args) -> int:
             if bundle.kind != manifest.model_kind:
                 manifest = RunManifest(
                     seed=manifest.seed, scenario="lad", model_kind=bundle.kind,
-                    pipeline=manifest.pipeline, strategy=manifest.strategy,
-                    n_track=manifest.n_track,
+                    pipeline=manifest.pipeline,
                 )
         rows, total = pipeline.run_lad(
             sequences, manifest.model_kind, manifest.pipeline, cfg, args.seed,
@@ -334,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def lanes(p):
         p.add_argument("--n-track", type=int, default=4)
 
     p = sub.add_parser("gen-data", help="write a synthetic sensor corpus")
@@ -362,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="lower a bundle to a program and image")
     common(p)
+    lanes(p)
     p.add_argument("--model", required=True)
     p.add_argument("--strategy", choices=("looped", "unrolled"), default="looped")
     p.add_argument("--out-prefix", required=True)
@@ -369,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run a program over a memory image")
     common(p)
+    lanes(p)
     p.add_argument("--program", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--max-cycles", type=int)
@@ -382,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-kind", choices=models.KINDS)
     p.add_argument("--user", type=int)
     p.add_argument("--data", required=True)
-    p.add_argument("--strategy", choices=("looped", "unrolled"), default="looped")
     p.add_argument("--window", type=int)
     p.add_argument("--step", type=int)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -402,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="code-size table over the standard stages")
     common(p)
+    lanes(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
     return parser

@@ -455,30 +455,31 @@ def compile_ks_stage(
         (include_ks, include_vote)
     ]
     b = _Builder(name, "ks", strategy)
-    zeros3 = b.alloc("zeros3", 3)
-    save_l = b.alloc("save_loop", 3)
-    bnd_rows = []
-    cnt_rows = []
-    for ref in refs:
-        # One ulp up: the strict > compare then counts errors <= boundary.
-        bnd_rows.append([min(fx_from_real(v) + 1, 0x7FFFFFFF) for v in ref.boundaries])
-        cnt_rows.append([int(c) for c in ref.counts])
-    bnds = b.alloc("boundaries", n_ref * bins)
-    counts = b.alloc("ref_counts", n_ref * bins)
-    if refs:
+    if include_ks:  # the vote reads only rejects, votes and vote_threshold
+        zeros3 = b.alloc("zeros3", 3)
+        save_l = b.alloc("save_loop", 3)
+        bnd_rows = []
+        cnt_rows = []
+        for ref in refs:
+            # One ulp up: the strict > compare then counts errors <= boundary.
+            bnd_rows.append([min(fx_from_real(v) + 1, 0x7FFFFFFF) for v in ref.boundaries])
+            cnt_rows.append([int(c) for c in ref.counts])
+        bnds = b.alloc("boundaries", n_ref * bins)
+        counts = b.alloc("ref_counts", n_ref * bins)
         b.chunks.append((bnds, np.asarray(bnd_rows, dtype=np.int64).reshape(-1).astype(np.int32)))
         b.chunks.append(
             (counts, (np.asarray(cnt_rows, dtype=np.int64).reshape(-1) * FX_ONE).astype(np.int32))
         )
-    errs = b.alloc("errors", n_err)
-    tmp = b.alloc("tmp", bins)
-    acc = b.alloc("observed_hist", bins)
-    diff = b.alloc("diff", bins)
-    dvec = b.alloc("d_values", max(n_ref, 1))
+        errs = b.alloc("errors", n_err)
+        tmp = b.alloc("tmp", bins)
+        acc = b.alloc("observed_hist", bins)
+        diff = b.alloc("diff", bins)
+        dvec = b.alloc("d_values", n_ref)
     rejects = b.alloc("rejects", max(n_ref, 1))
     votes = b.alloc("votes", 1)
     decision = b.alloc("decision", 1)
-    ks_thresh = b.tensor("ks_threshold", [cfg.critical * math.sqrt(2 * n_err)])
+    if include_ks:
+        ks_thresh = b.tensor("ks_threshold", [cfg.critical * math.sqrt(2 * n_err)])
     vote_cutoff = n_ref / 2 if cfg.vote_threshold is None else cfg.vote_threshold
     vote_thresh = b.tensor("vote_threshold", [vote_cutoff])
 

@@ -222,25 +222,16 @@ def amp_features(window) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dft_magnitudes(series, length: int = 64) -> np.ndarray:
-    """|DFT_k| for k = 0..length/2 via the direct O(N^2) sum.
+    """|DFT_k| for k = 0..length/2.
 
     A real input's spectrum is conjugate-symmetric, so the first length/2+1
     magnitudes (33 for a 64-point window) carry all the information.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if len(x) != length:
-        raise DataError(f"need a length-{length} series, got {len(x)}")
-    k = np.arange(length)[:, None]
-    j = np.arange(length)[None, :]
-    angle = -2 * np.pi * k * j / length
-    real = (x[None, :] * np.cos(angle)).sum(axis=1)
-    imag = (x[None, :] * np.sin(angle)).sum(axis=1)
-    mags = np.sqrt(real**2 + imag**2)
-    return mags[: length // 2 + 1]
+    return dft_full_magnitudes(series, length)[: length // 2 + 1]
 
 
 def dft_full_magnitudes(series, length: int = 64) -> np.ndarray:
-    """All `length` magnitudes (for symmetry checks)."""
+    """All `length` magnitudes |DFT_k|, via the direct O(N^2) sum."""
     x = np.asarray(series, dtype=np.float64)
     if len(x) != length:
         raise DataError(f"need a length-{length} series, got {len(x)}")

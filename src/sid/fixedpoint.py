@@ -51,10 +51,6 @@ def fx_mul(a: int, b: int) -> int:
     return saturate((a * b) >> FRAC_BITS)
 
 
-def fx_abs(a: int) -> int:
-    return saturate(-a) if a < 0 else a
-
-
 def fx_array(values) -> np.ndarray:
     """Vectorized fx_from_real onto an int32 array."""
     v = np.asarray(values, dtype=np.float64)

@@ -41,24 +41,19 @@ class ModelBundle:
 
 
 def sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function in the branch-free form 1/2 + tanh(z/2)/2.
+
+    Exactly symmetric (sigmoid(-z) = 1 - sigmoid(z)). Its error is absolute
+    (about 1e-16), not relative: below z of about -37 it returns 0 where
+    1/(1 + exp(-z)) is still about 1e-17.
+    """
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))
 
 
 def softmax(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def gaussian_kernel(u, v, gamma: float):
-    diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-    return np.exp(-gamma * np.dot(diff, diff))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +132,69 @@ def infer_ocsvm(m: ModelBundle, x) -> tuple[bool, float]:
     return score < 0.0, score
 
 
+# Recurrent cells. Gate weights are stacked row-wise, one H-row block per gate:
+# LSTM W, U, b in order (c, f, i, o), so the three sigmoid gates are contiguous;
+# GRU W, b in order (z, r, h) and U in order (z, r), since the candidate reuses Ur.
+RNN_GATES = {"lstm": ("cfio", "cfio"), "gru": ("zrh", "zr")}
+
+
+def stacked_weights(m: ModelBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, U, b) of a recurrent bundle, gate blocks stacked in RNN_GATES order."""
+    w_gates, u_gates = RNN_GATES[m.kind]
+    return (
+        np.concatenate([m[f"W{g}"] for g in w_gates]),
+        np.concatenate([m[f"U{g}"] for g in u_gates]),
+        np.concatenate([m[f"b{g}"] for g in w_gates]),
+    )
+
+
+def split_gates(kind: str, W, U, b) -> dict[str, np.ndarray]:
+    """Inverse of stacked_weights: the named W*/U*/b* tensors in bundle order."""
+    w_gates, u_gates = RNN_GATES[kind]
+    hidden = len(b) // len(w_gates)
+    out = {}
+    for k, g in enumerate(w_gates):
+        rows = slice(k * hidden, (k + 1) * hidden)
+        out[f"W{g}"] = W[rows]
+        if g in u_gates:
+            out[f"U{g}"] = U[rows]
+        out[f"b{g}"] = b[rows]
+    return out
+
+
+def lstm_cell(W, U, b, h, c, x):
+    """step_lstm's cell update over gate-stacked weights; h, c, x may be batched.
+
+    Returns (h', c', (cand, fio, tanh(c'))), where fio stacks the f, i and o
+    activations: what backpropagation through the step needs.
+    """
+    hidden = h.shape[-1]
+    a = x @ W.T
+    a += h @ U.T
+    a += b
+    cand = np.tanh(a[..., :hidden])
+    fio = sigmoid(a[..., hidden:])
+    f, i, o = np.split(fio, 3, axis=-1)
+    c_new = f * c + i * cand
+    hc = np.tanh(c_new)
+    return o * hc, c_new, (cand, fio, hc)
+
+
+def gru_cell(W, U, b, h, x):
+    """step_gru's cell update over gate-stacked weights; h and x may be batched.
+
+    Returns (h', (zr, r*h, cand)), where zr stacks the z and r activations:
+    what backpropagation through the step needs.
+    """
+    hidden = h.shape[-1]
+    ax = x @ W.T
+    zr = sigmoid(ax[..., : 2 * hidden] + h @ U.T + b[: 2 * hidden])
+    z, r = np.split(zr, 2, axis=-1)
+    rh = r * h
+    cand = sigmoid(ax[..., 2 * hidden :] + rh @ U[hidden:].T + b[2 * hidden :])
+    return (1.0 - z) * h + z * cand, (zr, rh, cand)
+
+
 def step_lstm(m: ModelBundle, h, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One cell update plus the affine readout prediction.
 
@@ -149,12 +207,7 @@ def step_lstm(m: ModelBundle, h, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
     hidden = len(m["bc"])
     if h.shape != (hidden,) or c.shape != (hidden,):
         raise ShapeError(f"lstm state must have shape ({hidden},)")
-    cand = np.tanh(m["Wc"] @ x + m["Uc"] @ h + m["bc"])
-    f = sigmoid(m["Wf"] @ x + m["Uf"] @ h + m["bf"])
-    i = sigmoid(m["Wi"] @ x + m["Ui"] @ h + m["bi"])
-    o = sigmoid(m["Wo"] @ x + m["Uo"] @ h + m["bo"])
-    c_new = f * c + i * cand
-    h_new = o * np.tanh(c_new)
+    h_new, c_new, _ = lstm_cell(*stacked_weights(m), h, c, x)
     pred = m["Wout"] @ h_new + m["bout"]
     return h_new, c_new, pred
 
@@ -171,16 +224,31 @@ def step_gru(m: ModelBundle, h, x) -> tuple[np.ndarray, np.ndarray]:
     hidden = len(m["bz"])
     if h.shape != (hidden,):
         raise ShapeError(f"gru state must have shape ({hidden},)")
-    z = sigmoid(m["Wz"] @ x + m["Uz"] @ h + m["bz"])
-    r = sigmoid(m["Wr"] @ x + m["Ur"] @ h + m["br"])
-    cand = sigmoid(m["Wh"] @ x + m["Ur"] @ (r * h) + m["bh"])
-    h_new = (1.0 - z) * h + z * cand
+    h_new, _ = gru_cell(*stacked_weights(m), h, x)
     pred = m["Wout"] @ h_new + m["bout"]
     return h_new, pred
 
 
 def rnn_hidden_size(m: ModelBundle) -> int:
     return len(m["bc"]) if m.kind == "lstm" else len(m["bz"])
+
+
+def batched_window_errors(m: ModelBundle, windows) -> np.ndarray:
+    """Per-window next-step squared errors, (B, T-1); state resets per window."""
+    x = np.asarray(windows, dtype=np.float64)
+    B, T, D = x.shape
+    W, U, b = stacked_weights(m)
+    h = np.zeros((B, rnn_hidden_size(m)))
+    c = np.zeros_like(h)
+    errors = np.empty((B, T - 1))
+    for t in range(T - 1):
+        if m.kind == "lstm":
+            h, c = lstm_cell(W, U, b, h, c, x[:, t, :])[:2]
+        else:
+            h = gru_cell(W, U, b, h, x[:, t, :])[0]
+        pred = h @ m["Wout"].T + m["bout"]
+        errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
+    return errors
 
 
 def predict_series(m: ModelBundle, readings) -> np.ndarray:
@@ -192,18 +260,7 @@ def predict_series(m: ModelBundle, readings) -> np.ndarray:
     readings = np.asarray(readings, dtype=np.float64)
     if readings.ndim != 2 or len(readings) < 2:
         raise ShapeError("need at least two readings to score predictions")
-    hidden = rnn_hidden_size(m)
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    errors = np.empty(len(readings) - 1)
-    for t in range(len(readings) - 1):
-        if m.kind == "lstm":
-            h, c, pred = step_lstm(m, h, c, readings[t])
-        else:
-            h, pred = step_gru(m, h, readings[t])
-        diff = pred - readings[t + 1]
-        errors[t] = float(np.dot(diff, diff))
-    return errors
+    return batched_window_errors(m, readings[None])[0]
 
 
 # ---------------------------------------------------------------------------

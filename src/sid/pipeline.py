@@ -10,6 +10,7 @@ over the KS feature vector.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -17,14 +18,15 @@ from .detection import (
     ConfusionCounts,
     KsDecisionConfig,
     MetricError,
-    build_ped,
     confusion_metrics,
     ks_reject,
     ks_statistic,
     split_by_sequence,
     vote_decide,
 )
-from .models import ModelBundle, infer_krr, infer_lr, infer_mlp, infer_ocsvm, infer_svm, sigmoid
+from .models import (
+    ModelBundle, batched_window_errors, infer_krr, infer_lr, infer_mlp, infer_ocsvm, infer_svm,
+)
 from .data import krr_features
 from .training import train, train_ocsvm
 
@@ -72,37 +74,6 @@ class LadConfig:
     ks: KsDecisionConfig = field(default_factory=KsDecisionConfig)
 
 
-def batched_window_errors(m: ModelBundle, windows) -> np.ndarray:
-    """Per-window next-step squared errors, (B, T-1); state resets per window."""
-    x = np.asarray(windows, dtype=np.float64)
-    B, T, D = x.shape
-    if m.kind == "lstm":
-        H = len(m["bc"])
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-    else:
-        H = len(m["bz"])
-        h = np.zeros((B, H))
-    errors = np.empty((B, T - 1))
-    for t in range(T - 1):
-        xt = x[:, t, :]
-        if m.kind == "lstm":
-            cand = np.tanh(xt @ m["Wc"].T + h @ m["Uc"].T + m["bc"])
-            f = sigmoid(xt @ m["Wf"].T + h @ m["Uf"].T + m["bf"])
-            i = sigmoid(xt @ m["Wi"].T + h @ m["Ui"].T + m["bi"])
-            o = sigmoid(xt @ m["Wo"].T + h @ m["Uo"].T + m["bo"])
-            c = f * c + i * cand
-            h = o * np.tanh(c)
-        else:
-            z = sigmoid(xt @ m["Wz"].T + h @ m["Uz"].T + m["bz"])
-            r = sigmoid(xt @ m["Wr"].T + h @ m["Ur"].T + m["br"])
-            cand = sigmoid(xt @ m["Wh"].T + (r * h) @ m["Ur"].T + m["bh"])
-            h = (1.0 - z) * h + z * cand
-        pred = h @ m["Wout"].T + m["bout"]
-        errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
-    return errors
-
-
 def window_error_samples(m: ModelBundle, windows, n_errors: int) -> np.ndarray:
     """The last n_errors prediction errors of each window, (B, n_errors)."""
     errs = batched_window_errors(m, windows)
@@ -119,14 +90,16 @@ class LadModel:
 
     user: object
     bundle: ModelBundle
-    ref_samples: np.ndarray  # (refs, n_errors)
+    pool: np.ndarray  # (windows, n_errors): the reference pool's error samples
+    ref_samples: np.ndarray  # (refs, n_errors), drawn from the pool
     mean_threshold: float
-    ocsvm: ModelBundle | None
     cfg: LadConfig
 
-    def reference_peds(self, bins=None):
-        bins = self.cfg.ks.bins if bins is None else bins
-        return [build_ped(s, bins) for s in self.ref_samples]
+    @cached_property
+    def ocsvm(self) -> ModelBundle:
+        """One-class SVM over the pool's KS feature vectors, fit on first use."""
+        feats = np.array([[ks_statistic(w, ref) for ref in self.ref_samples] for w in self.pool])
+        return train_ocsvm(feats, gamma=2.0, nu=0.1)
 
     def decide(self, window_errors: np.ndarray, pipeline: str) -> bool:
         """True = anomaly (impostor)."""
@@ -181,16 +154,12 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     ref_samples = pool[np.sort(picks)]
     val_errors = window_error_samples(bundle, val, n)
     mean_threshold = float(np.quantile(val_errors.mean(axis=1), cfg.threshold_quantile))
-    train_feats = np.array(
-        [[ks_statistic(w, ref) for ref in ref_samples] for w in pool]
-    )
-    ocsvm = train_ocsvm(train_feats, gamma=2.0, nu=0.1, seed=seed)
     return LadModel(
         user=user,
         bundle=bundle,
+        pool=pool,
         ref_samples=ref_samples,
         mean_threshold=mean_threshold,
-        ocsvm=ocsvm,
         cfg=cfg,
     )
 

@@ -11,7 +11,9 @@ for the small synthetic workloads in the test suite, nothing more.
 
 import numpy as np
 
-from .models import ModelBundle, sigmoid, softmax
+from .models import (
+    ModelBundle, gru_cell, lstm_cell, sigmoid, softmax, split_gates, stacked_weights,
+)
 
 
 class TrainingError(RuntimeError):
@@ -265,10 +267,6 @@ def init_gru(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
     return ModelBundle("gru", tensors)
 
 
-def _zero_grads(m: ModelBundle):
-    return {name: np.zeros_like(t) for name, t in m.tensors.items()}
-
-
 def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     """Forward + full backward over a (B, T, D) batch of sequences.
 
@@ -279,6 +277,7 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     x = np.asarray(batch, dtype=np.float64)
     B, T, D = x.shape
     H = len(m["bc"])
+    W, U, b = stacked_weights(m)
     h = np.zeros((B, H)) if h0 is None else h0
     c = np.zeros((B, H)) if c0 is None else c0
     steps = T - 1
@@ -286,47 +285,34 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     loss = 0.0
     for t in range(steps):
         xt = x[:, t, :]
-        cand = np.tanh(xt @ m["Wc"].T + h @ m["Uc"].T + m["bc"])
-        f = sigmoid(xt @ m["Wf"].T + h @ m["Uf"].T + m["bf"])
-        i = sigmoid(xt @ m["Wi"].T + h @ m["Ui"].T + m["bi"])
-        o = sigmoid(xt @ m["Wo"].T + h @ m["Uo"].T + m["bo"])
-        c_new = f * c + i * cand
-        hc = np.tanh(c_new)
-        h_new = o * hc
+        h_new, c_new, acts = lstm_cell(W, U, b, h, c, xt)
         pred = h_new @ m["Wout"].T + m["bout"]
         err = pred - x[:, t + 1, :]
         loss += float((err**2).sum())
-        cache.append((xt, h, c, cand, f, i, o, c_new, hc, h_new, err))
+        cache.append((xt, h, c, acts, h_new, err))
         h, c = h_new, c_new
     scale = 1.0 / (B * steps)
     loss *= scale
 
-    grads = _zero_grads(m)
+    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+    g_out, g_bout = np.zeros_like(m["Wout"]), np.zeros_like(m["bout"])
     dh = np.zeros((B, H))
     dc = np.zeros((B, H))
     for t in reversed(range(steps)):
-        xt, h_prev, c_prev, cand, f, i, o, c_new, hc, h_new, err = cache[t]
+        xt, h_prev, c_prev, (cand, fio, hc), h_new, err = cache[t]
+        f, i, o = np.split(fio, 3, axis=1)
         dpred = 2.0 * scale * err
-        grads["Wout"] += dpred.T @ h_new
-        grads["bout"] += dpred.sum(axis=0)
+        g_out += dpred.T @ h_new
+        g_bout += dpred.sum(axis=0)
         dh = dh + dpred @ m["Wout"]
-        do = dh * hc
         dc = dc + dh * o * (1.0 - hc**2)
-        df = dc * c_prev
-        di = dc * cand
-        dcand = dc * i
-        dc_prev = dc * f
-        dzc = dcand * (1.0 - cand**2)
-        dzf = df * f * (1.0 - f)
-        dzi = di * i * (1.0 - i)
-        dzo = do * o * (1.0 - o)
-        dh_prev = np.zeros((B, H))
-        for gate, dz in (("c", dzc), ("f", dzf), ("i", dzi), ("o", dzo)):
-            grads[f"W{gate}"] += dz.T @ xt
-            grads[f"U{gate}"] += dz.T @ h_prev
-            grads[f"b{gate}"] += dz.sum(axis=0)
-            dh_prev += dz @ m[f"U{gate}"]
-        dh, dc = dh_prev, dc_prev
+        dfio = np.concatenate([dc * c_prev, dc * cand, dh * hc], axis=1)
+        dz = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=1)
+        gW += dz.T @ xt
+        gU += dz.T @ h_prev
+        gb += dz.sum(axis=0)
+        dh, dc = dz @ U, dc * f
+    grads = {**split_gates("lstm", gW, gU, gb), "Wout": g_out, "bout": g_bout}
     return loss, grads, h, c
 
 
@@ -335,54 +321,42 @@ def gru_loss_and_grads(m: ModelBundle, batch, h0=None):
     x = np.asarray(batch, dtype=np.float64)
     B, T, D = x.shape
     H = len(m["bz"])
+    W, U, b = stacked_weights(m)
     h = np.zeros((B, H)) if h0 is None else h0
     steps = T - 1
     cache = []
     loss = 0.0
     for t in range(steps):
         xt = x[:, t, :]
-        z = sigmoid(xt @ m["Wz"].T + h @ m["Uz"].T + m["bz"])
-        r = sigmoid(xt @ m["Wr"].T + h @ m["Ur"].T + m["br"])
-        rh = r * h
-        cand = sigmoid(xt @ m["Wh"].T + rh @ m["Ur"].T + m["bh"])
-        h_new = (1.0 - z) * h + z * cand
+        h_new, acts = gru_cell(W, U, b, h, xt)
         pred = h_new @ m["Wout"].T + m["bout"]
         err = pred - x[:, t + 1, :]
         loss += float((err**2).sum())
-        cache.append((xt, h, z, r, rh, cand, h_new, err))
+        cache.append((xt, h, acts, h_new, err))
         h = h_new
     scale = 1.0 / (B * steps)
     loss *= scale
 
-    grads = _zero_grads(m)
+    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+    g_out, g_bout = np.zeros_like(m["Wout"]), np.zeros_like(m["bout"])
     dh = np.zeros((B, H))
     for t in reversed(range(steps)):
-        xt, h_prev, z, r, rh, cand, h_new, err = cache[t]
+        xt, h_prev, (zr, rh, cand), h_new, err = cache[t]
+        z, r = np.split(zr, 2, axis=1)
         dpred = 2.0 * scale * err
-        grads["Wout"] += dpred.T @ h_new
-        grads["bout"] += dpred.sum(axis=0)
+        g_out += dpred.T @ h_new
+        g_bout += dpred.sum(axis=0)
         dh = dh + dpred @ m["Wout"]
-        dz = dh * (cand - h_prev)
-        dcand = dh * z
-        dh_prev = dh * (1.0 - z)
-        dac = dcand * cand * (1.0 - cand)
-        grads["Wh"] += dac.T @ xt
-        grads["bh"] += dac.sum(axis=0)
-        grads["Ur"] += dac.T @ rh  # candidate-side use of Ur
-        drh = dac @ m["Ur"]
-        dr = drh * h_prev
-        dh_prev += drh * r
-        dar = dr * r * (1.0 - r)
-        grads["Wr"] += dar.T @ xt
-        grads["br"] += dar.sum(axis=0)
-        grads["Ur"] += dar.T @ h_prev  # gate-side use of Ur
-        dh_prev += dar @ m["Ur"]
-        daz = dz * z * (1.0 - z)
-        grads["Wz"] += daz.T @ xt
-        grads["bz"] += daz.sum(axis=0)
-        grads["Uz"] += daz.T @ h_prev
-        dh_prev += daz @ m["Uz"]
-        dh = dh_prev
+        dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
+        drh = dac @ U[H:]
+        dzr = np.concatenate([dh * (cand - h_prev), drh * h_prev], axis=1) * zr * (1.0 - zr)
+        da = np.concatenate([dzr, dac], axis=1)
+        gW += da.T @ xt
+        gb += da.sum(axis=0)
+        gU += dzr.T @ h_prev  # gate-side uses of Uz and Ur
+        gU[H:] += dac.T @ rh  # candidate-side use of Ur
+        dh = dh * (1.0 - z) + drh * r + dzr @ U
+    grads = {**split_gates("gru", gW, gU, gb), "Wout": g_out, "bout": g_bout}
     return loss, grads, h
 
 
@@ -405,7 +379,6 @@ def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
     if T < 2:
         raise TrainingError("sequences must have at least two readings")
     m = init_lstm(hidden, D, seed=seed) if kind == "lstm" else init_gru(hidden, D, seed=seed)
-    step_fn = lstm_loss_and_grads if kind == "lstm" else gru_loss_and_grads
     losses = []
     for _ in range(epochs):
         epoch_loss = 0.0

@@ -86,6 +86,13 @@ def test_detect_with_pretrained_bundle(tmp_path):
     assert len(rows) == 1  # single-user evaluation with the provided bundle
 
 
+def test_detect_rejects_removed_backend_flags(capsys):
+    # Detection runs on the float oracle; it takes no compile or lane flag.
+    for flag, value in (("--strategy", "unrolled"), ("--n-track", "7")):
+        assert run_cli("detect", "--scenario", "lad", "--data", "nowhere", flag, value) == 1
+        assert flag in capsys.readouterr().err
+
+
 def test_detect_idaas(tmp_path):
     datadir = tmp_path / "synth"
     run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "400",

@@ -77,6 +77,16 @@ def test_ks_and_vote_code_sizes():
     vote_only = compile_ks_stage(refs, cfg, include_ks=False)
     assert vote_only.stages["vote"] == 2  # the vote itself is 32 bytes
     assert abs(vote_only.code_bytes - 32) <= 64
+    # The vote-only program holds its own operands and none of the KS stage's.
+    assert not {"boundaries", "ref_counts", "errors"} & set(vote_only.symbols)
+    assert len(vote_only.image) < 32
+    for n_rejects in (10, 11):  # the half is inclusive: 10 of 20 is not an anomaly
+        state = fresh_state(vote_only, CONFIG)
+        write_symbol(state, vote_only, "rejects", [1.0] * n_rejects + [0.0] * (20 - n_rejects))
+        run(state)
+        assert bool(read_symbol(state, vote_only, "decision")[0]) == vote_decide(
+            [True] * n_rejects + [False] * (20 - n_rejects), cfg
+        )
 
 
 def test_kernel_svm_reduction_ratio():

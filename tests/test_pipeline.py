@@ -3,7 +3,7 @@ import pytest
 
 from sid.data import random_gait_params, synth_generate
 from sid.pipeline import safe_metrics
-from sid.models import predict_series
+from sid.models import predict_series, rnn_hidden_size, step_gru, step_lstm
 from sid.pipeline import (
     IdaasConfig,
     LadConfig,
@@ -22,6 +22,19 @@ def small_corpus(seed=0, freqs=(1.5, 2.2), length=700):
     return synth_generate(params, 2, length, seed=seed + 1)
 
 
+def stepwise_errors(m, window):
+    """Next-step squared errors from the single-step oracle, state from zero."""
+    h = c = np.zeros(rnn_hidden_size(m))
+    errors = []
+    for t in range(len(window) - 1):
+        if m.kind == "lstm":
+            h, c, pred = step_lstm(m, h, c, window[t])
+        else:
+            h, pred = step_gru(m, h, window[t])
+        errors.append(float(np.dot(pred - window[t + 1], pred - window[t + 1])))
+    return errors
+
+
 def test_batched_errors_match_predict_series():
     rng = np.random.default_rng(1)
     windows = rng.normal(size=(3, 12, 6))
@@ -29,7 +42,8 @@ def test_batched_errors_match_predict_series():
         m = init(5, 6, seed=2)
         batched = batched_window_errors(m, windows)
         for i in range(3):
-            assert batched[i] == pytest.approx(predict_series(m, windows[i]), abs=1e-12)
+            assert batched[i] == pytest.approx(stepwise_errors(m, windows[i]), abs=1e-12)
+            assert predict_series(m, windows[i]) == pytest.approx(batched[i], abs=1e-12)
 
 
 def exercise_lad(pipeline):

@@ -131,7 +131,9 @@ def test_lstm_gradients_match_finite_differences():
     m = init_lstm(4, 3, seed=16)
     batch = rng.normal(size=(2, 5, 3))
     _, grads, _, _ = lstm_loss_and_grads(m, batch)
-    for name in ("Wc", "Uf", "bi", "Wout", "bout"):
+    assert list(grads) == list(m.tensors)
+    for name in ("Wc", "Uc", "bc", "Wf", "Uf", "bf", "Wi", "Ui", "bi", "Wo", "Uo", "bo",
+                 "Wout", "bout"):
         numeric = central_difference(
             lambda: lstm_loss_and_grads(m, batch)[0], m.tensors, name
         )
@@ -143,7 +145,8 @@ def test_gru_gradients_match_finite_differences():
     m = init_gru(4, 3, seed=18)
     batch = rng.normal(size=(2, 5, 3))
     _, grads, _ = gru_loss_and_grads(m, batch)
-    for name in ("Wz", "Ur", "bh", "Wout"):
+    assert list(grads) == list(m.tensors)
+    for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "bh", "Wout", "bout"):
         numeric = central_difference(
             lambda: gru_loss_and_grads(m, batch)[0], m.tensors, name
         )
