@@ -2,8 +2,9 @@
 
 Every subcommand reads and writes the file formats its module defines; all
 randomness flows from --seed. Flags may also come from a key=value config file
-(--config); explicit flags win. Exit codes: 0 success, 1 usage error, 2 domain
-error (trap, shape mismatch, malformed file), with a one-line `error:` prefix.
+(--config) whose keys name options of the invoked subcommand; explicit flags
+win. Exit codes: 0 success, 1 usage error, 2 domain error (trap, shape
+mismatch, malformed file), with a one-line `error:` prefix.
 """
 
 import argparse
@@ -72,12 +73,18 @@ def _coerce(value: str):
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv):
-    """Pre-parse --config and install its key=value pairs as defaults."""
+    """Pre-parse --config and install its key=value pairs as defaults of the
+    invoked subcommand; a key that names none of its options is an error."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    known, rest = probe.parse_known_args(argv)
     if not known.config:
         return
+    command = next((a for a in rest if not a.startswith("-")), None)
+    sub = parser._sid_subparsers.get(command)
+    if sub is None:
+        return  # no subcommand: argparse reports the usage error
+    options = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for line_no, raw in enumerate(Path(known.config).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -85,11 +92,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
             continue
         if "=" not in line:
             raise ValueError(f"{known.config}: line {line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = _coerce(value.strip())
-    parser.set_defaults(**defaults)
-    for sub in getattr(parser, "_sid_subparsers", []):
-        sub.set_defaults(**defaults)
+        key, _, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if dest not in options:
+            raise ValueError(
+                f"{known.config}: line {line_no}: {command} takes no option {key!r}"
+            )
+        defaults[dest] = _coerce(value)
+    sub.set_defaults(**defaults)
 
 
 def _write(path, text):
@@ -309,15 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sid", description=__doc__)
     parser.add_argument("--config", help="key=value defaults file; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser._sid_subparsers = []
-    _add_parser = sub.add_parser
-
-    def add_parser(*a, **kw):
-        p = _add_parser(*a, **kw)
-        parser._sid_subparsers.append(p)
-        return p
-
-    sub.add_parser = add_parser
+    parser._sid_subparsers = sub.choices
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)

@@ -629,6 +629,14 @@ class StepRunner:
         self.cycles_per_step: list[int] = []
 
     def step(self, reading) -> None:
+        # Each step writes one error at errors[steps]; past the last slot the
+        # program would write into the next symbol.
+        capacity = self.prog.length("errors")
+        if self.steps >= capacity:
+            raise CompileError(
+                f"symbol 'errors' holds {capacity} words: the step program is full "
+                f"after {capacity} steps"
+            )
         before = self.state.cycles
         write_symbol(self.state, self.prog, "input", reading)
         self.state.pc = 0  # a new reading re-arms the program counter

@@ -5,6 +5,7 @@ Arithmetic saturates at the range ends instead of wrapping, so overflow in a
 simulated program stays comparable against the floating-point oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ def fx_from_real(v: float) -> int:
     """Nearest representable Q16.16 raw value; out-of-range inputs saturate."""
     if math.isnan(v):
         raise ValueError("cannot convert NaN to fixed point")
+    if math.isinf(v):
+        return FX_MAX if v > 0 else FX_MIN
     return saturate(math.floor(v * FX_ONE + 0.5))
 
 
@@ -54,6 +57,8 @@ def fx_mul(a: int, b: int) -> int:
 def fx_array(values) -> np.ndarray:
     """Vectorized fx_from_real onto an int32 array."""
     v = np.asarray(values, dtype=np.float64)
+    if np.isnan(v).any():
+        raise ValueError("cannot convert NaN to fixed point")
     raw = np.floor(v * FX_ONE + 0.5)
     return np.clip(raw, FX_MIN, FX_MAX).astype(np.int32)
 
@@ -117,19 +122,25 @@ class LutTable:
         idx = (x_raw - self.lo_raw) * self.segments // span
         return int(self.k[idx]), int(self.b[idx])
 
-    def lookup_array(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = x_raw.astype(np.int64)
-        span = self.hi_raw - self.lo_raw
-        idx = (x - self.lo_raw) * self.segments // span
-        idx = np.clip(idx, 0, self.segments - 1)
-        k = self.k[idx].astype(np.int64)
-        b = self.b[idx].astype(np.int64)
-        below = x < self.lo_raw
-        above = x >= self.hi_raw
-        k[below | above] = 0
-        b[below] = self.sat_lo
-        b[above] = self.sat_hi
+    @functools.cached_property
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 slopes and intercepts with one entry added at each end: the
+        pair for inputs below lo first, the pair for inputs at or above hi last."""
+        k = np.concatenate(([0], self.k, [0])).astype(np.int64)
+        b = np.concatenate(([self.sat_lo], self.b, [self.sat_hi])).astype(np.int64)
         return k, b
+
+    def lookup_array(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`lookup` over an array, as int64 slopes and intercepts."""
+        # Floor division sends every x < lo below segment 0 and every x >= hi
+        # to segment `segments` or above, so clipping onto the padded tables
+        # picks the saturation pairs.
+        pos = np.subtract(x_raw, self.lo_raw, dtype=np.int64)
+        pos *= self.segments
+        pos //= self.hi_raw - self.lo_raw
+        pos += 1
+        k, b = self._padded
+        return k.take(pos, mode="clip"), b.take(pos, mode="clip")
 
     def eval(self, x_raw: int) -> int:
         """k*x + b through the fixed-point multiply/add path."""

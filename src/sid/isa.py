@@ -323,7 +323,8 @@ def disassemble(instructions) -> str:
             reg = _OFFSET_REG_NAMES.get(inst.length, str(inst.length))
             lines.append(f"regaddi reg={reg} imm={inst.signed_imm}")
         elif op in (Opcode.REGSTORE, Opcode.REGLOAD):
-            lines.append(f"{name} length={inst.length} z={inst.addr_z:#x}")
+            offz = " offz" if inst.off_z else ""
+            lines.append(f"{name} length={inst.length} z={inst.addr_z:#x}{offz}")
         else:
             parts = [name, f"length={inst.length}"]
             if inst.width:

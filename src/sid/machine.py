@@ -5,9 +5,13 @@ so instruction semantics are atomic and independent of the lane count; the
 lane count only enters the cycle model. Arithmetic follows the Q16.16
 saturating rules from `fixedpoint`, with element order fixed to plain
 sequential order so results are bit-identical for every n_track.
+
+`run` decodes a program once per call into (handler, instruction, cycles)
+rows indexed by pc; `step_instruction` executes one instruction through the
+same handlers and the same pc-advance and loop-back rule. Every handler
+bounds-checks all of its operands before it writes anything.
 """
 
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -15,6 +19,7 @@ import numpy as np
 
 from .fixedpoint import FX_MAX, FX_MIN, FX_ONE, LutTable, default_luts
 from .isa import (
+    CONTROL_OPCODES,
     GROUP_LOOP,
     GROUP_OFFSET,
     MacroInstruction,
@@ -23,6 +28,7 @@ from .isa import (
 
 IMAGE_MAGIC = b"SIDM"
 IMAGE_VERSION = 1
+IMAGE_HEADER_BYTES = 12  # magic, version, word count
 
 
 class MachineTrap(RuntimeError):
@@ -99,14 +105,6 @@ class MachineState:
             )
         return start
 
-    def read_words(self, addr: int, count: int) -> np.ndarray:
-        return self.memory[addr : addr + count].astype(np.int64)
-
-    def write_words(self, addr: int, values) -> None:
-        self.memory[addr : addr + len(values)] = np.asarray(values, dtype=np.int64).astype(
-            np.int32
-        )
-
 
 def load(config: MachineConfig, program, image) -> MachineState:
     program = list(program)
@@ -128,230 +126,261 @@ def load(config: MachineConfig, program, image) -> MachineState:
 def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
     """Closed-form cycle cost of one macro instruction."""
     op = inst.mode
-    if op in (Opcode.LOOP, Opcode.REGADDI, Opcode.REGSTORE, Opcode.REGLOAD, Opcode.HALT):
+    if op in CONTROL_OPCODES:
         return 1
-    iters = math.ceil(inst.length / config.n_track)
+    iters = -(-inst.length // config.n_track)
     if op is Opcode.MVMUL:
         return inst.width * iters + config.pipeline_overhead
     return iters + config.pipeline_overhead
 
 
-def _sat(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, FX_MIN, FX_MAX)
+# ---------------------------------------------------------------------------
+# Instruction handlers: handler(state, inst). Operands are int32 views of
+# memory; arithmetic widens to int64 inside the ufunc and saturates in place.
+# ---------------------------------------------------------------------------
+
+_HI = np.int64(FX_MAX)
+_LO = np.int64(FX_MIN)
 
 
-def _fx_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _sat((a * b) >> 16)
+def _saturate(values: np.ndarray) -> np.ndarray:
+    """Clamp an int64 array to the Q16.16 range, in place."""
+    np.minimum(values, _HI, out=values)
+    np.maximum(values, _LO, out=values)
+    return values
 
 
-def _saturating_running_sum(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Row-wise sequential saturating accumulation of `terms` onto `start`.
+def _fx_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element-wise Q16.16 product: full int64 product, floor shift, saturate."""
+    product = np.multiply(x, y, dtype=np.int64)
+    product >>= 16
+    return _saturate(product)
 
-    Fast path: if no prefix leaves the representable range the result is the
-    plain sum. Only rows that saturate somewhere fall back to the exact
+
+def _saturating_running_sum(start: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Row-wise sequential saturating accumulation onto `start` of `products`,
+    unsaturated Q16.16 products that each saturate before they are added.
+
+    A row whose |start| + sum(|products|) fits the range cannot saturate a
+    product or leave the range at any prefix, so its result is the plain sum.
+    Rows over that bound saturate their products and get the prefix check;
+    only rows whose prefix really leaves the range take the exact
     per-element loop.
     """
-    if terms.shape[1] == 0:
-        return start.copy()
-    prefix = start[:, None] + np.cumsum(terms, axis=1, dtype=np.int64)
-    ok = ((prefix <= FX_MAX) & (prefix >= FX_MIN)).all(axis=1)
-    result = np.where(ok, prefix[:, -1], start)
-    if not ok.all():
-        for r in np.nonzero(~ok)[0]:
-            acc = int(start[r])
-            for t in terms[r]:
-                acc = acc + int(t)
+    result = start + products.sum(axis=1)
+    bound = np.abs(start) + np.abs(products).sum(axis=1)
+    risky = np.flatnonzero(bound > FX_MAX)
+    if risky.size:
+        terms = _saturate(products[risky])
+        prefix = start[risky, None] + np.cumsum(terms, axis=1)
+        result[risky] = start[risky] + terms.sum(axis=1)
+        leaves = ((prefix > FX_MAX) | (prefix < FX_MIN)).any(axis=1)
+        for i in np.flatnonzero(leaves):
+            acc = int(start[risky[i]])
+            for t in terms[i].tolist():
+                acc += t
                 if acc > FX_MAX:
                     acc = FX_MAX
                 elif acc < FX_MIN:
                     acc = FX_MIN
-            result[r] = acc
+            result[risky[i]] = acc
     return result
 
 
-class _Executor:
-    """Executes decoded instructions against a MachineState."""
+def _vector_operands(s: MachineState, inst: MacroInstruction, y_count: int):
+    """Bounds-check X (length words), Y (y_count) and Z (length) before any
+    write; return the three memory views and count the traffic."""
+    n = inst.length
+    xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
+    ys = s._operand(inst.addr_y, inst.off_y, s.off_y, y_count)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, n)
+    s.reads += n + y_count
+    s.writes += n
+    mem = s.memory
+    return mem[xs : xs + n], mem[ys : ys + y_count], mem[zs : zs + n]
 
-    def __init__(self, state: MachineState):
-        self.s = state
 
-    def run_one(self, inst: MacroInstruction) -> None:
-        handler = self._HANDLERS[inst.mode]
-        handler(self, inst)
+def _vadd(s, inst):
+    x, y, z = _vector_operands(s, inst, inst.length)
+    z[:] = _saturate(np.add(x, y, dtype=np.int64))
 
-    # -- element-wise vector modes ----------------------------------------
 
-    def _binary(self, inst, fn):
-        s = self.s
-        n = inst.length
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
-        ys = s._operand(inst.addr_y, inst.off_y, s.off_y, n)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, n)
-        x = s.read_words(xs, n)
-        y = s.read_words(ys, n)
-        s.write_words(zs, fn(x, y))
-        s.reads += 2 * n
-        s.writes += n
+def _vsub(s, inst):
+    x, y, z = _vector_operands(s, inst, inst.length)
+    z[:] = _saturate(np.subtract(x, y, dtype=np.int64))
 
-    def _vadd(self, inst):
-        self._binary(inst, lambda x, y: _sat(x + y))
 
-    def _vsub(self, inst):
-        self._binary(inst, lambda x, y: _sat(x - y))
+def _vmul(s, inst):
+    x, y, z = _vector_operands(s, inst, inst.length)
+    z[:] = _fx_mul(x, y)
 
-    def _vmul(self, inst):
-        self._binary(inst, _fx_mul_vec)
 
-    def _vsgt(self, inst):
-        self._binary(inst, lambda x, y: np.where(x >= y, FX_ONE, 0))
+def _vsgt(s, inst):
+    x, y, z = _vector_operands(s, inst, inst.length)
+    z[:] = np.where(x >= y, FX_ONE, 0)
 
-    def _vssgt(self, inst):
-        s = self.s
-        n = inst.length
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
-        ys = s._operand(inst.addr_y, inst.off_y, s.off_y, 1)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, n)
-        scalar = int(s.memory[ys])
-        x = s.read_words(xs, n)
-        s.write_words(zs, np.where(x > scalar, FX_ONE, 0))
-        s.reads += n + 1
-        s.writes += n
 
-    def _lut_mode(self, inst, table_name):
-        s = self.s
-        table: LutTable = s.config.luts[table_name]
-        n = inst.length
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, n)
-        x = s.read_words(xs, n)
-        k, b = table.lookup_array(x)
-        s.write_words(zs, _sat(_fx_mul_vec(k, x) + b))
-        s.reads += n
-        s.writes += n
+def _vssgt(s, inst):
+    x, y, z = _vector_operands(s, inst, 1)  # one scalar Y word against every X word
+    z[:] = np.where(x > y, FX_ONE, 0)
 
-    def _vsig(self, inst):
-        self._lut_mode(inst, "sigmoid")
 
-    def _vtanh(self, inst):
-        self._lut_mode(inst, "tanh")
+def _lut_mode(s, inst, table: LutTable):
+    n = inst.length
+    xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, n)
+    x = s.memory[xs : xs + n]
+    k, b = table.lookup_array(x)
+    result = _fx_mul(k, x)
+    result += b
+    s.memory[zs : zs + n] = _saturate(result)
+    s.reads += n
+    s.writes += n
 
-    def _vexp(self, inst):
-        self._lut_mode(inst, "exp-neg")
 
-    # -- scratchpad reductions --------------------------------------------
+def _vsig(s, inst):
+    _lut_mode(s, inst, s.config.luts["sigmoid"])
 
-    def _vmaxabs(self, inst):
-        s = self.s
-        n = inst.length
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 1)
-        x = s.read_words(xs, n)
-        best = int(min(np.abs(x).max(initial=0), FX_MAX))
-        s.scratchpad[0] = best
-        s.write_words(zs, [best])
-        s.reads += n
-        s.writes += 1
 
-    def _vsqnorm(self, inst):
-        s = self.s
-        n = inst.length
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 1)
-        x = s.read_words(xs, n)
-        squares = _fx_mul_vec(x, x)
-        total = int(min(squares.sum(), FX_MAX))  # non-negative terms: monotone prefix
-        s.scratchpad[0] = total
-        s.write_words(zs, [total])
-        s.reads += n
-        s.writes += 1
+def _vtanh(s, inst):
+    _lut_mode(s, inst, s.config.luts["tanh"])
 
-    def _mvmul(self, inst):
-        s = self.s
-        rows, cols = inst.width, inst.length
-        if rows > s.config.n_local:
-            raise MachineTrap(s.pc, f"Mvmul width {rows} exceeds scratchpad {s.config.n_local}")
-        xs = s._operand(inst.addr_x, inst.off_x, s.off_x, rows * cols)
-        ys = s._operand(inst.addr_y, inst.off_y, s.off_y, cols)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, rows)
-        if rows == 0:
-            return
-        w = s.read_words(xs, rows * cols).reshape(rows, cols)
-        v = s.read_words(ys, cols)
-        prior = s.read_words(zs, rows)  # partial sums start from prior Z contents
-        products = _fx_mul_vec(w, v[None, :])
-        result = _saturating_running_sum(prior, products)
-        s.scratchpad[:rows] = result
-        s.write_words(zs, result)
-        s.reads += rows * cols + cols + rows
-        s.writes += rows
 
-    # -- control ------------------------------------------------------------
+def _vexp(s, inst):
+    _lut_mode(s, inst, s.config.luts["exp-neg"])
 
-    def _loop(self, inst):
-        s = self.s
-        s.loop_begin = s.pc + 1
-        s.loop_end = inst.x_field
-        s.loop_n = inst.y_field
 
-    def _regaddi(self, inst):
-        s = self.s
-        if inst.length == 0:
-            s.off_x += inst.signed_imm
-        elif inst.length == 1:
-            s.off_y += inst.signed_imm
-        elif inst.length == 2:
-            s.off_z += inst.signed_imm
-        else:
-            raise MachineTrap(s.pc, f"regaddi selector {inst.length} undefined")
+def _vmaxabs(s, inst):
+    n = inst.length
+    xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 1)
+    magnitudes = np.absolute(s.memory[xs : xs + n], dtype=np.int64)
+    best = min(int(magnitudes.max(initial=0)), FX_MAX)
+    s.scratchpad[0] = best
+    s.memory[zs] = best
+    s.reads += n
+    s.writes += 1
 
-    def _reg_group(self, inst):
-        if inst.length == GROUP_LOOP:
-            return ("loop_begin", "loop_end", "loop_n")
-        if inst.length == GROUP_OFFSET:
-            return ("off_x", "off_y", "off_z")
-        raise MachineTrap(self.s.pc, f"register group {inst.length} undefined")
 
-    def _regstore(self, inst):
-        s = self.s
-        names = self._reg_group(inst)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 3)
-        raw = [(getattr(s, n) & 0xFFFFFFFF) for n in names]
-        s.write_words(zs, [v - (1 << 32) if v >> 31 else v for v in raw])
-        s.writes += 3
+def _vsqnorm(s, inst):
+    n = inst.length
+    xs = s._operand(inst.addr_x, inst.off_x, s.off_x, n)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 1)
+    x = s.memory[xs : xs + n]
+    total = min(int(_fx_mul(x, x).sum()), FX_MAX)  # non-negative terms: monotone prefix
+    s.scratchpad[0] = total
+    s.memory[zs] = total
+    s.reads += n
+    s.writes += 1
 
-    def _regload(self, inst):
-        s = self.s
-        names = self._reg_group(inst)
-        zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 3)
-        words = [int(w) & 0xFFFFFFFF for w in s.memory[zs : zs + 3]]
-        for name, raw in zip(names, words):
-            if name.startswith("off"):
-                setattr(s, name, raw - (1 << 32) if raw >> 31 else raw)
-            else:
-                setattr(s, name, raw)
-        s.reads += 3
 
-    def _halt(self, inst):
-        self.s.halted = True
+def _mvmul(s, inst):
+    rows, cols = inst.width, inst.length
+    if rows > s.config.n_local:
+        raise MachineTrap(s.pc, f"Mvmul width {rows} exceeds scratchpad {s.config.n_local}")
+    xs = s._operand(inst.addr_x, inst.off_x, s.off_x, rows * cols)
+    ys = s._operand(inst.addr_y, inst.off_y, s.off_y, cols)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, rows)
+    if rows == 0:
+        return
+    mem = s.memory
+    w = mem[xs : xs + rows * cols].reshape(rows, cols)
+    products = np.multiply(w, mem[ys : ys + cols], dtype=np.int64)
+    products >>= 16  # unsaturated; the running sum saturates where it must
+    # Partial sums start from the prior Z contents.
+    result = _saturating_running_sum(mem[zs : zs + rows].astype(np.int64), products)
+    s.scratchpad[:rows] = result
+    mem[zs : zs + rows] = result
+    s.reads += rows * cols + cols + rows
+    s.writes += rows
 
-    _HANDLERS = {
-        Opcode.VADD: _vadd,
-        Opcode.VSUB: _vsub,
-        Opcode.VMUL: _vmul,
-        Opcode.VSGT: _vsgt,
-        Opcode.VSIG: _vsig,
-        Opcode.VTANH: _vtanh,
-        Opcode.VEXP: _vexp,
-        Opcode.MVMUL: _mvmul,
-        Opcode.VSSGT: _vssgt,
-        Opcode.VMAXABS: _vmaxabs,
-        Opcode.VSQNORM: _vsqnorm,
-        Opcode.LOOP: _loop,
-        Opcode.REGADDI: _regaddi,
-        Opcode.REGSTORE: _regstore,
-        Opcode.REGLOAD: _regload,
-        Opcode.HALT: _halt,
-    }
+
+def _loop(s, inst):
+    s.loop_begin = s.pc + 1
+    s.loop_end = inst.x_field
+    s.loop_n = inst.y_field
+
+
+def _regaddi(s, inst):
+    if inst.length == 0:
+        s.off_x += inst.signed_imm
+    elif inst.length == 1:
+        s.off_y += inst.signed_imm
+    elif inst.length == 2:
+        s.off_z += inst.signed_imm
+    else:
+        raise MachineTrap(s.pc, f"regaddi selector {inst.length} undefined")
+
+
+_REG_GROUPS = {
+    GROUP_LOOP: ("loop_begin", "loop_end", "loop_n"),
+    GROUP_OFFSET: ("off_x", "off_y", "off_z"),
+}
+
+
+def _reg_group(s, inst) -> tuple[str, str, str]:
+    names = _REG_GROUPS.get(inst.length)
+    if names is None:
+        raise MachineTrap(s.pc, f"register group {inst.length} undefined")
+    return names
+
+
+def _signed32(v: int) -> int:
+    v &= 0xFFFFFFFF
+    return v - (1 << 32) if v >> 31 else v
+
+
+def _regstore(s, inst):
+    names = _reg_group(s, inst)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 3)
+    s.memory[zs : zs + 3] = [_signed32(getattr(s, name)) for name in names]
+    s.writes += 3
+
+
+def _regload(s, inst):
+    names = _reg_group(s, inst)
+    zs = s._operand(inst.addr_z, inst.off_z, s.off_z, 3)
+    for name, word in zip(names, s.memory[zs : zs + 3].tolist()):
+        # Offsets are signed; the loop registers read back unsigned.
+        setattr(s, name, _signed32(word) if name.startswith("off") else word & 0xFFFFFFFF)
+    s.reads += 3
+
+
+def _halt(s, inst):
+    s.halted = True
+
+
+_HANDLERS = {
+    Opcode.VADD: _vadd,
+    Opcode.VSUB: _vsub,
+    Opcode.VMUL: _vmul,
+    Opcode.VSGT: _vsgt,
+    Opcode.VSIG: _vsig,
+    Opcode.VTANH: _vtanh,
+    Opcode.VEXP: _vexp,
+    Opcode.MVMUL: _mvmul,
+    Opcode.VSSGT: _vssgt,
+    Opcode.VMAXABS: _vmaxabs,
+    Opcode.VSQNORM: _vsqnorm,
+    Opcode.LOOP: _loop,
+    Opcode.REGADDI: _regaddi,
+    Opcode.REGSTORE: _regstore,
+    Opcode.REGLOAD: _regload,
+    Opcode.HALT: _halt,
+}
+
+
+def _execute(state: MachineState, handler, inst: MacroInstruction, cycles: int) -> None:
+    """Run one instruction, charge its cycles, then advance or loop back."""
+    handler(state, inst)
+    state.cycles += cycles
+    if state.halted:
+        return
+    if state.pc == state.loop_end and state.loop_n != 0:
+        state.loop_n -= 1
+        state.pc = state.loop_begin
+    else:
+        state.pc += 1
 
 
 def step_instruction(state: MachineState) -> MachineState:
@@ -362,22 +391,22 @@ def step_instruction(state: MachineState) -> MachineState:
         state.halted = True  # running off the end is a clean stop
         return state
     inst = state.program[state.pc]
-    _Executor(state).run_one(inst)
-    state.cycles += instruction_cycles(inst, state.config)
-    if state.halted:
-        return state
-    if state.pc == state.loop_end and state.loop_n != 0:
-        state.loop_n -= 1
-        state.pc = state.loop_begin
-    else:
-        state.pc += 1
+    _execute(state, _HANDLERS[inst.mode], inst, instruction_cycles(inst, state.config))
     return state
 
 
 def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
     """Run to Halt (or past the last instruction); deterministic."""
+    decoded = [
+        (_HANDLERS[inst.mode], inst, instruction_cycles(inst, state.config))
+        for inst in state.program
+    ]
+    end = len(decoded)
     while not state.halted:
-        step_instruction(state)
+        if state.pc >= end:
+            state.halted = True  # running off the end is a clean stop
+            break
+        _execute(state, *decoded[state.pc])
         if max_cycles is not None and state.cycles > max_cycles:
             raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
     return RunReport(
@@ -401,13 +430,17 @@ def image_to_bytes(words) -> bytes:
 def image_from_bytes(blob: bytes) -> np.ndarray:
     if blob[:4] != IMAGE_MAGIC:
         raise LoadError("bad image magic")
-    version, count = struct.unpack("<II", blob[4:12])
+    if len(blob) < IMAGE_HEADER_BYTES:
+        raise LoadError(f"image header truncated: {len(blob)} of {IMAGE_HEADER_BYTES} bytes")
+    version, count = struct.unpack_from("<II", blob, 4)
     if version != IMAGE_VERSION:
         raise LoadError(f"unsupported image version {version}")
-    data = np.frombuffer(blob[12:], dtype="<i4")
-    if len(data) != count:
-        raise LoadError(f"image declares {count} words but carries {len(data)}")
-    return data.astype(np.int32)
+    body = len(blob) - IMAGE_HEADER_BYTES
+    if body != 4 * count:
+        raise LoadError(
+            f"image declares {count} words ({4 * count} bytes) but carries {body} bytes"
+        )
+    return np.frombuffer(blob, dtype="<i4", offset=IMAGE_HEADER_BYTES).astype(np.int32)
 
 
 def save_image(path, words) -> None:

@@ -5,6 +5,7 @@ each routine follows the corresponding closed-form equation exactly, so these
 functions double as the ground truth for the fixed-point compiler tests.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -286,27 +287,27 @@ def bundle_to_bytes(m: ModelBundle) -> bytes:
 def bundle_from_bytes(blob: bytes) -> ModelBundle:
     if blob[:4] != BUNDLE_MAGIC:
         raise ValueError("bad bundle magic")
-    version, kind_len = struct.unpack_from("<IH", blob, 4)
+    pos = 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise ValueError(f"bundle truncated in {what} at byte {pos} of {len(blob)}")
+        pos += size
+        return blob[pos - size : pos]
+
+    version, kind_len = struct.unpack("<IH", take(6, "header"))
     if version != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {version}")
-    pos = 10
-    kind = blob[pos : pos + kind_len].decode()
-    pos += kind_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    kind = take(kind_len, "kind").decode()
+    (count,) = struct.unpack("<I", take(4, "tensor count"))
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode()
-        pos += name_len
-        (rank,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=n, offset=pos)
-        pos += 8 * n
+        (name_len,) = struct.unpack("<H", take(2, "tensor name"))
+        name = take(name_len, "tensor name").decode()
+        (rank,) = struct.unpack("<H", take(2, f"tensor {name!r}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"tensor {name!r}"))
+        data = np.frombuffer(take(8 * math.prod(shape), f"tensor {name!r}"), dtype="<f8")
         tensors[name] = data.reshape(shape).astype(np.float64)
     return ModelBundle(kind=kind, tensors=tensors)
 

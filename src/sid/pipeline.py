@@ -152,7 +152,8 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     pool = window_error_samples(bundle, ref_pool_windows, n)
     picks = rng.choice(len(pool), size=min(cfg.ks.refs, len(pool)), replace=False)
     ref_samples = pool[np.sort(picks)]
-    val_errors = window_error_samples(bundle, val, n)
+    # Validation references: the pool already holds the validation errors.
+    val_errors = pool if ref_pool_windows is val else window_error_samples(bundle, val, n)
     mean_threshold = float(np.quantile(val_errors.mean(axis=1), cfg.threshold_quantile))
     return LadModel(
         user=user,

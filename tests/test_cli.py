@@ -154,6 +154,36 @@ def test_report_command(tmp_path):
     assert "560" in lstm_line
 
 
+def test_truncated_files_exit_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "1", "--seqs", "2", "--length", "300",
+            "--freqs", "1.8", "--seed", "4", "--out", str(datadir))
+    bundle = tmp_path / "m.sidb"
+    run_cli("train", "--kind", "lr", "--data", str(datadir), "--window", "64",
+            "--step", "32", "--epochs", "3", "--out", str(bundle))
+    prefix = tmp_path / "m"
+    run_cli("compile", "--model", str(bundle), "--out-prefix", str(prefix))
+    image = tmp_path / "m.image.sidm"
+    for cut in (6, 11):  # inside the bundle header, inside the image header
+        bundle.write_bytes(bundle.read_bytes()[:cut])
+        image.write_bytes(image.read_bytes()[:cut])
+        capsys.readouterr()
+        assert run_cli("compile", "--model", str(bundle), "--out-prefix", str(prefix)) == 2
+        assert run_cli("sim", "--program", f"{prefix}.prog.bin", "--image", str(image)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+def test_config_rejects_keys_the_command_does_not_take(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for line in ("bogus_key=3", "strategy=unrolled", "n-track=0"):
+        cfg.write_text(f"period=0.04\n{line}\n")
+        key = line.split("=")[0]
+        assert run_cli("--config", str(cfg), "energy") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and len(err.splitlines()) == 1
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("period=0.04\n")

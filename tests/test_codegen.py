@@ -232,6 +232,22 @@ def test_rnn_step_matches_oracle(kind):
     assert np.abs(got - want).max() <= TOL
 
 
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_step_runner_stops_at_error_capacity(kind):
+    # One squared error per step lands in `errors`; the word after it belongs
+    # to `zerovec`, which every step adds to its biases.
+    init = init_lstm if kind == "lstm" else init_gru
+    prog = compile_model(init(2, 2, seed=3), CONFIG)
+    capacity = prog.length("errors")
+    runner = StepRunner(prog, CONFIG)
+    for _ in range(capacity):
+        runner.step([0.5, -0.25])
+    with pytest.raises(CompileError, match=rf"'errors'.*{capacity}"):
+        runner.step([0.5, -0.25])
+    assert runner.steps == capacity
+    assert not read_symbol(runner.state, prog, "zerovec").any()
+
+
 def test_strategy_equivalence_kernel_svm():
     rng = np.random.default_rng(14)
     m = ModelBundle(

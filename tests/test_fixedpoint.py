@@ -25,6 +25,7 @@ def test_from_real_basics():
     assert fx_from_real(0.0) == 0
     assert fx_from_real(70000.0) == 0x7FFFFFFF
     assert fx_from_real(-70000.0) == FX_MIN
+    assert fx_from_real(math.inf) == FX_MAX and fx_from_real(-math.inf) == FX_MIN
 
 
 def test_roundtrip_error_bound():
@@ -142,3 +143,9 @@ def test_fx_array_matches_scalar():
     vals = [-70000.0, -1.25, 0.0, 0.5, 3.75, 70000.0]
     arr = fx_array(vals)
     assert list(arr) == [fx_from_real(v) for v in vals]
+
+
+def test_fx_array_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        fx_array([0.5, float("nan")])
+    assert list(fx_array([math.inf, -math.inf])) == [FX_MAX, FX_MIN]

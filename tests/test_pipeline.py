@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sid.data import random_gait_params, synth_generate
+from sid import pipeline as pipeline_module
+from sid.detection import Window
 from sid.pipeline import safe_metrics
 from sid.models import predict_series, rnn_hidden_size, step_gru, step_lstm
 from sid.pipeline import (
@@ -96,3 +98,28 @@ def test_run_idaas_mlp():
 def test_run_idaas_rejects_one_class_kind():
     with pytest.raises(PipelineError):
         run_idaas(small_corpus(length=300), "lstm", IdaasConfig(), seed=0)
+
+
+def test_fit_lad_model_scores_validation_windows_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    windows = [Window(0, 0, 0, w) for w in rng.normal(size=(8, 50, 6))]
+    cfg = LadConfig(rnn_window=50, hidden=4)
+    calls = []
+    real = pipeline_module.window_error_samples
+    monkeypatch.setattr(
+        pipeline_module, "window_error_samples",
+        lambda *a: calls.append(a) or real(*a),
+    )
+    bundle = init_lstm(4, 6, seed=5)
+    model = fit_lad_model(0, windows, "lstm", cfg, seed=6, bundle=bundle)
+    assert len(calls) == 1  # references and threshold share one forward
+    val = np.stack([w.data for w in windows[-3:]])
+    want = real(bundle, val, cfg.ks.window_errors)
+    assert np.array_equal(model.pool, want)
+    assert model.mean_threshold == float(
+        np.quantile(want.mean(axis=1), cfg.threshold_quantile)
+    )
+    calls.clear()
+    fit_lad_model(0, windows, "lstm", LadConfig(rnn_window=50, hidden=4, ref_source="train"),
+                  seed=6, bundle=bundle)
+    assert len(calls) == 2

@@ -1,0 +1,229 @@
+"""Property tests: the VM against a per-element scalar reference, ISA text and
+binary round trips, and truncated binary inputs."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sid.cli import DOMAIN_ERRORS
+from sid.fixedpoint import (
+    FX_MAX,
+    FX_MIN,
+    FX_ONE,
+    LutTable,
+    default_luts,
+    fx_add,
+    fx_mul,
+    fx_sub,
+    saturate,
+)
+from sid.isa import (
+    INSTRUCTION_BYTES,
+    MAX_ADDR,
+    MAX_LEN,
+    MacroInstruction,
+    Opcode,
+    assemble,
+    decode,
+    disassemble,
+    encode,
+    halt,
+    loop,
+    program_from_bytes,
+    program_to_bytes,
+    regaddi,
+)
+from sid.machine import MachineConfig, image_from_bytes, image_to_bytes, load, run
+from sid.models import ModelBundle, bundle_from_bytes, bundle_to_bytes
+
+WORDS = 96  # data memory of the straight-line programs
+LUTS = default_luts()
+LUT_NAMES = {Opcode.VSIG: "sigmoid", Opcode.VTANH: "tanh", Opcode.VEXP: "exp-neg"}
+ELEMENTWISE = {
+    Opcode.VADD: fx_add,
+    Opcode.VSUB: fx_sub,
+    Opcode.VMUL: fx_mul,
+    Opcode.VSGT: lambda a, b: FX_ONE if a >= b else 0,
+}
+VECTOR_OPS = sorted(
+    [*ELEMENTWISE, *LUT_NAMES, Opcode.VSSGT, Opcode.VMAXABS, Opcode.VSQNORM, Opcode.MVMUL]
+)
+
+
+def reference_run(program, image) -> list[int]:
+    """Straight-line semantics, one element at a time in sequential order.
+
+    Every instruction reads all of its operands before it writes Z."""
+    mem = [int(w) for w in image]
+    for inst in program:
+        op, n, x, y, z = inst.mode, inst.length, inst.addr_x, inst.addr_y, inst.addr_z
+        if op is Opcode.MVMUL:
+            out = []
+            for r in range(inst.width):
+                acc = mem[z + r]  # rows accumulate onto the prior Z contents
+                for c in range(n):
+                    acc = fx_add(acc, fx_mul(mem[x + r * n + c], mem[y + c]))
+                out.append(acc)
+        elif op is Opcode.VMAXABS:
+            out = [saturate(max((abs(mem[x + i]) for i in range(n)), default=0))]
+        elif op is Opcode.VSQNORM:
+            acc = 0
+            for i in range(n):
+                acc = fx_add(acc, fx_mul(mem[x + i], mem[x + i]))
+            out = [acc]
+        elif op is Opcode.VSSGT:
+            out = [FX_ONE if mem[x + i] > mem[y] else 0 for i in range(n)]
+        elif op in LUT_NAMES:
+            out = [LUTS[LUT_NAMES[op]].eval(mem[x + i]) for i in range(n)]
+        else:
+            out = [ELEMENTWISE[op](mem[x + i], mem[y + i]) for i in range(n)]
+        mem[z : z + len(out)] = out
+    return mem
+
+
+words = st.one_of(
+    st.integers(-4 * FX_ONE, 4 * FX_ONE),
+    st.integers(FX_MIN, FX_MAX),
+    st.sampled_from([FX_MIN, FX_MIN + 1, -1, 0, 1, FX_ONE, FX_MAX - 1, FX_MAX]),
+)
+
+
+@st.composite
+def vector_instructions(draw):
+    op = draw(st.sampled_from(VECTOR_OPS))
+    if op is Opcode.MVMUL:
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+        sizes = (rows * cols, cols, rows)
+    else:
+        rows, cols = 0, draw(st.integers(0, 12))
+        y_size = 1 if op is Opcode.VSSGT else cols
+        z_size = 1 if op in (Opcode.VMAXABS, Opcode.VSQNORM) else cols
+        sizes = (cols, y_size, z_size)
+    x, y, z = (draw(st.integers(0, WORDS - size)) for size in sizes)
+    return MacroInstruction(mode=op, length=cols, width=rows, addr_x=x, addr_y=y, addr_z=z)
+
+
+def _mvmul(rows, cols, x, y, z):
+    return MacroInstruction(
+        mode=Opcode.MVMUL, length=cols, width=rows, addr_x=x, addr_y=y, addr_z=z
+    )
+
+
+def _image(pairs):
+    image = [0] * WORDS
+    for addr, values in pairs:
+        image[addr : addr + len(values)] = values
+    return image
+
+
+# Rows built to reach each accumulation path of the MVMUL handler. With
+# v = [50, -60] raw and unit weights the products are 50 and -60:
+#   row 0, prior 0: |prior| + sum|products| fits, the plain sum;
+#   row 1, prior FX_MAX - 100: over that bound, but every prefix stays in
+#     range, so the prefix check passes;
+#   row 2, prior FX_MAX - 100 and products 200, -60: the first prefix leaves
+#     the range, so the per-element loop saturates it and then subtracts.
+# The second Mvmul's two products saturate on their own before they are added.
+MVMUL_PATHS = (
+    [_mvmul(3, 2, 0, 8, 16), _mvmul(1, 2, 32, 40, 48)],
+    _image([
+        (0, [FX_ONE, FX_ONE, FX_ONE, FX_ONE, 4 * FX_ONE, FX_ONE]),
+        (8, [50, -60]),
+        (16, [0, FX_MAX - 100, FX_MAX - 100]),
+        (32, [FX_MAX, FX_MAX]),
+        (40, [FX_MAX, FX_MIN]),
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    program=st.lists(vector_instructions(), min_size=1, max_size=6),
+    image=st.lists(words, min_size=WORDS, max_size=WORDS),
+)
+@example(program=MVMUL_PATHS[0], image=MVMUL_PATHS[1])
+def test_vm_matches_scalar_reference(program, image):
+    want = reference_run(program, image)
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, data_mem_words=WORDS, luts=LUTS)
+        state = load(config, program + [halt()], image)
+        run(state)
+        assert state.memory.tolist() == want, f"n_track={n_track}"
+
+
+def test_mvmul_accumulation_paths():
+    program, image = MVMUL_PATHS
+    state = load(MachineConfig(data_mem_words=WORDS, luts=LUTS), program + [halt()], image)
+    run(state)
+    assert state.memory[16:19].tolist() == [-10, FX_MAX - 110, FX_MAX - 60]
+    assert state.memory[48] == -1  # saturated FX_MAX, then saturated FX_MIN
+
+
+u32 = st.integers(0, (1 << 32) - 1)
+
+
+@st.composite
+def instructions(draw):
+    kind = draw(st.sampled_from(["vector", "loop", "regaddi", "reg", "halt"]))
+    if kind == "loop":
+        return loop(draw(u32), draw(u32))
+    if kind == "regaddi":
+        return regaddi(draw(st.integers(0, 2)), draw(st.integers(-(1 << 31), (1 << 31) - 1)))
+    if kind == "reg":
+        return MacroInstruction(
+            mode=draw(st.sampled_from([Opcode.REGSTORE, Opcode.REGLOAD])),
+            length=draw(st.integers(0, MAX_LEN)),
+            addr_z=draw(st.integers(0, MAX_ADDR)),
+            off_z=draw(st.booleans()),
+        )
+    if kind == "halt":
+        return halt()
+    lengths, addrs = st.integers(0, MAX_LEN), st.integers(0, MAX_ADDR)
+    return MacroInstruction(
+        mode=draw(st.sampled_from(VECTOR_OPS)),
+        length=draw(lengths),
+        width=draw(lengths),
+        addr_x=draw(addrs),
+        addr_y=draw(addrs),
+        addr_z=draw(addrs),
+        off_x=draw(st.booleans()),
+        off_y=draw(st.booleans()),
+        off_z=draw(st.booleans()),
+    )
+
+
+@settings(deadline=None)
+@given(st.lists(instructions(), max_size=20))
+def test_assemble_disassemble_round_trip(program):
+    assert assemble(disassemble(program)) == program
+    assert program_from_bytes(program_to_bytes(program)) == program
+    assert [decode(encode(inst)) for inst in program] == program
+
+
+_PROGRAM = [loop(3, 2), regaddi(1, -7), MVMUL_PATHS[0][0], halt()]
+_BUNDLE = ModelBundle(
+    "lstm",
+    {"Wc": np.arange(6.0).reshape(2, 3), "bc": np.ones(2), "scale": np.float64(0.5)},
+)
+# reader name -> (serialized input, reader)
+SERIALIZED = {
+    "program": (program_to_bytes(_PROGRAM), program_from_bytes),
+    "image": (image_to_bytes(np.arange(-5, 20, dtype=np.int32)), image_from_bytes),
+    "bundle": (bundle_to_bytes(_BUNDLE), bundle_from_bytes),
+    "lut": (LUTS["tanh"].to_words(), LutTable.from_words),
+}
+
+
+@settings(deadline=None)
+@given(name=st.sampled_from(sorted(SERIALIZED)), data=st.data())
+def test_truncated_binary_inputs_raise_domain_errors(name, data):
+    blob, read = SERIALIZED[name]
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    if name == "program" and cut % INSTRUCTION_BYTES == 0:
+        # Program files have no header: a whole-instruction prefix is a program.
+        assert read(blob[:cut]) == _PROGRAM[: cut // INSTRUCTION_BYTES]
+        return
+    with pytest.raises(DOMAIN_ERRORS) as info:  # never struct.error
+        read(blob[:cut])
+    assert "\n" not in str(info.value)
