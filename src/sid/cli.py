@@ -55,8 +55,6 @@ class RunManifest:
             raise ManifestError(
                 f"scenario idaas cannot use one-class kind {self.model_kind!r}"
             )
-        if self.pipeline not in pipeline.PIPELINES + ("idaas",):
-            raise ManifestError(f"unknown pipeline {self.pipeline!r}")
 
 
 class ManifestError(ValueError):
@@ -170,8 +168,7 @@ def cmd_train(args) -> int:
 
 def cmd_compile(args) -> int:
     bundle = models.load_bundle(args.model)
-    config = machine.MachineConfig(n_track=args.n_track)
-    prog = codegen.compile_model(bundle, config, args.strategy)
+    prog = codegen.compile_model(bundle, machine.MachineConfig(), args.strategy)
     prefix = Path(args.out_prefix)
     isa.save_program(f"{prefix}.prog.bin", prog.instructions)
     machine.save_image(f"{prefix}.image.sidm", prog.image)
@@ -205,9 +202,7 @@ def cmd_detect(args) -> int:
     )
     sequences = data.hapt_load(args.data)
     if manifest.scenario == "lad":
-        ks = detection.KsDecisionConfig(
-            alpha=args.alpha, refs=args.refs, bins=args.bins
-        )
+        ks = detection.KsDecisionConfig(refs=args.refs, bins=args.bins)
         cfg = pipeline.LadConfig(
             rnn_window=args.window or 200,
             rnn_step=args.step or 100,
@@ -254,17 +249,21 @@ def cmd_energy(args) -> int:
         profiles = energy.load_profiles(args.profiles)
     else:
         profiles = {"gpu": energy.GPU_PROFILE, "sid": energy.SID_PROFILE}
-    name_a, _, t_a = args.platform_a.partition(":")
-    name_b, _, t_b = args.platform_b.partition(":")
-    platform_a = [(profiles[name_a], float(t_a or 0.0))]
-    platform_b = [(profiles[name_b], float(t_b or 0.0))]
-    sys.stdout.write(energy.format_energy_report(platform_a, platform_b, args.period))
+    platforms = []
+    for spec in (args.platform_a, args.platform_b):
+        name, _, seconds = spec.partition(":")
+        if name not in profiles:
+            raise energy.EnergyError(
+                f"unknown profile {name!r} (known: {', '.join(sorted(profiles))})"
+            )
+        platforms.append([(profiles[name], float(seconds or 0.0))])
+    sys.stdout.write(energy.format_energy_report(*platforms, args.period))
     return 0
 
 
 def cmd_report(args) -> int:
     rng = np.random.default_rng(args.seed)
-    config = machine.MachineConfig(n_track=args.n_track)
+    config = machine.MachineConfig()
     programs = []
     for name, sizes in (
         ("mlp_50", [384, 50, 2]),
@@ -324,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
 
-    def lanes(p):
-        p.add_argument("--n-track", type=int, default=4)
-
     p = sub.add_parser("gen-data", help="write a synthetic sensor corpus")
     common(p)
     p.add_argument("--users", type=int, default=2)
@@ -352,16 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("compile", help="lower a bundle to a program and image")
-    common(p)
-    lanes(p)
     p.add_argument("--model", required=True)
     p.add_argument("--strategy", choices=("looped", "unrolled"), default="looped")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("sim", help="run a program over a memory image")
-    common(p)
-    lanes(p)
+    p.add_argument("--n-track", type=int, default=4)
     p.add_argument("--program", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--max-cycles", type=int)
@@ -377,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=int)
     p.add_argument("--step", type=int)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--refs", type=int, default=20)
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--hidden", type=int, default=16)
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="code-size table over the standard stages")
     common(p)
-    lanes(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
     return parser

@@ -160,7 +160,7 @@ def _emit_matvec(b: _Builder, config, w_addr, rows, cols, y_addr, z_addr):
 # Feed-forward models
 # ---------------------------------------------------------------------------
 
-def _compile_lr(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
+def _compile_lr(m: ModelBundle) -> CompiledProgram:
     w = m["w"]
     b = _Builder("lr", "lr", "looped")
     waddr = b.tensor("w", w)
@@ -178,7 +178,7 @@ def _compile_lr(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     return b.finish()
 
 
-def _compile_linear_svm(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
+def _compile_linear_svm(m: ModelBundle) -> CompiledProgram:
     weff = np.asarray(m["coef"]) @ np.asarray(m["sv"])  # collapse to the primal form
     b = _Builder("linear_svm", "linear_svm", "looped")
     waddr = b.tensor("w", weff)
@@ -194,7 +194,7 @@ def _compile_linear_svm(m: ModelBundle, config: MachineConfig) -> CompiledProgra
     return b.finish()
 
 
-def _compile_kernel_machine(m: ModelBundle, config: MachineConfig, strategy: str) -> CompiledProgram:
+def _compile_kernel_machine(m: ModelBundle, strategy: str) -> CompiledProgram:
     """Shared kernel-sum lowering for the two-class and one-class SVMs.
 
     Per support vector: d = x - v_i; sq = squared norm of d; kv = exp(-gamma*sq);
@@ -279,27 +279,14 @@ def _compile_mlp(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     return b.finish()
 
 
-def mlp_instruction_count(sizes, n_local=64) -> int:
-    """Closed-form instruction count of the MLP lowering."""
-    total = 0
-    for fan_out in sizes[1:]:
-        total += math.ceil(fan_out / n_local) + 1  # blocks + bias
-    total += len(sizes) - 2  # hidden activations
-    total += (1 if sizes[-1] == 2 else 0) + 1  # decision + halt
-    return total
-
-
-def kernel_instruction_count(n_sv: int, strategy: str) -> int:
-    if strategy == "looped":
-        return 13
-    return 6 * n_sv + 3
-
-
 # ---------------------------------------------------------------------------
 # Recurrent step programs
 # ---------------------------------------------------------------------------
 
-def _compile_lstm_step(m: ModelBundle, config: MachineConfig, err_capacity=512) -> CompiledProgram:
+STEP_ERRORS = 512  # words of `errors`: one squared error per step
+
+
+def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     hidden = len(m["bc"])
     dim = m["Wc"].shape[1]
     b = _Builder("lstm_step", "lstm", "looped")
@@ -319,7 +306,7 @@ def _compile_lstm_step(m: ModelBundle, config: MachineConfig, err_capacity=512) 
     t3 = b.alloc("t3", hidden)
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
-    errs = b.alloc("errors", err_capacity)
+    errs = b.alloc("errors", STEP_ERRORS)
     zerovec = b.alloc("zerovec", hidden)
 
     # Error of the previous prediction against the newly arrived reading; the
@@ -347,7 +334,7 @@ def _compile_lstm_step(m: ModelBundle, config: MachineConfig, err_capacity=512) 
     return b.finish()
 
 
-def _compile_gru_step(m: ModelBundle, config: MachineConfig, err_capacity=512) -> CompiledProgram:
+def _compile_gru_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     hidden = len(m["bz"])
     dim = m["Wz"].shape[1]
     b = _Builder("gru_step", "gru", "looped")
@@ -371,7 +358,7 @@ def _compile_gru_step(m: ModelBundle, config: MachineConfig, err_capacity=512) -
     t3 = b.alloc("t3", hidden)
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
-    errs = b.alloc("errors", err_capacity)
+    errs = b.alloc("errors", STEP_ERRORS)
     zerovec = b.alloc("zerovec", hidden)
     ones = b.tensor("ones", np.ones(hidden))
 
@@ -397,18 +384,6 @@ def _compile_gru_step(m: ModelBundle, config: MachineConfig, err_capacity=512) -
     _emit_matvec(b, config, wout, dim, hidden, h, pred)
     b.emit(halt())
     return b.finish()
-
-
-def lstm_instruction_count(hidden, dim, n_local=64) -> int:
-    blocks = math.ceil(hidden / n_local)
-    out_blocks = math.ceil(dim / n_local)
-    return 3 + 4 * (1 + blocks) + 4 + 3 + 2 + 1 + out_blocks + 1
-
-
-def gru_instruction_count(hidden, dim, n_local=64) -> int:
-    blocks = math.ceil(hidden / n_local)
-    out_blocks = math.ceil(dim / n_local)
-    return 3 + 2 * (1 + blocks) + 2 + 1 + 1 + 2 * blocks + 1 + 4 + 1 + out_blocks + 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,19 +499,12 @@ def compile_ks_stage(
     return prog
 
 
-def ks_instruction_count(n_ref: int, n_err: int, strategy: str, include_vote=True) -> int:
-    if strategy == "looped":
-        base = 16  # prologue + nested loop machinery + per-reference tail + reject + halt
-    else:
-        base = n_ref * (2 * n_err + 3) + 2  # per-reference expansion + reject + halt
-    return base + (2 if include_vote else 0)
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 def compile_model(m: ModelBundle, config: MachineConfig, strategy: str = "looped") -> CompiledProgram:
+    """Lower a bundle; only the kernel machines have an unrolled form."""
     if strategy not in ("looped", "unrolled"):
         raise CompileError(f"unknown strategy {strategy!r}")
     if m.kind == "krr":
@@ -544,12 +512,16 @@ def compile_model(m: ModelBundle, config: MachineConfig, strategy: str = "looped
             "krr is not compilable: its feature extraction needs vector min/max/"
             "sqrt/FFT operations the hardware leaves unimplemented"
         )
-    if m.kind == "lr":
-        return _compile_lr(m, config)
-    if m.kind == "linear_svm":
-        return _compile_linear_svm(m, config)
     if m.kind in ("kernel_svm", "ocsvm"):
-        return _compile_kernel_machine(m, config, strategy)
+        return _compile_kernel_machine(m, strategy)
+    if strategy == "unrolled":
+        raise CompileError(
+            f"{m.kind} has no unrolled form; only kernel_svm and ocsvm have one"
+        )
+    if m.kind == "lr":
+        return _compile_lr(m)
+    if m.kind == "linear_svm":
+        return _compile_linear_svm(m)
     if m.kind == "mlp":
         return _compile_mlp(m, config)
     if m.kind == "lstm":

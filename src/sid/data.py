@@ -141,7 +141,7 @@ def _read_matrix(path: Path, columns: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def hapt_load(directory, walk_id: int = WALK_ACTIVITY_ID):
+def hapt_load(directory):
     """One UserSequence per labeled WALK segment.
 
     Expects per-experiment acc_expXX_userYY.txt / gyro_expXX_userYY.txt files
@@ -168,7 +168,7 @@ def hapt_load(directory, walk_id: int = WALK_ACTIVITY_ID):
     cache: dict[tuple[int, int], np.ndarray] = {}
     sequences = []
     for exp, user, activity, first, last in labels:
-        if activity != walk_id:
+        if activity != WALK_ACTIVITY_ID:
             continue
         key = (exp, user)
         if key not in cache:

@@ -143,15 +143,11 @@ def build_ped(errors, bins: int) -> Ped:
 
 @dataclass(frozen=True)
 class KsDecisionConfig:
-    alpha: float = 0.05
     critical: float = 1.358  # c(alpha) for alpha = 0.05
     refs: int = 20
     window_errors: int = 40
     vote_threshold: float | None = None  # default refs / 2, inclusive
     bins: int = 16
-
-    def vote_cutoff(self) -> float:
-        return self.refs / 2 if self.vote_threshold is None else self.vote_threshold
 
 
 def ks_statistic(sample_a, sample_b) -> float:

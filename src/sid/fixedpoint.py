@@ -166,6 +166,8 @@ class LutTable:
         b = np.asarray(words[6 + segments : 6 + 2 * segments], dtype=np.int32)
         if len(k) != segments or len(b) != segments:
             raise ValueError("truncated LUT serialization")
+        if func_id not in _FUNCTION_NAMES:
+            raise ValueError(f"unknown LUT function id {func_id}")
         return LutTable(
             name=_FUNCTION_NAMES[func_id],
             segments=segments,

@@ -309,6 +309,8 @@ def bundle_from_bytes(blob: bytes) -> ModelBundle:
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"tensor {name!r}"))
         data = np.frombuffer(take(8 * math.prod(shape), f"tensor {name!r}"), dtype="<f8")
         tensors[name] = data.reshape(shape).astype(np.float64)
+    if pos != len(blob):
+        raise ValueError(f"bundle has {len(blob) - pos} bytes after its last tensor")
     return ModelBundle(kind=kind, tensors=tensors)
 
 

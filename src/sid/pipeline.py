@@ -68,8 +68,7 @@ class LadConfig:
     epochs: int = 40
     lr: float = 0.05
     train_fraction: float = 0.5
-    validation_fraction: float = 0.35  # tail of the train windows
-    ref_source: str = "validation"  # where reference PEDs come from
+    validation_fraction: float = 0.35  # tail of the train windows; references come from it
     threshold_quantile: float = 0.95
     ks: KsDecisionConfig = field(default_factory=KsDecisionConfig)
 
@@ -135,10 +134,6 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     n_val = max(int(round(cfg.validation_fraction * len(data))), 1)
     n_val = min(n_val, len(data) - 1) if len(data) > 1 else 1
     fit, val = data[: len(data) - n_val], data[len(data) - n_val :]
-    if cfg.ref_source == "train":
-        ref_pool_windows = fit
-    else:
-        ref_pool_windows = val
     if bundle is None:
         bundle = train(
             kind,
@@ -149,12 +144,10 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     elif bundle.kind != kind:
         raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
     n = cfg.ks.window_errors
-    pool = window_error_samples(bundle, ref_pool_windows, n)
+    pool = window_error_samples(bundle, val, n)  # references and threshold share it
     picks = rng.choice(len(pool), size=min(cfg.ks.refs, len(pool)), replace=False)
     ref_samples = pool[np.sort(picks)]
-    # Validation references: the pool already holds the validation errors.
-    val_errors = pool if ref_pool_windows is val else window_error_samples(bundle, val, n)
-    mean_threshold = float(np.quantile(val_errors.mean(axis=1), cfg.threshold_quantile))
+    mean_threshold = float(np.quantile(pool.mean(axis=1), cfg.threshold_quantile))
     return LadModel(
         user=user,
         bundle=bundle,

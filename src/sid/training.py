@@ -214,7 +214,7 @@ def _project_capped_simplex(v, cap):
     return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
 
 
-def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1, seed=0) -> ModelBundle:
+def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
     X = np.asarray(X, dtype=np.float64)
     if len(X) == 0:
         raise TrainingError("empty dataset")
@@ -416,9 +416,11 @@ def train_gru(sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=20, see
 # ---------------------------------------------------------------------------
 
 def train(kind: str, dataset, hyper=None, seed=0) -> ModelBundle:
-    """Train a bundle of the given kind; `hyper` overrides per-kind defaults."""
-    hyper = dict(hyper or {})
-    hyper.setdefault("seed", seed)
+    """Train a bundle of the given kind; `hyper` overrides per-kind defaults.
+
+    `seed` feeds every trainer but the deterministic krr and ocsvm solvers.
+    """
+    hyper = hyper or {}
     trainers = {
         "lr": train_lr,
         "mlp": train_mlp,
@@ -428,10 +430,9 @@ def train(kind: str, dataset, hyper=None, seed=0) -> ModelBundle:
         "gru": train_gru,
     }
     if kind == "krr":
-        hyper.pop("seed", None)
         return train_krr(dataset, **hyper)
     if kind == "ocsvm":
         return train_ocsvm(dataset, **hyper)
     if kind not in trainers:
         raise ValueError(f"unknown model kind {kind!r}")
-    return trainers[kind](dataset, **hyper)
+    return trainers[kind](dataset, **{"seed": seed, **hyper})

@@ -87,10 +87,23 @@ def test_detect_with_pretrained_bundle(tmp_path):
 
 
 def test_detect_rejects_removed_backend_flags(capsys):
-    # Detection runs on the float oracle; it takes no compile or lane flag.
-    for flag, value in (("--strategy", "unrolled"), ("--n-track", "7")):
-        assert run_cli("detect", "--scenario", "lad", "--data", "nowhere", flag, value) == 1
-        assert flag in capsys.readouterr().err
+    # Detection runs on the float oracle with a fixed KS critical value; lanes
+    # change only cycles, so only `sim` takes --n-track; compile and sim draw
+    # no random numbers.
+    required = {
+        "detect": ("--scenario", "lad", "--data", "nowhere"),
+        "compile": ("--model", "nowhere", "--out-prefix", "nowhere"),
+        "sim": ("--program", "nowhere", "--image", "nowhere"),
+        "report": (),
+    }
+    for command, flag, value in (
+        ("detect", "--strategy", "unrolled"), ("detect", "--n-track", "7"),
+        ("detect", "--alpha", "0.5"), ("compile", "--seed", "1"),
+        ("compile", "--n-track", "8"), ("sim", "--seed", "1"), ("report", "--n-track", "8"),
+    ):
+        assert run_cli(command, *required[command], flag, value) == 1
+        errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and flag in errors[0], (command, flag)
 
 
 def test_detect_idaas(tmp_path):
@@ -143,6 +156,8 @@ def test_energy_with_profile_file(tmp_path, capsys):
     assert run_cli("energy", "--profiles", str(profile),
                    "--platform-a", "cpu:0.002", "--platform-b", "acc:0.001") == 0
     assert "idle_ratio=50" in capsys.readouterr().out
+    assert run_cli("energy", "--platform-a", "foo:0.001") == 2
+    assert capsys.readouterr().err == "error: unknown profile 'foo' (known: gpu, sid)\n"
 
 
 def test_report_command(tmp_path):
@@ -163,6 +178,12 @@ def test_truncated_files_exit_two(tmp_path, capsys):
             "--step", "32", "--epochs", "3", "--out", str(bundle))
     prefix = tmp_path / "m"
     run_cli("compile", "--model", str(bundle), "--out-prefix", str(prefix))
+    capsys.readouterr()
+    # lr has no unrolled form
+    assert run_cli("compile", "--model", str(bundle), "--strategy", "unrolled",
+                   "--out-prefix", str(prefix)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "unrolled" in err[0]
     image = tmp_path / "m.image.sidm"
     for cut in (6, 11):  # inside the bundle header, inside the image header
         bundle.write_bytes(bundle.read_bytes()[:cut])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,6 @@ from sid.codegen import (
     compile_model,
     code_size_report,
     fresh_state,
-    gru_instruction_count,
-    kernel_instruction_count,
-    ks_instruction_count,
-    lstm_instruction_count,
-    mlp_instruction_count,
     read_symbol,
     run_feedforward,
     write_symbol,
@@ -41,6 +38,44 @@ def quantize(values):
 
 def random_mlp(sizes, seed):
     return init_mlp(sizes, seed=seed)
+
+
+# Closed-form instruction counts of each lowering, derived independently of
+# the compiler: the code-size tests pin the compiled programs against them.
+
+def mlp_instruction_count(sizes, n_local=64) -> int:
+    total = 0
+    for fan_out in sizes[1:]:
+        total += math.ceil(fan_out / n_local) + 1  # blocks + bias
+    total += len(sizes) - 2  # hidden activations
+    total += (1 if sizes[-1] == 2 else 0) + 1  # decision + halt
+    return total
+
+
+def kernel_instruction_count(n_sv: int, strategy: str) -> int:
+    if strategy == "looped":
+        return 13
+    return 6 * n_sv + 3
+
+
+def lstm_instruction_count(hidden, dim, n_local=64) -> int:
+    blocks = math.ceil(hidden / n_local)
+    out_blocks = math.ceil(dim / n_local)
+    return 3 + 4 * (1 + blocks) + 4 + 3 + 2 + 1 + out_blocks + 1
+
+
+def gru_instruction_count(hidden, dim, n_local=64) -> int:
+    blocks = math.ceil(hidden / n_local)
+    out_blocks = math.ceil(dim / n_local)
+    return 3 + 2 * (1 + blocks) + 2 + 1 + 1 + 2 * blocks + 1 + 4 + 1 + out_blocks + 1
+
+
+def ks_instruction_count(n_ref: int, n_err: int, strategy: str, include_vote=True) -> int:
+    if strategy == "looped":
+        base = 16  # prologue + nested loop machinery + per-reference tail + reject + halt
+    else:
+        base = n_ref * (2 * n_err + 3) + 2  # per-reference expansion + reject + halt
+    return base + (2 if include_vote else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +156,18 @@ def test_krr_is_rejected():
     m = ModelBundle("krr", {"w": np.ones(14), "b": 0.0, "lam": 1e-3})
     with pytest.raises(CompileError, match="feature"):
         compile_model(m, CONFIG)
+
+
+@pytest.mark.parametrize("m", [
+    ModelBundle("lr", {"w": [0.5, -0.5], "b": 0.0}),
+    ModelBundle("linear_svm", {"coef": [1.0], "sv": [[0.5, -0.5]], "b": 0.0}),
+    init_mlp([3, 4, 2], seed=1),
+    init_lstm(2, 3, seed=1),
+    init_gru(2, 3, seed=1),
+], ids=lambda m: m.kind)
+def test_unrolled_form_only_for_kernel_machines(m):
+    with pytest.raises(CompileError, match="kernel_svm and ocsvm"):
+        compile_model(m, CONFIG, "unrolled")
 
 
 def test_clamp_warning():

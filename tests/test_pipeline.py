@@ -119,7 +119,3 @@ def test_fit_lad_model_scores_validation_windows_once(monkeypatch):
     assert model.mean_threshold == float(
         np.quantile(want.mean(axis=1), cfg.threshold_quantile)
     )
-    calls.clear()
-    fit_lad_model(0, windows, "lstm", LadConfig(rnn_window=50, hidden=4, ref_source="train"),
-                  seed=6, bundle=bundle)
-    assert len(calls) == 2

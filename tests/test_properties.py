@@ -1,5 +1,5 @@
 """Property tests: the VM against a per-element scalar reference, ISA text and
-binary round trips, and truncated binary inputs."""
+binary round trips, and truncated or corrupted binary inputs."""
 
 import numpy as np
 import pytest
@@ -213,6 +213,15 @@ SERIALIZED = {
     "bundle": (bundle_to_bytes(_BUNDLE), bundle_from_bytes),
     "lut": (LUTS["tanh"].to_words(), LutTable.from_words),
 }
+# reader name -> a whole input made malformed some other way than by a cut
+CORRUPTED = {
+    "bundle": lambda blob, data: blob + data.draw(st.binary(min_size=1), label="tail"),
+    "lut": lambda words, data: [
+        data.draw(st.integers(-(1 << 31), (1 << 31) - 1).filter(lambda v: v not in (0, 1, 2)),
+                  label="function id"),
+        *words[1:],
+    ],
+}
 
 
 @settings(deadline=None)
@@ -227,3 +236,7 @@ def test_truncated_binary_inputs_raise_domain_errors(name, data):
     with pytest.raises(DOMAIN_ERRORS) as info:  # never struct.error
         read(blob[:cut])
     assert "\n" not in str(info.value)
+    if name in CORRUPTED:
+        with pytest.raises(DOMAIN_ERRORS) as info:
+            read(CORRUPTED[name](blob, data))
+        assert "\n" not in str(info.value)

@@ -110,7 +110,7 @@ def test_krr_large_lambda_shrinks_weights():
 def test_ocsvm_flags_outliers():
     rng = np.random.default_rng(11)
     X = rng.normal(0, 0.5, size=(60, 3))
-    m = train_ocsvm(X, gamma=0.8, nu=0.1, seed=12)
+    m = train_ocsvm(X, gamma=0.8, nu=0.1)
     inlier_scores = [infer_ocsvm(m, x)[0] for x in X]
     assert np.mean(inlier_scores) <= 0.25  # few false anomalies
     assert infer_ocsvm(m, np.array([6.0, 6.0, 6.0]))[0]
@@ -119,7 +119,7 @@ def test_ocsvm_flags_outliers():
 def test_ocsvm_alpha_constraints():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, 2))
-    m = train_ocsvm(X, gamma=0.5, nu=0.25, seed=14)
+    m = train_ocsvm(X, gamma=0.5, nu=0.25)
     coef = m["coef"]
     assert np.all(coef >= 0)
     assert coef.sum() == pytest.approx(1.0, abs=1e-6)
