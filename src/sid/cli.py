@@ -10,7 +10,6 @@ mismatch, malformed file), with a one-line `error:` prefix.
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,31 +33,8 @@ DOMAIN_ERRORS = (
     OSError,
 )
 
-RNN_KINDS = ("lstm", "gru")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated run parameters shared by the detection subcommands."""
-
-    seed: int
-    scenario: str
-    model_kind: str
-    pipeline: str
-
-    def __post_init__(self):
-        if self.scenario == "lad" and self.model_kind in pipeline.TWO_CLASS_KINDS:
-            raise ManifestError(
-                f"scenario lad cannot use two-class kind {self.model_kind!r}"
-            )
-        if self.scenario == "idaas" and self.model_kind in pipeline.ONE_CLASS_KINDS:
-            raise ManifestError(
-                f"scenario idaas cannot use one-class kind {self.model_kind!r}"
-            )
-
-
-class ManifestError(ValueError):
-    pass
+class UsageError(ValueError):
+    """A flag the run does not read, or a kind the scenario cannot use (exit 1)."""
 
 
 def _coerce(value: str):
@@ -100,6 +76,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
     sub.set_defaults(**defaults)
 
 
+def _given(args, **fields) -> dict:
+    """field -> flag value for each flag that was set; the rest keep the
+    defaults of the config the fields belong to."""
+    return {f: getattr(args, d) for f, d in fields.items() if getattr(args, d) is not None}
+
+
+def _reject(args, dests, context):
+    """Exit 1 naming every flag of `dests` that was set: `context` never reads it."""
+    flags = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    if flags:
+        raise UsageError(f"{', '.join(flags)}: not read by {context}")
+
+
 def _write(path, text):
     if path:
         Path(path).write_text(text)
@@ -125,42 +114,17 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    reads = pipeline.KIND_SETTINGS[args.kind]
+    _reject(args, [d for d in ("seed", "hidden", "epochs", "lr") if d not in reads],
+            f"--kind {args.kind}")
     sequences = data.hapt_load(args.data)
-    users = sorted({s.user for s in sequences})
-    user = args.user if args.user is not None else users[0]
-    if args.kind in RNN_KINDS:
-        own = [s for s in sequences if s.user == user]
-        windows = []
-        for s in own:
-            windows.extend(detection.make_windows(s.readings, args.window, args.step))
-        if not windows:
-            raise pipeline.PipelineError(f"user {user} has no window of {args.window} readings")
-        bundle = training.train(
-            args.kind, np.stack(windows),
-            {"hidden": args.hidden, "epochs": args.epochs, "lr": args.lr},
-            seed=args.seed,
-        )
-    elif args.kind == "ocsvm":
-        own = [s for s in sequences if s.user == user]
-        windows = []
-        for s in own:
-            windows.extend(detection.make_windows(s.readings, args.window, args.step))
-        feats = np.stack([w.reshape(-1) for w in windows])
-        bundle = training.train(args.kind, feats, {}, seed=args.seed)
-    else:
-        wins, labels = [], []
-        for s in sequences:
-            for w in detection.make_windows(s.readings, args.window, args.step):
-                wins.append(w)
-                labels.append(int(s.user != user))
-        if args.kind == "krr":
-            feats = np.stack([data.krr_features(w) for w in wins])
-        else:
-            feats = np.stack([w.reshape(-1) for w in wins])
-        hyper = {"epochs": args.epochs} if args.kind != "krr" else {}
-        if args.kind == "mlp":
-            hyper["sizes"] = [feats.shape[1], args.hidden, 2]
-        bundle = training.train(args.kind, (feats, np.asarray(labels)), hyper, seed=args.seed)
+    user = args.user if args.user is not None else sorted({s.user for s in sequences})[0]
+    windows = [
+        w for s in sequences
+        for w in detection.tag_windows(s.user, s.seq, s.readings, args.window, args.step)
+    ]
+    settings = _given(args, **{d: d for d in reads})
+    bundle = pipeline.train_user_model(args.kind, windows, user, **settings)
     models.save_bundle(args.out, bundle)
     print(f"trained {args.kind} for user {user}: {args.out}")
     return 0
@@ -194,49 +158,47 @@ def cmd_sim(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    manifest = RunManifest(
-        seed=args.seed,
-        scenario=args.scenario,
-        model_kind=args.model_kind or ("lstm" if args.scenario == "lad" else "mlp"),
-        pipeline=args.pipeline if args.scenario == "lad" else "idaas",
-    )
+    lad = args.scenario == "lad"
+    if not lad:
+        _reject(args, ("model", "pipeline", "refs", "hidden", "user"), "scenario idaas")
+    elif args.model:
+        _reject(args, ("hidden", "epochs"), "a pre-trained --model")
+    if args.pipeline == "threshold":
+        _reject(args, ("refs",), "pipeline threshold")
+    bundle = models.load_bundle(args.model) if args.model else None
+    kind = args.model_kind or (bundle.kind if bundle else "lstm" if lad else "mlp")
+    if bundle is not None and bundle.kind != kind:
+        raise UsageError(f"--model-kind {kind} does not match {args.model}, a {bundle.kind} bundle")
+    if lad and kind in pipeline.TWO_CLASS_KINDS:
+        raise UsageError(f"scenario lad cannot use two-class kind {kind!r}")
+    if not lad and kind in pipeline.ONE_CLASS_KINDS:
+        raise UsageError(f"scenario idaas cannot use one-class kind {kind!r}")
+    if not lad and "epochs" not in pipeline.KIND_SETTINGS[kind]:
+        _reject(args, ("epochs",), f"kind {kind}")
     sequences = data.hapt_load(args.data)
-    if manifest.scenario == "lad":
-        ks = detection.KsDecisionConfig(refs=args.refs, bins=args.bins)
+    if lad:
+        pipe = args.pipeline or "vote"
         cfg = pipeline.LadConfig(
-            rnn_window=args.window or 200,
-            rnn_step=args.step or 100,
-            hidden=args.hidden,
-            epochs=args.epochs,
-            ks=ks,
+            ks=detection.KsDecisionConfig(**_given(args, refs="refs")),
+            **_given(args, rnn_window="window", rnn_step="step", hidden="hidden", epochs="epochs"),
         )
-        bundles = None
-        only_user = None
-        if args.model:
-            bundle = models.load_bundle(args.model)
-            users = sorted({s.user for s in sequences})
-            only_user = args.user if args.user is not None else users[0]
-            bundles = {only_user: bundle}
-            if bundle.kind != manifest.model_kind:
-                manifest = RunManifest(
-                    seed=manifest.seed, scenario="lad", model_kind=bundle.kind,
-                    pipeline=manifest.pipeline,
-                )
+        user = args.user
+        if bundle is not None and user is None:
+            user = sorted({s.user for s in sequences})[0]
         rows, total = pipeline.run_lad(
-            sequences, manifest.model_kind, manifest.pipeline, cfg, args.seed,
-            bundles=bundles, only_user=only_user,
+            sequences, kind, pipe, cfg, args.seed,
+            bundles=None if bundle is None else {user: bundle}, only_user=user,
         )
     else:
+        pipe = "idaas"
         cfg = pipeline.IdaasConfig(
-            window_len=args.window or 64,
-            step=args.step or 4,
-            hyper={"epochs": args.epochs},
+            **_given(args, window_len="window", step="step", epochs="epochs")
         )
-        rows, total = pipeline.run_idaas(sequences, manifest.model_kind, cfg, args.seed)
+        rows, total = pipeline.run_idaas(sequences, kind, cfg, args.seed)
     summary = {
-        "scenario": manifest.scenario,
-        "pipeline": manifest.pipeline,
-        "model": manifest.model_kind,
+        "scenario": args.scenario,
+        "pipeline": pipe,
+        "model": kind,
         "seed": args.seed,
         **{k: f"{float(v):.6f}" for k, v in pipeline.safe_metrics(total).items()},
     }
@@ -335,15 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model bundle from a data directory")
-    common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--kind", required=True, choices=models.KINDS)
     p.add_argument("--data", required=True)
     p.add_argument("--user", type=int)
     p.add_argument("--window", type=int, default=200)
     p.add_argument("--step", type=int, default=100)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -363,17 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run a detection scenario end to end")
     common(p)
     p.add_argument("--scenario", choices=("lad", "idaas"), required=True)
-    p.add_argument("--pipeline", choices=pipeline.PIPELINES, default="vote")
+    p.add_argument("--pipeline", choices=pipeline.PIPELINES)
     p.add_argument("--model", help="pre-trained bundle (.sidb)")
     p.add_argument("--model-kind", choices=models.KINDS)
     p.add_argument("--user", type=int)
     p.add_argument("--data", required=True)
     p.add_argument("--window", type=int)
     p.add_argument("--step", type=int)
-    p.add_argument("--refs", type=int, default=20)
-    p.add_argument("--bins", type=int, default=16)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--refs", type=int)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_detect)
 
@@ -404,7 +365,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except ManifestError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DOMAIN_ERRORS as exc:

@@ -195,23 +195,6 @@ def vote_decide(rejections, cfg: KsDecisionConfig) -> bool:
     return int(votes.sum()) >= cutoff
 
 
-def ks_feature_vector(window_errors, references, cfg: KsDecisionConfig) -> np.ndarray:
-    """KS statistic against each reference, as the one-class feature vector.
-
-    References must be sample-preserving PEDs (bins == n, so the quantile
-    boundaries are the sorted reference sample itself); then each component
-    equals a full two-sample statistic against the stored sample.
-    """
-    out = np.empty(len(references))
-    for i, ref in enumerate(references):
-        if ref.bins != ref.n:
-            raise DetectionError(
-                "feature references must keep one boundary per sample (bins == n)"
-            )
-        out[i] = ks_statistic(window_errors, ref.boundaries)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------

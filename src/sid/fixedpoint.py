@@ -166,6 +166,9 @@ class LutTable:
         b = np.asarray(words[6 + segments : 6 + 2 * segments], dtype=np.int32)
         if len(k) != segments or len(b) != segments:
             raise ValueError("truncated LUT serialization")
+        extra = len(words) - 6 - 2 * segments
+        if extra:
+            raise ValueError(f"LUT has {extra} words after its last intercept")
         if func_id not in _FUNCTION_NAMES:
             raise ValueError(f"unknown LUT function id {func_id}")
         return LutTable(

@@ -33,6 +33,17 @@ from .training import train, train_ocsvm
 TWO_CLASS_KINDS = ("lr", "linear_svm", "kernel_svm", "krr", "mlp")
 ONE_CLASS_KINDS = ("lstm", "gru", "ocsvm")
 PIPELINES = ("vote", "ocsvm", "threshold")
+# The training settings each model kind reads; any other leaves its bundle as is.
+KIND_SETTINGS = {
+    "lstm": ("seed", "hidden", "epochs", "lr"),
+    "gru": ("seed", "hidden", "epochs", "lr"),
+    "mlp": ("seed", "hidden", "epochs"),
+    "lr": ("seed", "epochs"),
+    "linear_svm": ("seed", "epochs"),
+    "kernel_svm": ("seed", "epochs"),
+    "krr": (),
+    "ocsvm": (),
+}
 
 
 class PipelineError(ValueError):
@@ -73,6 +84,58 @@ class LadConfig:
     ks: KsDecisionConfig = field(default_factory=KsDecisionConfig)
 
 
+# ---------------------------------------------------------------------------
+# Training data and hyperparameters, per model kind
+# ---------------------------------------------------------------------------
+
+def window_features(kind: str, windows) -> np.ndarray:
+    """A two-class model's input rows: DFT features for krr, flat readings otherwise."""
+    if kind == "krr":
+        return np.stack([krr_features(w.data) for w in windows])
+    return np.stack([w.data.reshape(-1) for w in windows])
+
+
+def training_sets(kind: str, windows, users) -> dict:
+    """user -> the dataset `train` takes for that user's model of `kind`.
+
+    lstm/gru train on the owner's stacked windows and ocsvm on their flat
+    readings; the two-class kinds train on the features of every window, one
+    array shared by all users, with label 1 for another user's window.
+    """
+    present = {w.user for w in windows}
+    for user in users:
+        if user not in present:
+            raise PipelineError(f"user {user!r} has no training window")
+    if kind in ONE_CLASS_KINDS:
+        own = {user: np.stack([w.data for w in windows if w.user == user]) for user in users}
+        if kind == "ocsvm":
+            return {user: x.reshape(len(x), -1) for user, x in own.items()}
+        return own
+    feats = window_features(kind, windows)
+    return {user: (feats, np.array([int(w.user != user) for w in windows])) for user in users}
+
+
+def train_hyper(kind: str, dataset, epochs=None, hidden=None, lr=None) -> dict:
+    """The `train` overrides for `kind` from the settings it reads (KIND_SETTINGS).
+
+    A setting left None keeps the trainer's default; mlp turns `hidden` into
+    its layer sizes.
+    """
+    given = {"epochs": epochs, "hidden": hidden, "lr": lr}
+    hyper = {k: v for k, v in given.items() if k in KIND_SETTINGS[kind] and v is not None}
+    if kind == "mlp" and "hidden" in hyper:
+        feats, _ = dataset
+        hyper["sizes"] = [feats.shape[1], hyper.pop("hidden"), 2]
+    return hyper
+
+
+def train_user_model(kind: str, windows, user, seed: int = 0, epochs: int = LadConfig.epochs,
+                     hidden: int = LadConfig.hidden, lr: float = LadConfig.lr) -> ModelBundle:
+    """Train `user`'s model of `kind` on `windows`, for `sid train` and local detection."""
+    dataset = training_sets(kind, windows, [user])[user]
+    return train(kind, dataset, train_hyper(kind, dataset, epochs, hidden, lr), seed=seed)
+
+
 def window_error_samples(m: ModelBundle, windows, n_errors: int) -> np.ndarray:
     """The last n_errors prediction errors of each window, (B, n_errors)."""
     errs = batched_window_errors(m, windows)
@@ -94,11 +157,14 @@ class LadModel:
     mean_threshold: float
     cfg: LadConfig
 
+    def ks_features(self, window_errors: np.ndarray) -> np.ndarray:
+        """The KS feature vector: the statistic against each reference sample."""
+        return np.array([ks_statistic(window_errors, ref) for ref in self.ref_samples])
+
     @cached_property
     def ocsvm(self) -> ModelBundle:
         """One-class SVM over the pool's KS feature vectors, fit on first use."""
-        feats = np.array([[ks_statistic(w, ref) for ref in self.ref_samples] for w in self.pool])
-        return train_ocsvm(feats, gamma=2.0, nu=0.1)
+        return train_ocsvm(np.array([self.ks_features(w) for w in self.pool]), gamma=2.0, nu=0.1)
 
     def decide(self, window_errors: np.ndarray, pipeline: str) -> bool:
         """True = anomaly (impostor)."""
@@ -106,16 +172,10 @@ class LadModel:
             return bool(window_errors.mean() > self.mean_threshold)
         if pipeline == "vote":
             n = self.cfg.ks.window_errors
-            rejections = [
-                ks_reject(ks_statistic(window_errors, ref), n, n, self.cfg.ks)
-                for ref in self.ref_samples
-            ]
+            rejections = [ks_reject(d, n, n, self.cfg.ks) for d in self.ks_features(window_errors)]
             return vote_decide(rejections, self.cfg.ks)
         if pipeline == "ocsvm":
-            feats = np.array(
-                [ks_statistic(window_errors, ref) for ref in self.ref_samples]
-            )
-            anomaly, _ = infer_ocsvm(self.ocsvm, feats)
+            anomaly, _ = infer_ocsvm(self.ocsvm, self.ks_features(window_errors))
             return anomaly
         raise PipelineError(f"unknown pipeline {pipeline!r}")
 
@@ -129,17 +189,13 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     """
     if kind not in ("lstm", "gru"):
         raise PipelineError("local detection trains an lstm or gru per user")
-    data = np.stack([w.data for w in windows])
     rng = np.random.default_rng(seed)
-    n_val = max(int(round(cfg.validation_fraction * len(data))), 1)
-    n_val = min(n_val, len(data) - 1) if len(data) > 1 else 1
-    fit, val = data[: len(data) - n_val], data[len(data) - n_val :]
+    n_val = max(int(round(cfg.validation_fraction * len(windows))), 1)
+    n_val = min(n_val, len(windows) - 1) if len(windows) > 1 else 1
+    val = np.stack([w.data for w in windows[len(windows) - n_val :]])
     if bundle is None:
-        bundle = train(
-            kind,
-            fit,
-            {"hidden": cfg.hidden, "lr": cfg.lr, "epochs": cfg.epochs},
-            seed=seed,
+        bundle = train_user_model(
+            kind, windows[: len(windows) - n_val], user, seed, cfg.epochs, cfg.hidden, cfg.lr
         )
     elif bundle.kind != kind:
         raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
@@ -216,13 +272,7 @@ class IdaasConfig:
     window_len: int = 64
     step: int = 4
     train_fraction: float = 0.5
-    hyper: dict = field(default_factory=dict)
-
-
-def _idaas_features(kind: str, windows) -> np.ndarray:
-    if kind == "krr":
-        return np.stack([krr_features(w.data) for w in windows])
-    return np.stack([w.data.reshape(-1) for w in windows])
+    epochs: int = 40
 
 
 def _idaas_predict(kind: str, bundle: ModelBundle, feats: np.ndarray) -> np.ndarray:
@@ -245,18 +295,13 @@ def run_idaas(sequences, kind: str, cfg: IdaasConfig, seed: int):
         sequences, cfg.train_fraction, seed, cfg.window_len, cfg.step
     )
     users = sorted({w.user for w in train_w}, key=str)
+    datasets = training_sets(kind, train_w, users)
+    feats_test = window_features(kind, test_w)
     rows = []
     total = ConfusionCounts()
     for user in users:
-        feats_train = _idaas_features(kind, train_w)
-        labels_train = np.array([int(w.user != user) for w in train_w])
-        hyper = dict(cfg.hyper)
-        if kind == "krr":
-            hyper = {k: v for k, v in hyper.items() if k == "lam"}
-        elif kind == "mlp" and "sizes" not in hyper:
-            hyper["sizes"] = [feats_train.shape[1], 50, 2]
-        bundle = train(kind, (feats_train, labels_train), hyper, seed=seed)
-        feats_test = _idaas_features(kind, test_w)
+        dataset = datasets[user]
+        bundle = train(kind, dataset, train_hyper(kind, dataset, cfg.epochs), seed=seed)
         predicted = _idaas_predict(kind, bundle, feats_test)
         counts = ConfusionCounts()
         for w, flagged in zip(test_w, predicted):

@@ -1,6 +1,8 @@
 import re
 
 from sid.cli import main
+from sid.models import save_bundle
+from sid.training import init_lstm
 
 
 def run_cli(*argv):
@@ -70,6 +72,18 @@ def test_detect_lad_writes_csv(tmp_path):
     assert "scenario=lad" in text and "accuracy=" in text
 
 
+def test_detect_lad_user_restricts_to_owner(tmp_path):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "500",
+            "--seed", "5", "--out", str(datadir))
+    out_csv = tmp_path / "report.csv"
+    assert run_cli("detect", "--scenario", "lad", "--user", "2",
+                   "--data", str(datadir), "--window", "120", "--step", "60",
+                   "--hidden", "6", "--epochs", "3", "--out", str(out_csv)) == 0
+    rows = out_csv.read_text().split("\n\n")[0].splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["2"]
+
+
 def test_detect_with_pretrained_bundle(tmp_path):
     datadir = tmp_path / "synth"
     run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "500",
@@ -86,24 +100,54 @@ def test_detect_with_pretrained_bundle(tmp_path):
     assert len(rows) == 1  # single-user evaluation with the provided bundle
 
 
-def test_detect_rejects_removed_backend_flags(capsys):
+def test_detect_rejects_removed_backend_flags(tmp_path, capsys):
     # Detection runs on the float oracle with a fixed KS critical value; lanes
     # change only cycles, so only `sim` takes --n-track; compile and sim draw
-    # no random numbers.
-    required = {
-        "detect": ("--scenario", "lad", "--data", "nowhere"),
-        "compile": ("--model", "nowhere", "--out-prefix", "nowhere"),
-        "sim": ("--program", "nowhere", "--image", "nowhere"),
-        "report": (),
-    }
-    for command, flag, value in (
-        ("detect", "--strategy", "unrolled"), ("detect", "--n-track", "7"),
-        ("detect", "--alpha", "0.5"), ("compile", "--seed", "1"),
-        ("compile", "--n-track", "8"), ("sim", "--seed", "1"), ("report", "--n-track", "8"),
-    ):
-        assert run_cli(command, *required[command], flag, value) == 1
+    # no random numbers. No path reads the PED bin count, and a flag that the
+    # chosen scenario, pipeline or model kind never reads is an error too.
+    lad = ("detect", "--scenario", "lad", "--data", "nowhere")
+    idaas = ("detect", "--scenario", "idaas", "--data", "nowhere")
+    compile_ = ("compile", "--model", "nowhere", "--out-prefix", "nowhere")
+    sim = ("sim", "--program", "nowhere", "--image", "nowhere")
+
+    def train(kind):
+        return ("train", "--kind", kind, "--data", "nowhere", "--out", "nowhere")
+
+    cases = [
+        (lad, "--strategy", "unrolled"), (lad, "--n-track", "7"), (lad, "--alpha", "0.5"),
+        (lad, "--bins", "3"), (compile_, "--seed", "1"), (compile_, "--n-track", "8"),
+        (sim, "--seed", "1"), (("report",), "--n-track", "8"),
+        (idaas, "--model", "m.sidb"), (idaas, "--pipeline", "vote"), (idaas, "--refs", "3"),
+        (idaas, "--hidden", "9"), (idaas, "--user", "2"),
+        (idaas + ("--model-kind", "krr"), "--epochs", "2"),
+        (lad + ("--model", "nowhere"), "--hidden", "9"),
+        (lad + ("--model", "nowhere"), "--epochs", "2"),
+        (lad + ("--pipeline", "threshold"), "--refs", "3"),
+        *[(train(kind), flag, "3") for kind in ("krr", "ocsvm")
+          for flag in ("--seed", "--hidden", "--epochs", "--lr")],
+        *[(train(kind), flag, "3") for kind in ("lr", "linear_svm", "kernel_svm")
+          for flag in ("--lr", "--hidden")],
+        (train("mlp"), "--lr", "3"),
+    ]
+    for prefix, flag, value in cases:
+        assert run_cli(*prefix, flag, value) == 1, (prefix, flag)
         errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
-        assert len(errors) == 1 and flag in errors[0], (command, flag)
+        assert len(errors) == 1 and flag in errors[0], (prefix, flag)
+    # a config key is a flag too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hidden=9\n")
+    assert run_cli("--config", str(cfg), *idaas) == 1
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert len(errors) == 1 and "--hidden" in errors[0]
+
+
+def test_detect_model_kind_must_match_bundle(tmp_path, capsys):
+    bundle = tmp_path / "lstm.sidb"
+    save_bundle(bundle, init_lstm(4, 6))
+    assert run_cli("detect", "--scenario", "lad", "--model-kind", "gru",
+                   "--model", str(bundle), "--data", "nowhere") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "gru" in err[0]
 
 
 def test_detect_idaas(tmp_path):

@@ -15,7 +15,6 @@ from sid.detection import (
     combined_score,
     confusion_metrics,
     format_report,
-    ks_feature_vector,
     ks_hardware,
     ks_reject,
     ks_statistic,
@@ -196,26 +195,6 @@ def test_vote_monotone():
                 flipped = list(votes)
                 flipped[i] = True
                 assert vote_decide(flipped, cfg) >= base
-
-
-def test_ks_feature_vector():
-    rng = np.random.default_rng(8)
-    cfg = KsDecisionConfig()
-    refs = [build_ped(rng.exponential(size=40), bins=40) for _ in range(5)]
-    window = rng.exponential(size=40)
-    feats = ks_feature_vector(window, refs, cfg)
-    assert feats.shape == (5,)
-    assert np.all((feats >= 0) & (feats <= 1))
-    for i, ref in enumerate(refs):
-        assert feats[i] == pytest.approx(ks_statistic(window, ref.boundaries), abs=1e-12)
-    self_ref = build_ped(window, bins=40)
-    assert ks_feature_vector(window, [self_ref], cfg)[0] == 0.0
-
-
-def test_ks_feature_vector_requires_sample_preserving():
-    refs = [build_ped(np.arange(40.0), bins=16)]
-    with pytest.raises(DetectionError):
-        ks_feature_vector(np.arange(40.0), refs, KsDecisionConfig())
 
 
 def test_confusion_metrics_formulas():

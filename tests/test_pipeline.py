@@ -88,8 +88,7 @@ def test_fit_lad_model_threshold_is_quantile():
 
 def test_run_idaas_mlp():
     corpus = small_corpus(length=400)
-    cfg = IdaasConfig(step=16, hyper={"epochs": 30, "sizes": None})
-    cfg.hyper.pop("sizes")
+    cfg = IdaasConfig(step=16, epochs=30)
     rows, total = run_idaas(corpus, "mlp", cfg, seed=5)
     metrics = safe_metrics(total)
     assert float(metrics["accuracy"]) > 0.8  # distinct users separate easily

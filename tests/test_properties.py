@@ -213,13 +213,16 @@ SERIALIZED = {
     "bundle": (bundle_to_bytes(_BUNDLE), bundle_from_bytes),
     "lut": (LUTS["tanh"].to_words(), LutTable.from_words),
 }
-# reader name -> a whole input made malformed some other way than by a cut
+# reader name -> ways to make a whole input malformed other than by a cut
+_INT32 = st.integers(-(1 << 31), (1 << 31) - 1)
 CORRUPTED = {
-    "bundle": lambda blob, data: blob + data.draw(st.binary(min_size=1), label="tail"),
-    "lut": lambda words, data: [
-        data.draw(st.integers(-(1 << 31), (1 << 31) - 1).filter(lambda v: v not in (0, 1, 2)),
-                  label="function id"),
-        *words[1:],
+    "bundle": [lambda blob, data: blob + data.draw(st.binary(min_size=1), label="tail")],
+    "lut": [
+        lambda words, data: [
+            data.draw(_INT32.filter(lambda v: v not in (0, 1, 2)), label="function id"),
+            *words[1:],
+        ],
+        lambda words, data: words + data.draw(st.lists(_INT32, min_size=1), label="tail"),
     ],
 }
 
@@ -236,7 +239,7 @@ def test_truncated_binary_inputs_raise_domain_errors(name, data):
     with pytest.raises(DOMAIN_ERRORS) as info:  # never struct.error
         read(blob[:cut])
     assert "\n" not in str(info.value)
-    if name in CORRUPTED:
+    for corrupt in CORRUPTED.get(name, ()):
         with pytest.raises(DOMAIN_ERRORS) as info:
-            read(CORRUPTED[name](blob, data))
+            read(corrupt(blob, data))
         assert "\n" not in str(info.value)
