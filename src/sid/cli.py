@@ -26,6 +26,7 @@ DOMAIN_ERRORS = (
     isa.EncodingError,
     machine.LoadError,
     machine.MachineTrap,
+    machine.TraceError,
     models.ShapeError,
     pipeline.PipelineError,
     training.TrainingError,
@@ -150,11 +151,26 @@ def cmd_sim(args) -> int:
     image = machine.load_image(args.image)
     config = machine.MachineConfig(n_track=args.n_track)
     state = machine.load(config, program, image)
+    trace = machine.resolve_trace(state) if args.profile else None
     report = machine.run(state, max_cycles=args.max_cycles)
     sys.stdout.write(report.to_keyvalues())
     digest = hashlib.sha256(state.memory.tobytes()).hexdigest()
     print(f"memory_sha256={digest}")
+    if trace is not None:
+        sys.stdout.write(_profile_table(trace))
     return 0
+
+
+def _profile_table(trace) -> str:
+    """Per-opcode count, cycles, reads and writes of a trace, then totals."""
+    rows = [(op.name, *trace.profile[op]) for op in isa.Opcode if op in trace.profile]
+    count = sum(row[1] for row in rows)
+    rows.append(("total", count, trace.cycles, trace.reads, trace.writes))
+    header = ("opcode", "count", "cycles", "reads", "writes")
+    return "".join(
+        f"{name:<9}" + "".join(f"{v:>11}" for v in values) + "\n"
+        for name, *values in [header, *rows]
+    )
 
 
 def cmd_detect(args) -> int:
@@ -171,6 +187,8 @@ def cmd_detect(args) -> int:
         raise UsageError(f"--model-kind {kind} does not match {args.model}, a {bundle.kind} bundle")
     if lad and kind in pipeline.TWO_CLASS_KINDS:
         raise UsageError(f"scenario lad cannot use two-class kind {kind!r}")
+    if lad and kind not in pipeline.LAD_KINDS:
+        raise UsageError(f"scenario lad trains an lstm or gru per user, not kind {kind!r}")
     if not lad and kind in pipeline.ONE_CLASS_KINDS:
         raise UsageError(f"scenario idaas cannot use one-class kind {kind!r}")
     if not lad and "epochs" not in pipeline.KIND_SETTINGS[kind]:
@@ -320,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--max-cycles", type=int)
+    p.add_argument("--profile", action="store_true",
+                   help="then per-opcode count, cycles, reads and writes of the static trace")
     p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("detect", help="run a detection scenario end to end")

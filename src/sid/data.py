@@ -142,7 +142,7 @@ def _read_matrix(path: Path, columns: int) -> np.ndarray:
 
 
 def hapt_load(directory):
-    """One UserSequence per labeled WALK segment.
+    """One UserSequence per labeled WALK segment; at least one must exist.
 
     Expects per-experiment acc_expXX_userYY.txt / gyro_expXX_userYY.txt files
     (three real columns) and a labels.txt of five integer columns: experiment,
@@ -192,6 +192,8 @@ def hapt_load(directory):
         sequences.append(
             UserSequence(user=user, seq=f"exp{exp:02d}:{first}", readings=data[first - 1 : last])
         )
+    if not sequences:
+        raise DataError(f"{labels_path}: no walking segment (activity {WALK_ACTIVITY_ID}) labelled")
     return sequences
 
 

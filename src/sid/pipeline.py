@@ -32,6 +32,7 @@ from .training import train, train_ocsvm
 
 TWO_CLASS_KINDS = ("lr", "linear_svm", "kernel_svm", "krr", "mlp")
 ONE_CLASS_KINDS = ("lstm", "gru", "ocsvm")
+LAD_KINDS = ("lstm", "gru")  # local detection trains one recurrent model per user
 PIPELINES = ("vote", "ocsvm", "threshold")
 # The training settings each model kind reads; any other leaves its bundle as is.
 KIND_SETTINGS = {
@@ -187,7 +188,7 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     Passing a pre-trained bundle skips training but still derives the
     references and thresholds from this user's windows.
     """
-    if kind not in ("lstm", "gru"):
+    if kind not in LAD_KINDS:
         raise PipelineError("local detection trains an lstm or gru per user")
     rng = np.random.default_rng(seed)
     n_val = max(int(round(cfg.validation_fraction * len(windows))), 1)

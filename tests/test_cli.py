@@ -1,5 +1,9 @@
 import re
+from pathlib import Path
 
+import numpy as np
+
+from sid import codegen, detection, isa, machine
 from sid.cli import main
 from sid.models import save_bundle
 from sid.training import init_lstm
@@ -15,6 +19,29 @@ def test_usage_errors_exit_one(capsys):
                    "--model-kind", "mlp", "--data", "nowhere") == 1
     err = capsys.readouterr().err
     assert "error:" in err and "two-class" in err
+
+
+def test_lad_rejects_kinds_that_are_not_recurrent(capsys):
+    # ocsvm is one-class, but local detection trains an lstm or gru per user.
+    assert run_cli("detect", "--scenario", "lad", "--model-kind", "ocsvm",
+                   "--data", "nowhere") == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "'ocsvm'" in errors[0]
+
+
+def test_corpus_without_walking_segment_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "1", "--seqs", "1", "--length", "300",
+            "--freqs", "1.8", "--seed", "3", "--out", str(datadir))
+    labels = datadir / "labels.txt"
+    rows = [line.split() for line in labels.read_text().splitlines()]
+    labels.write_text("".join(f"{e} {u} 5 {a} {b}\n" for e, u, _, a, b in rows))  # sitting
+    capsys.readouterr()
+    for argv in (("train", "--kind", "lstm", "--out", str(tmp_path / "m.sidb")),
+                 ("detect", "--scenario", "lad")):
+        assert run_cli(*argv, "--data", str(datadir)) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and "no walking segment" in errors[0], argv
 
 
 def test_domain_errors_exit_two(capsys, tmp_path):
@@ -258,3 +285,55 @@ def test_config_file_defaults(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("--config", str(cfg), "energy", "--period", "0.02") == 0
     assert "period_s=0.02" in capsys.readouterr().out
+
+
+def _save(prefix: Path, instructions, image):
+    isa.save_program(f"{prefix}.prog.bin", instructions)
+    machine.save_image(f"{prefix}.image.sidm", image)
+    return ("sim", "--program", f"{prefix}.prog.bin", "--image", f"{prefix}.image.sidm")
+
+
+def test_sim_profile_counts_every_opcode(tmp_path, capsys):
+    cfg = detection.KsDecisionConfig()
+    rng = np.random.default_rng(2)
+    refs = [detection.build_ped(rng.exponential(size=cfg.window_errors), cfg.bins)
+            for _ in range(cfg.refs)]
+    prog = codegen.compile_ks_stage(refs, cfg)
+    sim = _save(tmp_path / "ks", prog.instructions, prog.image)
+    assert run_cli(*sim) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*sim, "--profile") == 0
+    out = capsys.readouterr().out
+    assert out.startswith(plain)  # the key=value lines stay byte-identical
+    header, *rows = [line.split() for line in out[len(plain):].splitlines()]
+    assert header == ["opcode", "count", "cycles", "reads", "writes"]
+    table = {name: [int(v) for v in values] for name, *values in rows}
+    n_ref, n_err = cfg.refs, cfg.window_errors
+    assert table["VSSGT"][0] == n_ref * n_err + 1
+    assert table["REGSTORE"] == [n_ref, n_ref, 0, 3 * n_ref]
+    assert table["HALT"] == [1, 1, 0, 0]
+    totals = [sum(values[i] for name, values in table.items() if name != "total")
+              for i in range(4)]
+    assert totals == table["total"]
+    keyvalues = dict(line.split("=") for line in plain.splitlines())
+    assert table["total"][1:] == [int(keyvalues[k]) for k in ("cycles", "reads", "writes")]
+
+
+def test_sim_profile_without_static_trace_exits_two(tmp_path, capsys):
+    # A data write into the saved loop count makes the loop exit data-dependent.
+    program = isa.assemble("""
+    loop end=3 n=2
+    regstore group=loop addr=200
+    vadd length=1 x=64 y=65 z=202
+    regload group=loop addr=200
+    halt
+    """)
+    sim = _save(tmp_path / "p", program, np.zeros(256, dtype=np.int32))
+    assert run_cli(*sim) == 0  # the interpreter runs it
+    capsys.readouterr()
+    assert run_cli(*sim, "--profile") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: no static trace: regload at pc=3 reads word 202 after a data write to it"
+    ]

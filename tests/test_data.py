@@ -101,6 +101,15 @@ def test_hapt_length_mismatch(tmp_path):
         hapt_load(tmp_path)
 
 
+def test_hapt_without_walking_segment(tmp_path):
+    np.savetxt(tmp_path / "acc_exp01_user01.txt", np.zeros((5, 3)))
+    np.savetxt(tmp_path / "gyro_exp01_user01.txt", np.zeros((5, 3)))
+    for labels in ("", "1 1 5 1 4\n"):  # nothing labelled; only sitting
+        (tmp_path / "labels.txt").write_text(labels)
+        with pytest.raises(DataError, match="no walking segment"):
+            hapt_load(tmp_path)
+
+
 def test_hapt_missing_file(tmp_path):
     (tmp_path / "labels.txt").write_text("1 1 1 1 4\n")
     with pytest.raises(DataError, match="missing sensor file"):

@@ -1,20 +1,25 @@
 import math
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from sid.fixedpoint import FX_MAX, FX_ONE, fx_array, fx_from_real, real_array
 from sid.isa import MacroInstruction, Opcode, assemble, halt, loop, regaddi, regload, regstore
+from sid import machine
 from sid.machine import (
     LoadError,
     MachineConfig,
     MachineTrap,
+    TraceError,
     instruction_cycles,
     load,
     image_from_bytes,
     image_to_bytes,
+    resolve_trace,
     run,
+    step_instruction,
 )
 
 
@@ -315,3 +320,92 @@ def test_saturating_accumulation_order():
     state.memory[8:11] = [big, fx_from_real(1.0), fx_from_real(-1.0)]
     run(state)
     assert state.memory[16] == FX_MAX - FX_ONE
+
+
+def snapshot(state):
+    return (state.memory.tolist(), state.scratchpad.tolist(), state.pc, state.halted,
+            state.loop_begin, state.loop_end, state.loop_n, state.off_x, state.off_y,
+            state.off_z, state.cycles, state.reads, state.writes)
+
+
+def stepped(state):
+    while not state.halted:
+        step_instruction(state)
+    return state
+
+
+NESTED = """
+loop end=8 n=2
+regstore group=loop addr=200
+regstore group=offset addr=204
+loop end=5 n=1
+vadd length=1 x=64 y=65 z=64
+regaddi reg=off_x imm=1
+regload group=loop addr=200
+regload group=offset addr=204
+vadd length=1 x=66 y=65 z=66
+halt
+"""
+
+
+def test_resolve_trace_lists_memory_writes_and_totals():
+    program = assemble(NESTED)
+    state = fresh(program, [(65, [1.0])])
+    before = snapshot(state)
+    trace = resolve_trace(state)
+    assert snapshot(state) == before  # resolving runs nothing
+    ops = [entry.inst.mode.name for entry in trace.entries]
+    assert ops == ["REGSTORE", "REGSTORE", "VADD", "VADD", "VADD"] * 3
+    assert [entry.pc for entry in trace.entries[:5]] == [1, 2, 4, 4, 8]
+    assert [entry.z for entry in trace.entries[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
+    assert trace.words == {}  # every regload reads back a regstore
+    report = run(state)
+    assert (trace.cycles, trace.reads, trace.writes) == (report.cycles, report.reads, report.writes)
+    totals = [sum(row[i] for row in trace.profile.values()) for i in range(4)]
+    assert totals == [1 + 3 * 10 + 1, report.cycles, report.reads, report.writes]
+    assert trace.profile[Opcode.LOOP][0] == 1 + 3
+
+
+def test_invalid_trace_falls_back_to_interpreter():
+    # The vadd overwrites the saved loop count between the regstore and the
+    # regload, so the loop exit depends on data: no static trace exists.
+    program = assemble("""
+    loop end=3 n=2
+    regstore group=loop addr=200
+    vadd length=1 x=64 y=65 z=202
+    regload group=loop addr=200
+    halt
+    """)
+    with pytest.raises(TraceError, match="regload at pc=3 reads word 202 after a data write"):
+        resolve_trace(fresh(program))
+    state = fresh(program)
+    run(state)
+    assert snapshot(state) == snapshot(stepped(fresh(program)))
+    assert state.cycles == 4 + 5  # one pass: the stored count became 0
+
+
+def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
+    # StepRunner's pattern: re-arm pc and run again, the error pointer (off_z)
+    # one word further each time, until it leaves memory.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    walks = []
+    walk = machine._walk
+    monkeypatch.setattr(machine, "_walk", lambda *args: walks.append(1) or walk(*args))
+    program = [vec_op(Opcode.VSQNORM, 2, 0, 0, 60, off_z=True), regaddi(2, 1), halt()]
+    config = MachineConfig(data_mem_words=64)
+    replayed, reference = (load(config, program, fx_array([1.0, 2.0])) for _ in range(2))
+    for _ in range(4):
+        run(replayed)
+        stepped(reference)
+        assert snapshot(replayed) == snapshot(reference)
+        for state in (replayed, reference):
+            state.pc, state.halted = 0, False
+    assert real_array(replayed.memory[60:64]).tolist() == [5.0] * 4
+    with pytest.raises(MachineTrap) as trap:
+        run(replayed)
+    with pytest.raises(MachineTrap) as want:
+        stepped(reference)
+    assert str(trap.value) == str(want.value) == "trap at pc=0: address range [64, 65) out of bounds"
+    assert snapshot(replayed) == snapshot(reference)
+    run(load(config, program, fx_array([1.0, 2.0])))  # a fresh state of the same program
+    assert len(walks) == 1

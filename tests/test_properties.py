@@ -1,5 +1,6 @@
-"""Property tests: the VM against a per-element scalar reference, ISA text and
-binary round trips, and truncated or corrupted binary inputs."""
+"""Property tests: the VM against a per-element scalar reference, trace replay
+against one-instruction stepping on looped programs, ISA text and binary round
+trips, and truncated or corrupted binary inputs."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from sid.fixedpoint import (
     saturate,
 )
 from sid.isa import (
+    GROUP_LOOP,
+    GROUP_OFFSET,
     INSTRUCTION_BYTES,
     MAX_ADDR,
     MAX_LEN,
@@ -33,8 +36,18 @@ from sid.isa import (
     program_from_bytes,
     program_to_bytes,
     regaddi,
+    regload,
+    regstore,
 )
-from sid.machine import MachineConfig, image_from_bytes, image_to_bytes, load, run
+from sid.machine import (
+    MachineConfig,
+    MachineTrap,
+    image_from_bytes,
+    image_to_bytes,
+    load,
+    run,
+    step_instruction,
+)
 from sid.models import ModelBundle, bundle_from_bytes, bundle_to_bytes
 
 WORDS = 96  # data memory of the straight-line programs
@@ -158,6 +171,140 @@ def test_mvmul_accumulation_paths():
     run(state)
     assert state.memory[16:19].tolist() == [-10, FX_MAX - 110, FX_MAX - 60]
     assert state.memory[48] == -1  # saturated FX_MAX, then saturated FX_MIN
+
+
+# Looped programs: loops nested through a loop-group spill per depth, offset
+# spills, regaddi on every offset register and offset-enabled operands, over a
+# small memory whose top words hold the spill slots. Data writes may land in a
+# slot (the trace is then invalid) and offsets may push operands out of bounds.
+LOOPED_WORDS = 64
+LOOP_SLOTS = (48, 51)  # loop registers saved by the loop at depth 0 and 1
+OFFSET_SLOT = 54
+ZEROS_SLOT = 57  # read by an entry regload of the offset group; no regstore writes it
+LOOPED_CONFIG = dict(n_local=4, data_mem_words=LOOPED_WORDS, luts=LUTS)  # Mvmul rows reach 5
+
+
+@st.composite
+def offset_instructions(draw):
+    op = draw(st.sampled_from(VECTOR_OPS))
+    if op is Opcode.MVMUL:
+        rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    else:
+        rows, cols = 0, draw(st.integers(0, 6))
+    addr = st.one_of(st.integers(0, 36), st.integers(0, LOOPED_WORDS))
+    return MacroInstruction(
+        mode=op, length=cols, width=rows,
+        addr_x=draw(addr), addr_y=draw(addr), addr_z=draw(addr),
+        off_x=draw(st.booleans()), off_y=draw(st.booleans()), off_z=draw(st.booleans()),
+    )
+
+
+def _spill(mode, group, slot, relative):
+    return MacroInstruction(mode=mode, length=group, addr_z=slot, off_z=relative)
+
+
+@st.composite
+def looped_programs(draw):
+    def body(depth, out):
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(
+                ("op", "op", "regaddi", "spill", "loop") if depth < len(LOOP_SLOTS) else
+                ("op", "op", "regaddi")
+            ))
+            if kind == "op":
+                out.append(draw(offset_instructions()))
+            elif kind == "regaddi":
+                out.append(regaddi(draw(st.integers(0, 2)), draw(st.integers(-3, 3))))
+            elif kind == "spill":  # save the offsets, move them, restore them
+                relative = draw(st.booleans())
+                out.append(_spill(Opcode.REGSTORE, GROUP_OFFSET, OFFSET_SLOT, relative))
+                body(len(LOOP_SLOTS), out)
+                out.append(_spill(Opcode.REGLOAD, GROUP_OFFSET, OFFSET_SLOT, relative))
+            else:
+                start = len(out)
+                out.append(None)  # the loop, once its end is known
+                out.append(regstore(GROUP_LOOP, LOOP_SLOTS[depth]))
+                body(depth + 1, out)
+                out.append(regload(GROUP_LOOP, LOOP_SLOTS[depth]))
+                out[start] = loop(len(out) - 1, draw(st.integers(0, 3)))
+        return out
+
+    program = []
+    if draw(st.booleans()):  # entry hygiene: offsets <- the zeros slot, maybe moved by off_z
+        program.append(_spill(Opcode.REGLOAD, GROUP_OFFSET, ZEROS_SLOT, draw(st.booleans())))
+    body(0, program)
+    if draw(st.booleans()):
+        program.append(halt())
+    return program
+
+
+def _stepped(state, max_cycles):
+    """`run` one `step_instruction` at a time, with its cycle budget."""
+    while not state.halted:
+        executes = state.pc < len(state.program)
+        step_instruction(state)
+        if executes and max_cycles is not None and state.cycles > max_cycles:
+            raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
+
+
+def _outcome(execute, state, max_cycles):
+    """Trap message (or None) and every observable part of the state after."""
+    try:
+        execute(state, max_cycles)
+        trap = None
+    except MachineTrap as exc:
+        trap = str(exc)
+    registers = ("pc", "halted", "loop_begin", "loop_end", "loop_n",
+                 "off_x", "off_y", "off_z", "cycles", "reads", "writes")
+    return (trap, state.memory.tolist(), state.scratchpad.tolist(),
+            *(getattr(state, name) for name in registers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=looped_programs(),
+    image=st.lists(words, min_size=LOOPED_WORDS, max_size=LOOPED_WORDS),
+    zeros=st.one_of(st.just([0, 0, 0]), st.lists(st.integers(-2, 2), min_size=3, max_size=3)),
+    starts=st.lists(st.tuples(*[st.integers(-6, 24)] * 3), min_size=2, max_size=2),
+    max_cycles=st.one_of(st.none(), st.integers(0, 400)),
+)
+@example(  # the second state's offset moves the first state's Z range out of memory
+    program=[MacroInstruction(mode=Opcode.VADD, length=4, addr_z=56, off_z=True), halt()],
+    image=[0] * LOOPED_WORDS, zeros=[0, 0, 0], starts=[(0, 0, 0), (0, 0, 6)], max_cycles=None,
+)
+@example(  # a regload through off_z reads other words from the second state's start
+    program=[_spill(Opcode.REGLOAD, GROUP_OFFSET, ZEROS_SLOT - 3, True), halt()],
+    image=[0] * LOOPED_WORDS, zeros=[1, 2, 3], starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
+)
+@example(  # a write through off_z reaches the regload's words from the second start only
+    program=[MacroInstruction(mode=Opcode.VADD, length=1, addr_x=1, addr_y=1,
+                              addr_z=ZEROS_SLOT + 3, off_z=True),
+             regload(GROUP_OFFSET, ZEROS_SLOT), halt()],
+    image=[0, 5] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
+    starts=[(0, 0, 0), (0, 0, -1)], max_cycles=None,
+)
+def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
+    """`run` (trace replay, or its fallback) leaves exactly what stepping one
+    instruction at a time leaves, traps included. States of one program start
+    from two sets of offsets, so the second can replay the first's trace
+    moved; each state runs again from where its first run left the
+    registers, as `StepRunner` does."""
+    image[ZEROS_SLOT : ZEROS_SLOT + 3] = zeros
+    if max_cycles is None and any(i.mode is Opcode.REGLOAD for i in program):
+        max_cycles = 2_000  # a data write into a loop slot can make a loop endless
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, **LOOPED_CONFIG)
+        for offsets in starts:
+            states = [load(config, program, image) for _ in range(2)]
+            for state in states:
+                state.off_x, state.off_y, state.off_z = offsets
+            for _ in range(2):
+                got = _outcome(run, states[0], max_cycles)
+                assert got == _outcome(_stepped, states[1], max_cycles), f"n_track={n_track}"
+                if got[0] is not None:
+                    break
+                for state in states:
+                    state.pc, state.halted = 0, False
 
 
 u32 = st.integers(0, (1 << 32) - 1)
