@@ -26,7 +26,6 @@ DOMAIN_ERRORS = (
     isa.EncodingError,
     machine.LoadError,
     machine.MachineTrap,
-    machine.TraceError,
     models.ShapeError,
     pipeline.PipelineError,
     training.TrainingError,
@@ -151,21 +150,19 @@ def cmd_sim(args) -> int:
     image = machine.load_image(args.image)
     config = machine.MachineConfig(n_track=args.n_track)
     state = machine.load(config, program, image)
-    trace = machine.resolve_trace(state) if args.profile else None
     report = machine.run(state, max_cycles=args.max_cycles)
     sys.stdout.write(report.to_keyvalues())
     digest = hashlib.sha256(state.memory.tobytes()).hexdigest()
     print(f"memory_sha256={digest}")
-    if trace is not None:
-        sys.stdout.write(_profile_table(trace))
+    if args.profile:
+        sys.stdout.write(_profile_table(machine.profile(machine.load(config, program, image))))
     return 0
 
 
-def _profile_table(trace) -> str:
-    """Per-opcode count, cycles, reads and writes of a trace, then totals."""
-    rows = [(op.name, *trace.profile[op]) for op in isa.Opcode if op in trace.profile]
-    count = sum(row[1] for row in rows)
-    rows.append(("total", count, trace.cycles, trace.reads, trace.writes))
+def _profile_table(profile: dict) -> str:
+    """Per-opcode count, cycles, reads and writes, then their totals."""
+    rows = [(op.name, *profile[op]) for op in isa.Opcode if op in profile]
+    rows.append(("total", *(sum(row[i] for row in rows) for i in range(1, 5))))
     header = ("opcode", "count", "cycles", "reads", "writes")
     return "".join(
         f"{name:<9}" + "".join(f"{v:>11}" for v in values) + "\n"
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--max-cycles", type=int)
     p.add_argument("--profile", action="store_true",
-                   help="then per-opcode count, cycles, reads and writes of the static trace")
+                   help="then per-opcode count, cycles, reads and writes of the run")
     p.set_defaults(fn=cmd_sim)
 
     p = sub.add_parser("detect", help="run a detection scenario end to end")

@@ -307,7 +307,7 @@ def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
     errs = b.alloc("errors", STEP_ERRORS)
-    zerovec = b.alloc("zerovec", hidden)
+    zerovec = b.alloc("zerovec", max(hidden, dim))  # also zeroes the dim-long pred bias add
 
     # Error of the previous prediction against the newly arrived reading; the
     # write pointer lives in off_z and survives across runs of this program.
@@ -359,7 +359,7 @@ def _compile_gru_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
     errs = b.alloc("errors", STEP_ERRORS)
-    zerovec = b.alloc("zerovec", hidden)
+    zerovec = b.alloc("zerovec", max(hidden, dim))  # also zeroes the dim-long pred bias add
     ones = b.tensor("ones", np.ones(hidden))
 
     b.op(Opcode.VSUB, dim, pred, xh, ed)

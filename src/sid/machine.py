@@ -8,26 +8,23 @@ sequential order so results are bit-identical for every n_track.
 
 A data instruction runs in two parts: operand resolution (the word ranges,
 every one bounds-checked before anything is written, and the memory traffic)
-and a kernel over the resolved ranges. Both execution paths run the same
-kernels:
+and a kernel over the resolved ranges. The interpreter (`step_instruction`,
+and `run`'s loop) resolves each instruction from the live registers and runs
+its kernel.
 
-* the interpreter (`step_instruction`, and `run`'s fallback loop) resolves
-  each instruction from the live registers, then runs its kernel;
-* control flow never depends on data (loop counts and `regaddi` steps are
-  immediates, `regload` reads back what `regstore` spilled), so
-  `resolve_trace` walks it once and lists the memory-writing instructions in
-  execution order with resolved operands. `run` caches that trace per
-  program and replays only the kernels.
-
-`run` falls back to the interpreter whenever the trace cannot stand in for
-it, so a trap is raised at the same pc with the same partial memory.
+Control flow depends on data only through what `regload` reads: loop counts
+and `regaddi` steps are immediates. So the first `run` of a program records,
+as it interprets, each step a replay must redo: the kernels and regstores
+over their resolved ranges, and a guard per regload holding the words it
+read. Later runs replay the steps; where a guard reads other words, replay
+restores the registers and counters just before that regload and the
+interpreter goes on from there, so a trap is raised at the same pc with the
+same partial memory.
 """
 
-import copy
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +136,7 @@ def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Operand resolution from a state's registers, shared by the interpreter and
-# `resolve_trace`.
+# Operand resolution from a state's registers.
 # ---------------------------------------------------------------------------
 
 _OFFSETS = ("off_x", "off_y", "off_z")
@@ -168,13 +164,6 @@ def _footprint(inst: MacroInstruction):
     ny = 0 if op in _Y_UNREAD else 1 if op is _VSSGT else n
     nz = 1 if op in _Z_SCALAR else n
     return n, ny, nz, n + ny, nz
-
-
-def _traffic(inst: MacroInstruction) -> tuple[int, int]:
-    """Words one instruction reads and writes."""
-    if inst.mode in _KERNELS:
-        return _footprint(inst)[3:]
-    return {Opcode.REGSTORE: (0, 3), Opcode.REGLOAD: (3, 0)}.get(inst.mode, (0, 0))
 
 
 def _operands(s, inst: MacroInstruction) -> tuple[slice, slice, slice]:
@@ -366,11 +355,15 @@ _KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# Interpreter handlers: handler(state, inst) on the live registers.
+# Interpreter handlers: handler(state, inst) on the live registers. Each
+# returns the step a replay must redo, (kernel, inst, x, y, z), or None.
 # ---------------------------------------------------------------------------
 
 def _data(s, inst):
-    _KERNELS[inst.mode](s, inst, *_operands(s, inst))
+    kernel = _KERNELS[inst.mode]
+    x, y, z = _operands(s, inst)
+    kernel(s, inst, x, y, z)
+    return kernel, inst, x, y, z
 
 
 def _loop(s, inst):
@@ -388,15 +381,36 @@ def _regaddi(s, inst):
 
 def _regstore(s, inst):
     names, z = _reg_slot(s, inst)
-    _put_registers(s, inst, None, [(name, 0) for name in names], z)
+    pairs = [(name, 0) for name in names]
+    _put_registers(s, inst, None, pairs, z)
     s.writes += 3
+    return _put_registers, inst, None, pairs, z
+
+
+# What a guard restores: the registers and counters of a state.
+_POINT = ("pc", "loop_begin", "loop_end", "loop_n", *_OFFSETS, "cycles", "reads", "writes")
+
+
+def _point(s) -> tuple:
+    return tuple(getattr(s, name) for name in _POINT)
 
 
 def _regload(s, inst):
     names, z = _reg_slot(s, inst)
-    for name, word in zip(names, s.memory[z].tolist()):
+    before = _point(s)
+    words = s.memory[z].tolist()
+    for name, word in zip(names, words):
         setattr(s, name, _register_value(name, word))
     s.reads += 3
+    return _guard, inst, None, (words, before), z
+
+
+def _guard(s, inst, x, y, z):
+    """A regload on replay: `y` holds the words the recorded run read and the
+    trace point just before it, returned when `s` holds other words."""
+    words, before = y
+    if s.memory[z].tolist() != words:
+        return before
 
 
 def _halt(s, inst):
@@ -424,13 +438,6 @@ def _advance(s) -> None:
         s.pc += 1
 
 
-def _execute(state: MachineState, handler, inst: MacroInstruction, cycles: int) -> None:
-    """Run one instruction, charge its cycles, then advance or loop back."""
-    handler(state, inst)
-    state.cycles += cycles
-    _advance(state)
-
-
 def step_instruction(state: MachineState) -> MachineState:
     """Execute one macro instruction to completion, including loop back-jumps."""
     if state.halted:
@@ -439,12 +446,27 @@ def step_instruction(state: MachineState) -> MachineState:
         state.halted = True  # running off the end is a clean stop
         return state
     inst = state.program[state.pc]
-    _execute(state, _HANDLERS[inst.mode], inst, instruction_cycles(inst, state.config))
+    _HANDLERS[inst.mode](state, inst)
+    state.cycles += instruction_cycles(inst, state.config)
+    _advance(state)
     return state
 
 
-def _interpret(state: MachineState, max_cycles: int | None) -> None:
-    """Run to Halt one instruction at a time from the live registers."""
+def profile(state: MachineState) -> dict:
+    """Per opcode, the [count, cycles, reads, writes] of running `state` to
+    Halt (or past the last instruction) one `step_instruction` at a time."""
+    rows = {}
+    while not state.halted and state.pc < len(state.program):
+        op, before = state.program[state.pc].mode, (0, state.cycles, state.reads, state.writes)
+        step_instruction(state)
+        after = (1, state.cycles, state.reads, state.writes)
+        rows[op] = [r + a - b for r, a, b in zip(rows.get(op, (0, 0, 0, 0)), after, before)]
+    return rows
+
+
+def _interpret(state: MachineState, max_cycles: int | None, trace=None):
+    """Run to Halt one instruction at a time from the live registers, adding
+    each step to `trace`; returns it, or None once it grew too long."""
     decoded = [
         (_HANDLERS[inst.mode], inst, instruction_cycles(inst, state.config))
         for inst in state.program
@@ -454,278 +476,159 @@ def _interpret(state: MachineState, max_cycles: int | None) -> None:
         if state.pc >= end:
             state.halted = True  # running off the end is a clean stop
             break
-        _execute(state, *decoded[state.pc])
+        handler, inst, cycles = decoded[state.pc]
+        step = handler(state, inst)
+        if step is not None and trace is not None:
+            trace = trace.add(state, step)
+        state.cycles += cycles
+        _advance(state)
         if max_cycles is not None and state.cycles > max_cycles:
             raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
-
-
-# ---------------------------------------------------------------------------
-# Static traces
-# ---------------------------------------------------------------------------
-
-_TRACE_CAP = 1 << 16  # dynamic instructions one trace may hold
-
-
-class TraceError(ValueError):
-    """The program has no static trace from this state; `reason` says why."""
-
-    def __init__(self, reason: str):
-        super().__init__(f"no static trace: {reason}")
-        self.reason = reason
-
-
-class TraceEntry(NamedTuple):
-    """One memory-writing instruction of a trace, operands resolved."""
-
-    kernel: object
-    inst: MacroInstruction
-    x: slice
-    y: object  # a word range; for regstore, the (register, delta) pairs it stores
-    z: slice
-    pc: int
-
-
-@dataclass
-class Trace:
-    """What a run from one set of entry registers does.
-
-    `entries` are the data instructions and regstores in execution order;
-    loop, regaddi, regload and halt leave only the final `registers` and
-    `offsets` ((base, delta) each: delta plus the start value of offset
-    register `base`, or plus 0). Word ranges are those of the start offsets
-    `starts`. `relocs` lists the entries with ranges relative to a start
-    offset, as (index, x base, y base, z base), and `extents` bounds those
-    ranges per base, so the trace replays from other start offsets unless it
-    is `pinned`: a regload result there could depend on them. `words` are
-    the words regload reads before the trace writes them, with their
-    run-start values.
-    """
-
-    starts: dict
-    entries: list = field(default_factory=list)
-    cycles: int = 0
-    reads: int = 0
-    writes: int = 0
-    profile: dict = field(default_factory=dict)  # opcode -> [count, cycles, reads, writes]
-    registers: tuple = ()  # final pc, loop_begin, loop_end, loop_n
-    offsets: tuple = ()
-    words: dict = field(default_factory=dict)
-    pinned: bool = False
-    extents: dict = field(default_factory=dict)
-    relocs: list = field(default_factory=list)
-    error: str | None = None  # why a cached walk found no trace
-
-    def fits(self, state: MachineState) -> bool:
-        """Whether `state` would walk this trace."""
-        if self.pinned and any(getattr(state, n) != v for n, v in self.starts.items()):
-            return False
-        memory = state.memory
-        return all(memory[w] == v for w, v in self.words.items())
-
-    def replays(self, state: MachineState, max_cycles: int | None) -> bool:
-        """Whether replay stands in for the interpreter on `state`: no trap
-        on the way, no moved range out of bounds, within the budget."""
-        if self.error is not None:
-            return False
-        if max_cycles is not None and state.cycles + self.cycles > max_cycles:
-            return False
-        words = len(state.memory)
-        for base, (lo, hi) in self.extents.items():
-            shift = getattr(state, base) - self.starts[base]
-            if lo + shift < 0 or hi + shift > words:
-                return False
-        return True
-
-    def bound_entries(self, state: MachineState) -> list:
-        """`entries` with the relative ranges moved to `state`'s offsets."""
-        shift = {base: getattr(state, base) - start for base, start in self.starts.items()}
-        if not self.relocs or not any(shift.values()):
-            return self.entries
-        entries = list(self.entries)
-        for i, *bases in self.relocs:
-            entry = entries[i]
-            entries[i] = entry._replace(**{
-                f: slice(getattr(entry, f).start + shift[b], getattr(entry, f).stop + shift[b])
-                for f, b in zip("xyz", bases) if b
-            })
-        return entries
-
-
-def resolve_trace(state: MachineState) -> Trace:
-    """The trace of a run from `state`'s registers, walked once and cached
-    for `run`; shared, so callers must not modify it.
-
-    Nothing in `state` changes. Raises TraceError where the walk would trap
-    (an operand out of bounds, an Mvmul wider than the scratchpad, an
-    undefined register selector), past 65,536 dynamic instructions, and
-    at a regload of a word a data instruction wrote since its regstore (or,
-    with no regstore before, since the run started): its value is data.
-    """
-    trace = _cached_trace(state)
-    if trace.error is not None:
-        raise TraceError(trace.error)
     return trace
 
 
-def _walk(state: MachineState, trace: Trace, budget: int | None = None) -> bool:
-    """Fill `trace` from `state`; False if it stopped once past `budget` cycles."""
-    # A shallow copy: the walk moves its registers through the interpreter's
-    # own resolution and control handlers, and only reads memory.
-    w = copy.copy(state)
-    w.cycles = 0
-    base = {name: name for name in _OFFSETS}  # start register each offset is relative to
-    starts = {None: 0, **trace.starts}
-    costs = [instruction_cycles(inst, state.config) for inst in state.program]
-    visits = [0] * len(state.program)
-    stores = {}  # word -> (time, (base, delta)) of the last regstore to it
-    written = []  # (start, stop, time) of every data write, in time order
-    relative_write = False  # through an offset still relative to its start
-    time = 0
-    try:
-        while not w.halted:
-            if w.pc >= len(w.program):
-                w.halted = True  # running off the end is a clean stop
-                break
-            if time == _TRACE_CAP:
-                raise TraceError(f"more than {_TRACE_CAP} dynamic instructions")
-            if budget is not None and w.cycles > budget:
-                return False
-            pc, inst = w.pc, w.program[w.pc]
-            op = inst.mode
-            if op in _KERNELS:
-                ranges = _operands(w, inst)
-                trace.entries.append(TraceEntry(_KERNELS[op], inst, *ranges, pc))
-                if inst.off_x or inst.off_y or inst.off_z:
-                    bases = [base.get(n) if on else None
-                             for n, on in zip(_OFFSETS, (inst.off_x, inst.off_y, inst.off_z))]
-                    relative_write |= _relocatable(trace, ranges, bases)
-                z = ranges[2]
-                if z.stop > z.start:
-                    written.append((z.start, z.stop, time))
-            elif op is Opcode.REGSTORE:
-                names, z = _reg_slot(w, inst)
-                values = tuple((base.get(n), getattr(w, n) - starts[base.get(n)]) for n in names)
-                trace.entries.append(TraceEntry(_put_registers, inst, None, values, z, pc))
-                if inst.off_z:
-                    relative_write |= _relocatable(trace, [None, None, z], [None, None, base.get("off_z")])
-                for word, value in zip(range(z.start, z.stop), values):
-                    stores[word] = (time, value)
-            elif op is Opcode.REGLOAD:
-                names, z = _reg_slot(w, inst)
-                # Which words this reads back could depend on the start offsets.
-                trace.pinned |= relative_write or bool(inst.off_z and base.get("off_z"))
-                for name, word in zip(names, range(z.start, z.stop)):
-                    since, (value_base, delta) = stores.get(word, (-1, (None, None)))
-                    for start, stop, t in reversed(written):
-                        if t < since:
-                            break
-                        if start <= word < stop:
-                            raise TraceError(f"regload at pc={pc} reads word {word} after a data write to it")
-                    if delta is None:
-                        delta = trace.words[word] = int(w.memory[word])
-                    trace.pinned |= value_base is not None
-                    setattr(w, name, _register_value(name, delta + starts[value_base]))
-                    base.pop(name, None)
-            else:
-                _HANDLERS[op](w, inst)
-            visits[pc] += 1
-            w.cycles += costs[pc]
-            _advance(w)
-            time += 1
-    except MachineTrap as trap:
-        raise TraceError(str(trap)) from None
-    for pc, count in enumerate(visits):
-        if count:
-            inst = state.program[pc]
-            row = trace.profile.setdefault(inst.mode, [0, 0, 0, 0])
-            for i, value in enumerate((1, costs[pc], *_traffic(inst))):
-                row[i] += count * value
-    trace.cycles, trace.reads, trace.writes = (
-        sum(row[i] for row in trace.profile.values()) for i in (1, 2, 3)
-    )
-    trace.registers = (w.pc, w.loop_begin, w.loop_end, w.loop_n)
-    trace.offsets = tuple(
-        (base.get(n), getattr(w, n) - starts[base.get(n)]) for n in _OFFSETS
-    )
+# ---------------------------------------------------------------------------
+# Recorded traces
+# ---------------------------------------------------------------------------
+
+_TRACE_CAP = 1 << 16  # steps one trace may hold
+
+
+class Trace:
+    """What replay must redo of one interpreted run: its `steps` in order
+    (data kernels, regstores and regload guards, operands resolved) and its
+    `end` point.
+
+    A point is the loop registers and pc, the offsets, and the counters
+    relative to the run's start. An offset is (register, delta): delta plus
+    the start value of that offset register, while only regaddi has moved
+    it, or (None, value) once a regload set it. The ranges that `moving`
+    names ((index, x, y, z) flags) use such relative offsets, and a
+    regstore's pairs store them likewise, so the trace replays from other
+    start offsets.
+    """
+
+    def __init__(self, state: MachineState):
+        self.starts = {name: getattr(state, name) for name in _OFFSETS}
+        self.counts = (state.cycles, state.reads, state.writes)
+        self.steps = []
+        self.moving = []
+        self.relative = True  # no regload has set the offsets yet
+        self.end = None
+
+    def _ref(self, name: str, value: int) -> tuple:
+        if self.relative and name in self.starts:
+            return name, value - self.starts[name]
+        return None, value
+
+    def point(self, values: tuple) -> tuple:
+        """The trace point of a `_point` tuple taken during the run."""
+        offsets = tuple(map(self._ref, _OFFSETS, values[4:7]))
+        return values[:4], offsets, tuple(v - c for v, c in zip(values[7:], self.counts))
+
+    def add(self, state: MachineState, step: tuple):
+        kernel, inst, x, y, z = step
+        moves = (False, False, inst.off_z)
+        if kernel is _put_registers:
+            y = [self._ref(name, getattr(state, name)) for name, _ in y]
+        elif kernel is _guard:
+            y = (y[0], self.point(y[1]))
+        else:
+            moves = (inst.off_x, inst.off_y, inst.off_z)
+        if self.relative and any(moves):
+            self.moving.append((len(self.steps), *moves))
+        self.steps.append((kernel, inst, x, y, z))
+        if kernel is _guard and inst.length == GROUP_OFFSET:
+            self.relative = False
+        return self if len(self.steps) < _TRACE_CAP else None
+
+    def bind(self, state: MachineState) -> list | None:
+        """`steps` with the moving ranges shifted to `state`'s start offsets;
+        None if a shifted range leaves memory."""
+        shift = [getattr(state, name) - start for name, start in self.starts.items()]
+        if not self.moving or not any(shift):
+            return self.steps
+        steps, words = list(self.steps), len(state.memory)
+        for i, *moves in self.moving:
+            kernel, inst, *ranges = steps[i]
+            for j in range(3):
+                if moves[j]:
+                    r = ranges[j] = slice(ranges[j].start + shift[j], ranges[j].stop + shift[j])
+                    if r.stop > r.start and (r.start < 0 or r.stop > words):
+                        return None
+            steps[i] = (kernel, inst, *ranges)
+        return steps
+
+
+def _restore(state: MachineState, point: tuple) -> None:
+    """Set `state` to a trace point; replay leaves its offsets and counters
+    at their start values until then."""
+    registers, offsets, counts = point
+    state.pc, state.loop_begin, state.loop_end, state.loop_n = registers
+    state.off_x, state.off_y, state.off_z = [
+        delta + (getattr(state, reg) if reg else 0) for reg, delta in offsets
+    ]
+    state.cycles += counts[0]
+    state.reads += counts[1]
+    state.writes += counts[2]
+
+
+def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
+    """Redo `trace` on `state`. False where the interpreter must go on: from
+    the untouched state if a shifted range leaves memory or the run passes
+    `max_cycles`, from just before a regload whose guard failed."""
+    if max_cycles is not None and state.cycles + trace.end[2][0] > max_cycles:
+        return False
+    steps = trace.bind(state)
+    if steps is None:
+        return False
+    for kernel, inst, x, y, z in steps:
+        before = kernel(state, inst, x, y, z)
+        if before is not None:
+            _restore(state, before)
+            return False
+    _restore(state, trace.end)
+    state.halted = True
     return True
 
 
-def _relocatable(trace: Trace, ranges, bases) -> bool:
-    """Note the entry just added if an operand adds an offset register still
-    relative to its start (`bases`); returns whether it writes through one."""
-    if any(bases):
-        trace.relocs.append((len(trace.entries) - 1, *bases))
-    for r, base in zip(ranges, bases):
-        if base and r.stop > r.start:
-            lo, hi = trace.extents.get(base, (r.start, r.stop))
-            trace.extents[base] = (min(lo, r.start), max(hi, r.stop))
-    return bool(bases[2]) and ranges[2].stop > ranges[2].start
-
-
-# Traces `run` has resolved: (program, memory size, cycle and scratchpad
-# config, entry pc and loop registers) -> the few traces seen under that key,
-# newest first. Both levels are bounded. Shared by every state, so a fresh
-# state of a compiled program finds its trace; keyed by content, so no result
-# depends on what is cached.
+# Traces `run` has recorded, keyed by program, memory size, cycle and
+# scratchpad config, pc and loop registers: what fixes the control flow up
+# to the first regload. Shared by every state, so a fresh state of a
+# compiled program finds its trace; bounded, oldest dropped first.
 _TRACES: OrderedDict = OrderedDict()
 _TRACE_KEYS = 32
-_TRACES_PER_KEY = 4
 
 
-def _cached_trace(state: MachineState, max_cycles: int | None = None) -> Trace | None:
-    """The trace `state` walks, resolved once per program and entry state; a
-    program with no static trace is cached as a trace with an `error`. None
-    when the walk passes the cycle budget: the interpreter traps on it."""
-    config = state.config
-    key = (
-        tuple(state.program), len(state.memory), config.n_track, config.n_local,
-        config.pipeline_overhead, state.pc, state.loop_begin, state.loop_end, state.loop_n,
-    )
-    traces = _TRACES.get(key)
-    if traces is None:
-        traces = _TRACES[key] = []
+def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
+    """Interpret `state` and cache the trace of the run if it halts."""
+    trace = _interpret(state, max_cycles, Trace(state))
+    if trace is not None:
+        trace.end = trace.point(_point(state))
+        _TRACES[key] = trace
         if len(_TRACES) > _TRACE_KEYS:
             _TRACES.popitem(last=False)
-    else:
-        _TRACES.move_to_end(key)
-    for trace in traces:
-        if trace.fits(state):
-            return trace
-    trace = Trace(starts={name: getattr(state, name) for name in _OFFSETS})
-    try:
-        if not _walk(state, trace, None if max_cycles is None else max_cycles - state.cycles):
-            return None
-    except TraceError as exc:
-        trace.error, trace.pinned = exc.reason, True  # holds for these starts and words only
-    traces.insert(0, trace)
-    del traces[_TRACES_PER_KEY:]
-    return trace
-
-
-def _replay(state: MachineState, trace: Trace) -> None:
-    for kernel, inst, x, y, z, _ in trace.bound_entries(state):
-        kernel(state, inst, x, y, z)
-    offsets = [delta + (getattr(state, base) if base else 0) for base, delta in trace.offsets]
-    state.off_x, state.off_y, state.off_z = offsets
-    state.pc, state.loop_begin, state.loop_end, state.loop_n = trace.registers
-    state.halted = True
-    state.cycles += trace.cycles
-    state.reads += trace.reads
-    state.writes += trace.writes
 
 
 def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
     """Run to Halt (or past the last instruction); deterministic.
 
-    Replays the program's cached trace when it stands in for the
-    interpreter, which runs otherwise and raises any trap itself.
+    The first run under a key interprets and records; later ones replay the
+    trace, and the interpreter takes over wherever it cannot stand in.
     """
     if not state.halted:
-        trace = _cached_trace(state, max_cycles)
-        if trace is not None and trace.replays(state, max_cycles):
-            _replay(state, trace)
+        config = state.config
+        key = (
+            tuple(state.program), len(state.memory), config.n_track, config.n_local,
+            config.pipeline_overhead, state.pc, state.loop_begin, state.loop_end, state.loop_n,
+        )
+        trace = _TRACES.get(key)
+        if trace is None:
+            _record(state, max_cycles, key)
         else:
-            _interpret(state, max_cycles)
+            _TRACES.move_to_end(key)
+            if not _replay(state, trace, max_cycles):
+                _interpret(state, max_cycles)
     return RunReport(
         cycles=state.cycles,
         reads=state.reads,

@@ -16,7 +16,8 @@ from sid.codegen import (
 )
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
 from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul, fx_sub
-from sid.machine import MachineConfig, run
+from sid.isa import CONTROL_OPCODES, Opcode
+from sid.machine import MachineConfig, run, step_instruction
 from sid.models import (
     ModelBundle,
     infer_lr,
@@ -444,3 +445,74 @@ def test_symbol_table_text():
     prog = compile_model(m, CONFIG)
     text = prog.symbol_table_text()
     assert "input" in text and "decision" in text
+
+
+# ---------------------------------------------------------------------------
+# Writes stay inside symbols
+# ---------------------------------------------------------------------------
+
+def written_range(state) -> tuple[int, int]:
+    """Words the instruction at `state.pc` writes, from its fields and the
+    live offsets: Z of a data instruction, the three words of a regstore."""
+    inst = state.program[state.pc]
+    if inst.mode is Opcode.REGSTORE:
+        count = 3
+    elif inst.mode in CONTROL_OPCODES:
+        count = 0
+    elif inst.mode is Opcode.MVMUL:
+        count = inst.width
+    elif inst.mode in (Opcode.VMAXABS, Opcode.VSQNORM):
+        count = 1
+    else:
+        count = inst.length
+    start = inst.addr_z + (state.off_z if inst.off_z else 0)
+    return start, start + count
+
+
+def assert_writes_inside_symbols(prog, state):
+    """Step `state` to Halt, checking that every write lies inside one symbol."""
+    while not state.halted:
+        if state.pc < len(state.program):
+            start, stop = written_range(state)
+            assert stop == start or any(
+                addr <= start and stop <= addr + length for addr, length in prog.symbols.values()
+            ), f"{prog.name}: pc={state.pc} writes [{start}, {stop}) outside every symbol"
+        step_instruction(state)
+
+
+def standard_programs():
+    """Every standard compiled program, with the symbol its input goes to."""
+    rng = np.random.default_rng(19)
+    sv = quantize(rng.uniform(-2, 2, size=(5, 6)))
+    bundles = [
+        ModelBundle("lr", {"w": rng.normal(0, 0.3, size=6), "b": 0.2}),
+        ModelBundle("linear_svm", {"coef": rng.normal(size=3), "sv": rng.normal(size=(3, 6)),
+                                   "b": -0.1}),
+        init_mlp([6, 8, 2], seed=11),
+        ModelBundle("kernel_svm", {"coef": rng.normal(0, 0.2, size=5), "sv": sv, "b": 0.05,
+                                   "gamma": 0.4}),
+        ModelBundle("ocsvm", {"coef": np.full(5, 0.2), "sv": sv, "rho": 0.4, "gamma": 0.5}),
+        init_lstm(8, 6, seed=13),
+        init_gru(8, 6, seed=13),
+    ]
+    progs = [(compile_model(m, CONFIG), "input") for m in bundles]
+    progs += [(compile_model(m, CONFIG, "unrolled"), "input") for m in bundles[3:5]]
+    cfg = KsDecisionConfig()
+    refs = make_refs(rng, cfg)
+    progs += [(compile_ks_stage(refs, cfg, strategy), "errors") for strategy in ("looped", "unrolled")]
+    progs.append((compile_ks_stage(refs, cfg, include_ks=False), None))
+    return progs
+
+
+def test_no_program_writes_outside_its_symbols():
+    rng = np.random.default_rng(20)
+    for prog, source in standard_programs():
+        state = fresh_state(prog, CONFIG)
+        steps = 3 if prog.kind in ("lstm", "gru") else 1
+        for _ in range(steps):  # a step program moves its error pointer each step
+            if source is not None:
+                write_symbol(state, prog, source, quantize(rng.uniform(0, 2, size=prog.length(source))))
+            state.pc, state.halted = 0, False
+            assert_writes_inside_symbols(prog, state)
+        if steps > 1:
+            assert state.off_z == steps

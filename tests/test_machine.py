@@ -12,12 +12,11 @@ from sid.machine import (
     LoadError,
     MachineConfig,
     MachineTrap,
-    TraceError,
     instruction_cycles,
     load,
+    profile,
     image_from_bytes,
     image_to_bytes,
-    resolve_trace,
     run,
     step_instruction,
 )
@@ -334,6 +333,14 @@ def stepped(state):
     return state
 
 
+def stepped_within(state, max_cycles):
+    """`stepped` with `run`'s cycle budget."""
+    while not state.halted:
+        step_instruction(state)
+        if state.cycles > max_cycles:
+            raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
+
+
 NESTED = """
 loop end=8 n=2
 regstore group=loop addr=200
@@ -348,27 +355,27 @@ halt
 """
 
 
-def test_resolve_trace_lists_memory_writes_and_totals():
+def test_nested_run_matches_stepping_and_profile(monkeypatch):
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
     program = assemble(NESTED)
     state = fresh(program, [(65, [1.0])])
-    before = snapshot(state)
-    trace = resolve_trace(state)
-    assert snapshot(state) == before  # resolving runs nothing
-    ops = [entry.inst.mode.name for entry in trace.entries]
-    assert ops == ["REGSTORE", "REGSTORE", "VADD", "VADD", "VADD"] * 3
-    assert [entry.pc for entry in trace.entries[:5]] == [1, 2, 4, 4, 8]
-    assert [entry.z for entry in trace.entries[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
-    assert trace.words == {}  # every regload reads back a regstore
     report = run(state)
-    assert (trace.cycles, trace.reads, trace.writes) == (report.cycles, report.reads, report.writes)
-    totals = [sum(row[i] for row in trace.profile.values()) for i in range(4)]
+    assert snapshot(state) == snapshot(stepped(fresh(program, [(65, [1.0])])))
+    (trace,) = machine._TRACES.values()  # what the run recorded
+    ops = [inst.mode.name for _, inst, *_ in trace.steps]
+    assert ops == ["REGSTORE", "REGSTORE", "VADD", "VADD", "REGLOAD", "REGLOAD", "VADD"] * 3
+    assert [program.index(inst) for _, inst, *_ in trace.steps[:7]] == [1, 2, 4, 4, 6, 7, 8]
+    assert [z for *_, z in trace.steps[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
+    rows = profile(fresh(program, [(65, [1.0])]))
+    totals = [sum(row[i] for row in rows.values()) for i in range(4)]
     assert totals == [1 + 3 * 10 + 1, report.cycles, report.reads, report.writes]
-    assert trace.profile[Opcode.LOOP][0] == 1 + 3
+    assert rows[Opcode.LOOP][0] == 1 + 3
 
 
-def test_invalid_trace_falls_back_to_interpreter():
+def test_invalid_trace_falls_back_to_interpreter(monkeypatch):
     # The vadd overwrites the saved loop count between the regstore and the
-    # regload, so the loop exit depends on data: no static trace exists.
+    # regload, so the loop exit depends on data.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
     program = assemble("""
     loop end=3 n=2
     regstore group=loop addr=200
@@ -376,21 +383,30 @@ def test_invalid_trace_falls_back_to_interpreter():
     regload group=loop addr=200
     halt
     """)
-    with pytest.raises(TraceError, match="regload at pc=3 reads word 202 after a data write"):
-        resolve_trace(fresh(program))
     state = fresh(program)
     run(state)
     assert snapshot(state) == snapshot(stepped(fresh(program)))
     assert state.cycles == 4 + 5  # one pass: the stored count became 0
+    # A count of 1 stored each pass never runs out: the regload's guard reads
+    # other words than the recorded run, and the interpreter hits the budget.
+    outcomes = []
+    for execute in (run, stepped_within):
+        state = fresh(program)
+        state.memory[65] = 1
+        with pytest.raises(MachineTrap) as trap:
+            execute(state, max_cycles=60)
+        outcomes.append((str(trap.value), snapshot(state)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "trap at pc=3: cycle budget 60 exceeded"
 
 
 def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
     # StepRunner's pattern: re-arm pc and run again, the error pointer (off_z)
     # one word further each time, until it leaves memory.
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
-    walks = []
-    walk = machine._walk
-    monkeypatch.setattr(machine, "_walk", lambda *args: walks.append(1) or walk(*args))
+    records = []
+    record = machine._record
+    monkeypatch.setattr(machine, "_record", lambda *args: records.append(1) or record(*args))
     program = [vec_op(Opcode.VSQNORM, 2, 0, 0, 60, off_z=True), regaddi(2, 1), halt()]
     config = MachineConfig(data_mem_words=64)
     replayed, reference = (load(config, program, fx_array([1.0, 2.0])) for _ in range(2))
@@ -408,4 +424,4 @@ def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
     assert str(trap.value) == str(want.value) == "trap at pc=0: address range [64, 65) out of bounds"
     assert snapshot(replayed) == snapshot(reference)
     run(load(config, program, fx_array([1.0, 2.0])))  # a fresh state of the same program
-    assert len(walks) == 1
+    assert len(records) == 1

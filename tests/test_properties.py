@@ -1,6 +1,7 @@
 """Property tests: the VM against a per-element scalar reference, trace replay
-against one-instruction stepping on looped programs, ISA text and binary round
-trips, and truncated or corrupted binary inputs."""
+against one-instruction stepping on looped programs, compiled random bundles
+against the float oracle, ISA text and binary round trips, and truncated or
+corrupted binary inputs."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sid.cli import DOMAIN_ERRORS
+from sid.codegen import StepRunner, compile_model, run_feedforward
 from sid.fixedpoint import (
     FX_MAX,
     FX_MIN,
@@ -15,6 +17,7 @@ from sid.fixedpoint import (
     LutTable,
     default_luts,
     fx_add,
+    fx_array,
     fx_mul,
     fx_sub,
     saturate,
@@ -48,7 +51,17 @@ from sid.machine import (
     run,
     step_instruction,
 )
-from sid.models import ModelBundle, bundle_from_bytes, bundle_to_bytes
+from sid.models import (
+    ModelBundle,
+    bundle_from_bytes,
+    bundle_to_bytes,
+    infer_lr,
+    infer_ocsvm,
+    infer_svm,
+    mlp_logits,
+    predict_series,
+)
+from sid.training import init_gru, init_lstm, init_mlp
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -176,7 +189,8 @@ def test_mvmul_accumulation_paths():
 # Looped programs: loops nested through a loop-group spill per depth, offset
 # spills, regaddi on every offset register and offset-enabled operands, over a
 # small memory whose top words hold the spill slots. Data writes may land in a
-# slot (the trace is then invalid) and offsets may push operands out of bounds.
+# slot (a later run's regload guard then reads other words) and offsets may push
+# operands out of bounds.
 LOOPED_WORDS = 64
 LOOP_SLOTS = (48, 51)  # loop registers saved by the loop at depth 0 and 1
 OFFSET_SLOT = 54
@@ -283,6 +297,24 @@ def _outcome(execute, state, max_cycles):
     image=[0, 5] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
     starts=[(0, 0, 0), (0, 0, -1)], max_cycles=None,
 )
+@example(  # the vadd writes a spilled loop count from an input word that the
+    # second start's off_x picks: the regload's guard reads a count of 1, not 0,
+    # and the interpreter loops on into the cycle budget
+    program=[loop(3, 1), regstore(GROUP_LOOP, LOOP_SLOTS[0]),
+             MacroInstruction(mode=Opcode.VADD, length=1, addr_x=0, addr_y=2,
+                              addr_z=LOOP_SLOTS[0] + 2, off_x=True),
+             regload(GROUP_LOOP, LOOP_SLOTS[0]), halt()],
+    image=[0, 1] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
+    starts=[(0, 0, 0), (1, 0, 0)], max_cycles=None,
+)
+@example(  # entry-relative offsets spilled and reloaded: from the second start the
+    # regload reads other words, so the vadd after it writes elsewhere
+    program=[regstore(GROUP_OFFSET, OFFSET_SLOT), regload(GROUP_OFFSET, OFFSET_SLOT),
+             MacroInstruction(mode=Opcode.VADD, length=1, addr_x=1, addr_y=1, off_z=True),
+             halt()],
+    image=[0, 5] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
+    starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
+)
 def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
     """`run` (trace replay, or its fallback) leaves exactly what stepping one
     instruction at a time leaves, traps included. States of one program start
@@ -305,6 +337,90 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
                     break
                 for state in states:
                     state.pc, state.halted = 0, False
+
+
+# Compiler differential: small random bundles of every compilable kind, run at
+# every n_track against the float oracle within criterion 3's bound.
+TOL = 2**-8
+N_TRACKS = (1, 2, 4, 8)
+
+
+def _quantize(values):
+    return fx_array(values).astype(np.float64) / FX_ONE
+
+
+def random_bundle(kind, dim, n, rng):
+    """A bundle of `kind` over `dim` inputs with `n` support vectors or hidden units."""
+    seed = int(rng.integers(1 << 16))
+    if kind == "lr":
+        return ModelBundle("lr", {"w": rng.normal(0, 0.3, size=dim), "b": rng.normal(0, 0.2)})
+    if kind == "mlp":
+        return init_mlp([dim, n, 2], seed=seed)
+    if kind in ("lstm", "gru"):
+        return (init_lstm if kind == "lstm" else init_gru)(n, dim, seed=seed)
+    sv = _quantize(rng.uniform(-2, 2, size=(n, dim)))
+    if kind == "ocsvm":
+        return ModelBundle("ocsvm", {"coef": rng.dirichlet(np.ones(n)), "sv": sv,
+                                     "rho": rng.uniform(0, 0.5), "gamma": rng.uniform(0.1, 1)})
+    tensors = {"coef": rng.normal(0, 0.2, size=n), "sv": sv, "b": rng.normal(0, 0.1)}
+    if kind == "kernel_svm":
+        tensors["gamma"] = rng.uniform(0.1, 1)
+    return ModelBundle(kind, tensors)
+
+
+def float_outputs(m, x):
+    """The oracle's value of each output symbol but `decision`, the decision's
+    margin and whether it is the positive one."""
+    if m.kind == "lr":
+        prob = infer_lr(m, x)
+        return {"prob": [prob]}, prob - 0.5, prob >= 0.5
+    if m.kind == "mlp":
+        logits = mlp_logits(m, x)
+        return {"logits": logits}, logits[1] - logits[0], logits[1] >= logits[0]
+    if m.kind == "ocsvm":
+        anomaly, score = infer_ocsvm(m, x)
+        return {"score": [score]}, score, not anomaly
+    label, score = infer_svm(m, x)
+    return {"score": [score]}, score, label > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(("lr", "linear_svm", "mlp", "kernel_svm", "ocsvm", "lstm", "gru")),
+    dim=st.integers(1, 6),
+    n=st.integers(1, 8),
+    seed=st.integers(0, (1 << 32) - 1),
+)
+def test_compiled_bundles_match_float_oracle(kind, dim, n, seed):
+    rng = np.random.default_rng(seed)
+    m = random_bundle(kind, dim, n, rng)
+    if kind in ("lstm", "gru"):
+        readings = _quantize(rng.uniform(-1.5, 1.5, size=(4, dim)))
+        want = predict_series(m, readings)
+        for n_track in N_TRACKS:
+            config = MachineConfig(n_track=n_track)
+            runner = StepRunner(compile_model(m, config), config)
+            for reading in readings:
+                runner.step(reading)
+            assert np.abs(runner.errors() - want).max() <= TOL, f"n_track={n_track}"
+        return
+    x = _quantize(rng.uniform(-2, 2, size=dim))
+    want, margin, positive = float_outputs(m, x)
+    names = (*want, "decision")
+    strategies = ("looped", "unrolled") if kind in ("kernel_svm", "ocsvm") else ("looped",)
+    for n_track in N_TRACKS:
+        config = MachineConfig(n_track=n_track)
+        words = []
+        for strategy in strategies:
+            prog = compile_model(m, config, strategy)
+            got, state = run_feedforward(prog, config, x, outputs=names)
+            for name, values in want.items():
+                assert np.abs(got[name] - values).max() <= TOL, (strategy, n_track, name)
+            if abs(margin) > TOL:
+                assert bool(got["decision"][0]) == positive, (strategy, n_track)
+            words.append([state.memory[prog.addr(name) : prog.addr(name) + prog.length(name)].tolist()
+                          for name in names])
+        assert all(w == words[0] for w in words), f"looped and unrolled differ at n_track={n_track}"
 
 
 u32 = st.integers(0, (1 << 32) - 1)
