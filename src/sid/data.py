@@ -125,20 +125,32 @@ def synth_user_sessions(
 # HAPT-format directories
 # ---------------------------------------------------------------------------
 
-def _read_matrix(path: Path, columns: int) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != columns:
-                raise DataError(f"{path}: line {line_no}: expected {columns} columns")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise DataError(f"{path}: line {line_no}: malformed number") from None
-    return np.asarray(rows, dtype=np.float64)
+def _read_matrix(path: Path, columns: int, dtype=float) -> np.ndarray:
+    """The rows of `columns` whitespace-separated numbers in `path`, blank lines skipped.
+
+    One vectorised parse reads the file; a line scan runs only to name the line it rejects.
+    """
+    lines = path.read_text().split("\n")
+    if not any(line.strip() for line in lines):
+        return np.empty((0, columns), dtype)
+    try:
+        matrix = np.loadtxt(lines, dtype, comments=None, ndmin=2)
+        if matrix.shape[1] == columns:
+            return matrix
+    except ValueError:
+        pass
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != columns:
+            raise DataError(f"{path}: line {line_no}: expected {columns} columns")
+        try:
+            np.loadtxt([raw], dtype, comments=None)
+        except ValueError:
+            what = "integer" if dtype is int else "number"
+            raise DataError(f"{path}: line {line_no}: malformed {what}") from None
+    raise DataError(f"{path}: malformed")  # unreached: the scan names a line
 
 
 def hapt_load(directory):
@@ -152,19 +164,7 @@ def hapt_load(directory):
     labels_path = directory / "labels.txt"
     if not labels_path.exists():
         raise DataError(f"missing labels file {labels_path}")
-    labels = []
-    with open(labels_path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != 5:
-                raise DataError(f"{labels_path}: line {line_no}: expected 5 columns")
-            try:
-                labels.append(tuple(int(v) for v in parts))
-            except ValueError:
-                raise DataError(f"{labels_path}: line {line_no}: malformed integer") from None
-
+    labels = _read_matrix(labels_path, 5, int).tolist()
     cache: dict[tuple[int, int], np.ndarray] = {}
     sequences = []
     for exp, user, activity, first, last in labels:

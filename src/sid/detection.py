@@ -150,16 +150,23 @@ class KsDecisionConfig:
     bins: int = 16
 
 
-def ks_statistic(sample_a, sample_b) -> float:
-    """Exact sup |F_a - F_b| over the merged sample points."""
+def ks_statistic(sample_a, sample_b):
+    """Exact sup |F_a - F_b| over the merged sample points.
+
+    sample_b may stack references as rows, (refs, m), for one statistic each.
+    At the last of each run of equal merged points, a's count is a search in
+    sorted a and b's count is the point's rank minus a's.
+    """
     a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if len(a) == 0 or len(b) == 0:
+    b = np.atleast_2d(np.asarray(sample_b, dtype=np.float64))
+    n, m = len(a), b.shape[1]
+    if n == 0 or m == 0:
         raise DetectionError("KS statistic needs non-empty samples")
-    pts = np.concatenate([a, b])
-    fa = np.searchsorted(a, pts, side="right") / len(a)
-    fb = np.searchsorted(b, pts, side="right") / len(b)
-    return float(np.abs(fa - fb).max())
+    pts = np.sort(np.concatenate([np.broadcast_to(a, (len(b), n)), b], axis=1), axis=1)
+    count_a = np.searchsorted(a, pts, side="right")
+    gap = np.abs(count_a / n - (np.arange(1, n + m + 1) - count_a) / m)
+    gap[:, :-1][pts[:, 1:] == pts[:, :-1]] = 0.0  # only a run's last point counts it whole
+    return gap.max(axis=1) if np.ndim(sample_b) == 2 else float(gap.max())
 
 
 def ks_reject(d: float, n: int, m: int, cfg: KsDecisionConfig) -> bool:
@@ -210,6 +217,12 @@ class ConfusionCounts:
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
         )
+
+    @classmethod
+    def tally(cls, impostor, flagged) -> "ConfusionCounts":
+        """Counts of per-window anomaly flags against whether each window is an impostor's."""
+        i, f = np.asarray(impostor, dtype=bool), np.asarray(flagged, dtype=bool)
+        return cls(int((i & f).sum()), int((~i & f).sum()), int((~i & ~f).sum()), int((i & ~f).sum()))
 
 
 def confusion_metrics(c: ConfusionCounts) -> dict[str, Fraction]:

@@ -175,7 +175,7 @@ def lstm_cell(W, U, b, h, c, x):
     a += b
     cand = np.tanh(a[..., :hidden])
     fio = sigmoid(a[..., hidden:])
-    f, i, o = np.split(fio, 3, axis=-1)
+    f, i, o = fio[..., :hidden], fio[..., hidden : 2 * hidden], fio[..., 2 * hidden :]
     c_new = f * c + i * cand
     hc = np.tanh(c_new)
     return o * hc, c_new, (cand, fio, hc)
@@ -190,7 +190,7 @@ def gru_cell(W, U, b, h, x):
     hidden = h.shape[-1]
     ax = x @ W.T
     zr = sigmoid(ax[..., : 2 * hidden] + h @ U.T + b[: 2 * hidden])
-    z, r = np.split(zr, 2, axis=-1)
+    z, r = zr[..., :hidden], zr[..., hidden:]
     rh = r * h
     cand = sigmoid(ax[..., 2 * hidden :] + rh @ U[hidden:].T + b[2 * hidden :])
     return (1.0 - z) * h + z * cand, (zr, rh, cand)

@@ -59,17 +59,10 @@ def safe_metrics(counts: ConfusionCounts) -> dict[str, Fraction]:
     except MetricError:
         if counts.tn + counts.fp < 1 or counts.tp + counts.fn < 1:
             raise
-        tnr = Fraction(counts.tn, counts.tn + counts.fp)
-        tpr = Fraction(counts.tp, counts.tp + counts.fn)
-        total = counts.tn + counts.fp + counts.tp + counts.fn
-        return {
-            "tnr": tnr,
-            "tpr": tpr,
-            "accuracy": Fraction(counts.tn + counts.tp, total),
-            "recall": tpr,
-            "precision": Fraction(0),
-            "f1": Fraction(0),
-        }
+        zero = Fraction(0)  # only precision or F1 failed, so tp == 0
+        return {"tnr": Fraction(counts.tn, counts.tn + counts.fp), "tpr": zero,
+                "accuracy": Fraction(counts.tn, counts.tn + counts.fp + counts.fn),
+                "recall": zero, "precision": zero, "f1": zero}
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ class LadModel:
 
     def ks_features(self, window_errors: np.ndarray) -> np.ndarray:
         """The KS feature vector: the statistic against each reference sample."""
-        return np.array([ks_statistic(window_errors, ref) for ref in self.ref_samples])
+        return ks_statistic(window_errors, self.ref_samples)
 
     @cached_property
     def ocsvm(self) -> ModelBundle:
@@ -227,12 +220,8 @@ def evaluate_lad(model: LadModel, test_windows, pipeline: str) -> ConfusionCount
         if not rows:
             continue
         errors = window_error_samples(model.bundle, np.stack(rows), n)
-        for werr in errors:
-            anomaly = model.decide(werr, pipeline)
-            if is_owner:
-                counts = counts + ConfusionCounts(fp=int(anomaly), tn=int(not anomaly))
-            else:
-                counts = counts + ConfusionCounts(tp=int(anomaly), fn=int(not anomaly))
+        flagged = [model.decide(werr, pipeline) for werr in errors]
+        counts = counts + ConfusionCounts.tally([not is_owner] * len(flagged), flagged)
     return counts
 
 
@@ -304,13 +293,7 @@ def run_idaas(sequences, kind: str, cfg: IdaasConfig, seed: int):
         dataset = datasets[user]
         bundle = train(kind, dataset, train_hyper(kind, dataset, cfg.epochs), seed=seed)
         predicted = _idaas_predict(kind, bundle, feats_test)
-        counts = ConfusionCounts()
-        for w, flagged in zip(test_w, predicted):
-            impostor = w.user != user
-            if impostor:
-                counts = counts + ConfusionCounts(tp=int(flagged), fn=int(not flagged))
-            else:
-                counts = counts + ConfusionCounts(fp=int(flagged), tn=int(not flagged))
+        counts = ConfusionCounts.tally([w.user != user for w in test_w], predicted)
         total = total + counts
         rows.append({"user": user, "model": kind, "pipeline": "idaas", **safe_metrics(counts)})
     return rows, total

@@ -201,17 +201,19 @@ def train_krr(dataset, lam=1e-3) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 def _project_capped_simplex(v, cap):
-    """Project v onto {0 <= a <= cap, sum a = 1} by bisection on the shift."""
-    lo = v.min() - 1.0
-    hi = v.max() + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        total = np.clip(v - mid, 0.0, cap).sum()
-        if total > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
+    """Project v onto {0 <= a <= cap, sum a = 1} exactly: a = clip(v - t, 0, cap).
+
+    f(t) = sum clip(v - t, 0, cap) is piecewise linear with knots at v and
+    v - cap: t interpolates f = 1 between two sorted knots (the sort-based
+    projection of Duchi et al. 2008, with caps).
+    """
+    knots = np.sort(np.concatenate([v - cap, v]))
+    f = np.clip(v - knots[:, None], 0.0, cap).sum(axis=1)  # non-increasing, f[-1] == 0
+    j = np.count_nonzero(f > 1.0)
+    t = knots[0]  # j == 0 only if cap * n == 1: every entry at the cap
+    if j:
+        t = knots[j - 1] + (f[j - 1] - 1.0) * (knots[j] - knots[j - 1]) / (f[j - 1] - f[j])
+    return np.clip(v - t, 0.0, cap)
 
 
 def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
@@ -300,7 +302,7 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     dc = np.zeros((B, H))
     for t in reversed(range(steps)):
         xt, h_prev, c_prev, (cand, fio, hc), h_new, err = cache[t]
-        f, i, o = np.split(fio, 3, axis=1)
+        f, i, o = fio[:, :H], fio[:, H : 2 * H], fio[:, 2 * H :]
         dpred = 2.0 * scale * err
         g_out += dpred.T @ h_new
         g_bout += dpred.sum(axis=0)
@@ -342,7 +344,7 @@ def gru_loss_and_grads(m: ModelBundle, batch, h0=None):
     dh = np.zeros((B, H))
     for t in reversed(range(steps)):
         xt, h_prev, (zr, rh, cand), h_new, err = cache[t]
-        z, r = np.split(zr, 2, axis=1)
+        z, r = zr[:, :H], zr[:, H:]
         dpred = 2.0 * scale * err
         g_out += dpred.T @ h_new
         g_bout += dpred.sum(axis=0)

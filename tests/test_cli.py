@@ -342,3 +342,18 @@ def test_sim_profile_of_data_dependent_loop(tmp_path, capsys):
     assert totals == table["total"]
     keyvalues = dict(line.split("=") for line in plain.splitlines())
     assert table["total"][1:] == [int(keyvalues[k]) for k in ("cycles", "reads", "writes")]
+
+
+def test_malformed_sensor_file_exits_two_naming_the_line(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--freqs", "1.6,2.1", "--seed", "3", "--out", str(datadir))
+    acc = sorted(datadir.glob("acc_*.txt"))[1]
+    lines = acc.read_text().splitlines(keepends=True)
+    lines[6] = "0.5 0.25\n"  # 2 columns, then 4: the token total still fits
+    lines[7] = "0.5 0.25 0.125 1.0\n"
+    acc.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("detect", "--scenario", "lad", "--data", str(datadir)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert errors == [f"error: {acc}: line 7: expected 3 columns"]

@@ -186,3 +186,52 @@ def test_user_sequence_validation():
         UserSequence(1, 0, np.zeros((0, 6)))
     with pytest.raises(DataError):
         UserSequence(1, 0, np.full((4, 6), np.nan))
+
+
+def _sensor_corpus(tmp_path, acc_text, rows=4):
+    """A one-experiment corpus whose acc file is `acc_text` verbatim."""
+    (tmp_path / "acc_exp01_user01.txt").write_text(acc_text)
+    np.savetxt(tmp_path / "gyro_exp01_user01.txt", np.zeros((rows, 3)))
+    (tmp_path / "labels.txt").write_text(f"1 1 1 1 {rows}\n")
+    return tmp_path / "acc_exp01_user01.txt"
+
+
+@pytest.mark.parametrize(
+    "acc_text, line_no, message",
+    [
+        # 2 + 4 tokens make 2 rows' worth: only a per-line check sees line 3
+        ("1 2 3\n\n4 5\n6 7 8 9\n", 3, "expected 3 columns"),
+        ("1 2 3\n4 5 6\n7 8 9 10\n1 2 3\n", 3, "expected 3 columns"),
+        ("1 2 3\n4 5 6\n7 8 9\n1 2\n", 4, "expected 3 columns"),
+        ("1 2\n3 4\n5 6\n7 8\n", 1, "expected 3 columns"),  # consistent but wrong
+        ("1 2 3\n4 5 6\n7 x 9\n1 2 3\n", 3, "malformed number"),
+        ("1 2 3\n4 5 6\n7 8 9\n1 2 3e\n", 4, "malformed number"),
+        ("1 2 3\n# 4 5\n7 8 9\n1 2 3\n", 2, "malformed number"),
+    ],
+)
+def test_hapt_reader_names_offending_line(tmp_path, acc_text, line_no, message):
+    acc = _sensor_corpus(tmp_path, acc_text)
+    with pytest.raises(DataError) as info:
+        hapt_load(tmp_path)
+    assert str(info.value) == f"{acc}: line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "labels, line_no, message",
+    [("1 1 1 1 4\n\n1 1 1 2\n", 3, "expected 5 columns"),
+     ("1 1 1 1 4\n1 1 1 1 4.5\n", 2, "malformed integer")],
+)
+def test_hapt_labels_reader_names_offending_line(tmp_path, labels, line_no, message):
+    _sensor_corpus(tmp_path, "1 2 3\n" * 4)
+    (tmp_path / "labels.txt").write_text(labels)
+    with pytest.raises(DataError) as info:
+        hapt_load(tmp_path)
+    assert str(info.value) == f"{tmp_path / 'labels.txt'}: line {line_no}: {message}"
+
+
+def test_hapt_reader_accepts_blank_lines_and_missing_newline(tmp_path):
+    _sensor_corpus(tmp_path, "\n1 2 3\n  \n4\t5 6\n\n7 8 9\n-1e-3 +2.5 .5")
+    (seq,) = hapt_load(tmp_path)
+    expected = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [-1e-3, 2.5, 0.5]]
+    assert seq.readings[:, :3].tolist() == expected
+    assert seq.readings.shape == (4, 6)

@@ -1,7 +1,8 @@
 """Property tests: the VM against a per-element scalar reference, trace replay
 against one-instruction stepping on looped programs, compiled random bundles
-against the float oracle, ISA text and binary round trips, and truncated or
-corrupted binary inputs."""
+against the float oracle, ISA text and binary round trips, truncated or
+corrupted binary inputs, the exact capped-simplex projection against
+bisection, and the stacked KS statistic against per-reference calls."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sid.cli import DOMAIN_ERRORS
 from sid.codegen import StepRunner, compile_model, run_feedforward
+from sid.detection import ks_statistic
 from sid.fixedpoint import (
     FX_MAX,
     FX_MIN,
@@ -61,7 +63,7 @@ from sid.models import (
     mlp_logits,
     predict_series,
 )
-from sid.training import init_gru, init_lstm, init_mlp
+from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -506,3 +508,60 @@ def test_truncated_binary_inputs_raise_domain_errors(name, data):
         with pytest.raises(DOMAIN_ERRORS) as info:
             read(corrupt(blob, data))
         assert "\n" not in str(info.value)
+
+
+def bisection_projection(v, cap):
+    """Capped-simplex projection by 100 bisection steps on the shift t."""
+    lo = v.min() - 1.0
+    hi = v.max() + 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, cap).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
+
+
+@st.composite
+def capped_simplex_inputs(draw):
+    """(v, cap) with cap * n >= 1, as train_ocsvm's cap = 1 / max(nu * n, 1)."""
+    n = draw(st.integers(1, 40), label="n")
+    unit = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.5, 0.0, 0.25, 1.0]))  # ties
+    v = np.array(draw(st.lists(unit, min_size=n, max_size=n), label="v"))
+    # Up to 1e2: beyond it, one ulp of the shift times n free entries nears 1e-12.
+    v *= draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e2]), label="scale")
+    nu = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)), label="nu")  # 1.0: cap * n == 1
+    return v, 1.0 / max(nu * n, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capped_simplex_inputs())
+@example((np.full(7, 1.0 / 7), 1.0 / 7))  # cap * n == 1: every entry at the cap
+@example((np.array([3.0]), 1.0))  # n == 1
+@example((np.array([2.0, 2.0, 2.0, -1.0]), 0.5))  # ties straddling the cap
+def test_capped_simplex_projection_matches_bisection(inputs):
+    v, cap = inputs
+    a = _project_capped_simplex(v, cap)
+    assert np.abs(a - bisection_projection(v, cap)).max() <= 1e-12
+    assert abs(a.sum() - 1.0) <= 1e-12
+    assert np.all((a >= 0.0) & (a <= cap))
+
+
+# A coarse grid makes ties within and across samples likely.
+_ks_values = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(_ks_values, min_size=1, max_size=30),
+    refs=st.integers(1, 30).flatmap(
+        lambda m: st.lists(st.lists(_ks_values, min_size=m, max_size=m), min_size=1, max_size=6)
+    ),
+)
+def test_stacked_ks_statistic_matches_per_reference_calls(a, refs):
+    stacked = ks_statistic(a, np.array(refs))
+    assert stacked.tolist() == [ks_statistic(a, r) for r in refs]
+    for d, r in zip(stacked, refs):  # and the counting definition, bit for bit
+        assert d == max(abs(sum(v <= x for v in a) / len(a) - sum(v <= x for v in r) / len(r))
+                        for x in a + r)
