@@ -177,8 +177,7 @@ def hapt_load(directory):
             for p in (acc_path, gyro_path):
                 if not p.exists():
                     raise DataError(f"missing sensor file {p}")
-            acc = _read_matrix(acc_path, 3)
-            gyro = _read_matrix(gyro_path, 3)
+            acc, gyro = (_read_matrix(p, 3) for p in (acc_path, gyro_path))
             if len(acc) != len(gyro):
                 raise DataError(
                     f"{acc_path} has {len(acc)} rows but {gyro_path} has {len(gyro)}"

@@ -158,15 +158,18 @@ def ks_statistic(sample_a, sample_b):
     sorted a and b's count is the point's rank minus a's.
     """
     a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(sample_b, dtype=np.float64))
-    n, m = len(a), b.shape[1]
+    b = np.asarray(sample_b, dtype=np.float64)
+    n, m = len(a), b.shape[-1]
     if n == 0 or m == 0:
         raise DetectionError("KS statistic needs non-empty samples")
-    pts = np.sort(np.concatenate([np.broadcast_to(a, (len(b), n)), b], axis=1), axis=1)
+    pts = np.empty((*b.shape[:-1], n + m))
+    pts[..., :n] = a
+    pts[..., n:] = b
+    pts.sort()
     count_a = np.searchsorted(a, pts, side="right")
     gap = np.abs(count_a / n - (np.arange(1, n + m + 1) - count_a) / m)
-    gap[:, :-1][pts[:, 1:] == pts[:, :-1]] = 0.0  # only a run's last point counts it whole
-    return gap.max(axis=1) if np.ndim(sample_b) == 2 else float(gap.max())
+    gap[..., :-1][pts[..., 1:] == pts[..., :-1]] = 0.0  # only a run's last point counts it whole
+    return gap.max(axis=-1) if b.ndim == 2 else float(gap.max())
 
 
 def ks_reject(d: float, n: int, m: int, cfg: KsDecisionConfig) -> bool:
