@@ -111,6 +111,20 @@ def test_detect_lad_user_restricts_to_owner(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["2"]
 
 
+def test_detect_lad_unknown_user_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    bundle = tmp_path / "lstm.sidb"
+    save_bundle(bundle, init_lstm(4, 6))
+    capsys.readouterr()
+    for extra in ((), ("--model", str(bundle))):
+        assert run_cli("detect", "--scenario", "lad", "--user", "9", "--data", str(datadir),
+                       "--window", "120", "--step", "60", *extra) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and "9" in errors[0], extra
+
+
 def test_detect_with_pretrained_bundle(tmp_path):
     datadir = tmp_path / "synth"
     run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "500",

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from sid.models import infer_krr, infer_lr, infer_ocsvm, infer_svm
+from sid.models import bundle_to_bytes, infer_krr, infer_lr, infer_ocsvm, infer_svm
 from sid.training import (
     TrainingError,
     gru_loss_and_grads,
@@ -179,3 +181,13 @@ def test_empty_dataset_rejected():
         train("lr", (np.zeros((0, 3)), np.zeros(0)))
     with pytest.raises(TrainingError):
         train_ocsvm(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("init, digest", [
+    (init_lstm, "546579de2604c2554f05467f39d42be03b4a063dcf2bb884a1a68436267b888e"),
+    (init_gru, "04443cab31ed0a817dce2612f18fa80f56b738bbf2b4da90a9040fc8844a020d"),
+])
+def test_recurrent_init_draws_are_pinned(init, digest):
+    # Pure RNG draws with no BLAS: the bundle bytes pin the gate order and shapes.
+    blob = bundle_to_bytes(init(5, 6, seed=2))
+    assert hashlib.sha256(blob).hexdigest() == digest
