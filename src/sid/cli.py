@@ -101,9 +101,12 @@ def _write(path, text):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    freqs = [float(f) for f in str(args.freqs).split(",")]
-    if args.users != len(freqs):
-        freqs = list(np.linspace(1.5, 2.3, args.users))
+    if args.freqs is None:
+        freqs = [1.6, 2.2] if args.users == 2 else list(np.linspace(1.5, 2.3, args.users))
+    else:
+        freqs = [float(f) for f in str(args.freqs).split(",")]
+        if len(freqs) != args.users:
+            raise UsageError(f"--freqs gives {len(freqs)} frequencies for {args.users} users")
     sequences = data.synth_user_sessions(
         freqs, args.seqs, args.length, args.seed,
         noise_std=args.noise, session_jitter=args.jitter,
@@ -200,10 +203,7 @@ def cmd_detect(args) -> int:
         user = args.user
         if bundle is not None and user is None:
             user = sorted({s.user for s in sequences})[0]
-        rows, total = pipeline.run_lad(
-            sequences, kind, pipe, cfg, args.seed,
-            bundles=None if bundle is None else {user: bundle}, only_user=user,
-        )
+        rows, total = pipeline.run_lad(sequences, kind, pipe, cfg, args.seed, bundle, user)
     else:
         pipe = "idaas"
         cfg = pipeline.IdaasConfig(
@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=2)
     p.add_argument("--seqs", type=int, default=4)
     p.add_argument("--length", type=int, default=1400)
-    p.add_argument("--freqs", default="1.6,2.2", help="per-user step frequencies")
+    p.add_argument("--freqs", help="per-user step frequencies, one per user "
+                   "(default 1.6,2.2 for two users, else evenly spaced over 1.5-2.3)")
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--jitter", type=float, default=0.07)
     p.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import KsDecisionConfig
-from .fixedpoint import FX_ONE, fx_array, fx_from_real
+from .fixedpoint import FX_ONE, REAL_MAX, fx_array, fx_from_real
 from .isa import (
     GROUP_LOOP,
     GROUP_OFFSET,
@@ -32,8 +32,6 @@ from .isa import (
 )
 from .machine import MachineConfig, MachineState, load, run
 from .models import ModelBundle
-
-REAL_LIMIT = 32768.0 - 1.0 / FX_ONE
 
 
 class CompileError(ValueError):
@@ -87,7 +85,7 @@ class _Builder:
             values = np.asarray(values, dtype=np.float64).reshape(-1)
             if len(values) != length:
                 raise CompileError(f"symbol {name!r}: {len(values)} values for {length} words")
-            if np.any(np.abs(values) > REAL_LIMIT):
+            if np.any(np.abs(values) > REAL_MAX):
                 self.clamped.append(name)
             self.chunks.append((addr, fx_array(values)))
         return addr
@@ -620,6 +618,3 @@ class StepRunner:
     def errors(self) -> np.ndarray:
         raw = read_symbol(self.state, self.prog, "errors", count=self.steps)
         return raw[1:]  # drop the bootstrap error
-
-    def prediction(self) -> np.ndarray:
-        return read_symbol(self.state, self.prog, "pred")

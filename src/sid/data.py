@@ -76,20 +76,6 @@ def synth_sequence(params: GaitParams, length: int, rng) -> np.ndarray:
     return readings
 
 
-def synth_generate(user_params, seqs_per_user: int, length: int, seed: int):
-    """Deterministic synthetic corpus: one GaitParams per user."""
-    if seqs_per_user < 1 or length < 64:
-        raise DataError("need at least one sequence of at least 64 readings per user")
-    rng = np.random.default_rng(seed)
-    sequences = []
-    for user, params in enumerate(user_params, start=1):
-        for s in range(seqs_per_user):
-            sequences.append(
-                UserSequence(user=user, seq=s, readings=synth_sequence(params, length, rng))
-            )
-    return sequences
-
-
 def synth_user_sessions(
     step_freqs, seqs_per_user: int, length: int, seed: int,
     noise_std: float = 0.1, session_jitter: float = 0.07,

@@ -36,6 +36,8 @@ def make_windows(sequence, window_len: int = 64, step: int = 4) -> list[np.ndarr
     A 64/4 default overlaps consecutive windows by 93.75%. Sequences shorter
     than one window yield an empty list.
     """
+    if window_len < 1 or step < 1:
+        raise DetectionError(f"window length {window_len} and step {step} must be at least 1")
     data = np.asarray(sequence)
     count = (len(data) - window_len) // step + 1 if len(data) >= window_len else 0
     return [data[i * step : i * step + window_len].copy() for i in range(count)]
@@ -148,6 +150,11 @@ class KsDecisionConfig:
     window_errors: int = 40
     vote_threshold: float | None = None  # default refs / 2, inclusive
     bins: int = 16
+
+    def __post_init__(self):
+        for name in ("refs", "window_errors", "bins"):
+            if getattr(self, name) < 1:
+                raise DetectionError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def ks_statistic(sample_a, sample_b):

@@ -17,7 +17,6 @@ FX_MAX = (1 << 31) - 1
 FX_MIN = -(1 << 31)
 
 REAL_MAX = FX_MAX / FX_ONE
-REAL_MIN = FX_MIN / FX_ONE
 
 
 def saturate(raw: int) -> int:
@@ -72,8 +71,6 @@ _FUNCTIONS = {
     "tanh": math.tanh,
     "exp-neg": math.exp,
 }
-_FUNCTION_IDS = {"sigmoid": 0, "tanh": 1, "exp-neg": 2}
-_FUNCTION_NAMES = {v: k for k, v in _FUNCTION_IDS.items()}
 
 # Defaults used by the machine. tanh is narrower than sigmoid: with 128 secant
 # segments the interpolation error over [-8, 8] would peak near 1.5e-3, above
@@ -146,41 +143,6 @@ class LutTable:
         """k*x + b through the fixed-point multiply/add path."""
         k, b = self.lookup(x_raw)
         return fx_add(fx_mul(k, x_raw), b)
-
-    def to_words(self) -> list[int]:
-        """Serialize as int32 words: header, then slopes, then intercepts."""
-        header = [
-            _FUNCTION_IDS[self.name],
-            self.segments,
-            self.lo_raw,
-            self.hi_raw,
-            self.sat_lo,
-            self.sat_hi,
-        ]
-        return header + [int(v) for v in self.k] + [int(v) for v in self.b]
-
-    @staticmethod
-    def from_words(words) -> "LutTable":
-        func_id, segments, lo_raw, hi_raw, sat_lo, sat_hi = (int(w) for w in words[:6])
-        k = np.asarray(words[6 : 6 + segments], dtype=np.int32)
-        b = np.asarray(words[6 + segments : 6 + 2 * segments], dtype=np.int32)
-        if len(k) != segments or len(b) != segments:
-            raise ValueError("truncated LUT serialization")
-        extra = len(words) - 6 - 2 * segments
-        if extra:
-            raise ValueError(f"LUT has {extra} words after its last intercept")
-        if func_id not in _FUNCTION_NAMES:
-            raise ValueError(f"unknown LUT function id {func_id}")
-        return LutTable(
-            name=_FUNCTION_NAMES[func_id],
-            segments=segments,
-            lo_raw=lo_raw,
-            hi_raw=hi_raw,
-            k=k,
-            b=b,
-            sat_lo=sat_lo,
-            sat_hi=sat_hi,
-        )
 
 
 def lut_build(name: str, segments: int, lo: float, hi: float) -> LutTable:

@@ -75,15 +75,19 @@ def infer_lr(m: ModelBundle, x) -> float:
     return float(sigmoid(np.dot(w, x) + m.scalar("b")))
 
 
+def _rbf_sum(m: ModelBundle, x) -> float:
+    """sum_i coef_i * exp(-gamma * ||sv_i - x||^2), the kernel machines' unbiased score."""
+    k = np.exp(-m.scalar("gamma") * ((m["sv"] - x) ** 2).sum(axis=1))
+    return np.dot(m["coef"], k)
+
+
 def svm_score(m: ModelBundle, x) -> float:
     coef, sv, b = m["coef"], m["sv"], m.scalar("b")
     if sv.ndim != 2 or len(coef) != len(sv):
         raise ShapeError("svm bundle needs one coefficient per support vector")
     x = _expect_vector(x, sv.shape[1], "svm input")
     if m.kind == "kernel_svm":
-        gamma = m.scalar("gamma")
-        k = np.exp(-gamma * ((sv - x) ** 2).sum(axis=1))
-        return float(np.dot(coef, k) + b)
+        return float(_rbf_sum(m, x) + b)
     return float(np.dot(coef, sv @ x) + b)
 
 
@@ -120,11 +124,8 @@ def infer_mlp(m: ModelBundle, x) -> np.ndarray:
 
 
 def ocsvm_score(m: ModelBundle, x) -> float:
-    coef, sv = m["coef"], m["sv"]
-    x = _expect_vector(x, sv.shape[1], "ocsvm input")
-    gamma = m.scalar("gamma")
-    k = np.exp(-gamma * ((sv - x) ** 2).sum(axis=1))
-    return float(np.dot(coef, k) - m.scalar("rho"))
+    x = _expect_vector(x, m["sv"].shape[1], "ocsvm input")
+    return float(_rbf_sum(m, x) - m.scalar("rho"))
 
 
 def infer_ocsvm(m: ModelBundle, x) -> tuple[bool, float]:

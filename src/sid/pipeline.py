@@ -226,30 +226,31 @@ def evaluate_lad(model: LadModel, test_windows, pipeline: str) -> ConfusionCount
 
 
 def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
-            bundles: dict | None = None, only_user=None):
+            bundle: ModelBundle | None = None, user=None):
     """Per-user one-class evaluation; returns (report rows, aggregate counts).
 
-    `bundles` optionally maps user -> pre-trained ModelBundle; `only_user`
-    restricts the evaluation to a single owner's detector.
+    `user` restricts the evaluation to that owner's detector, and `bundle`,
+    which needs a `user`, is that owner's pre-trained model.
     """
+    if bundle is not None and user is None:
+        raise PipelineError("a pre-trained bundle needs the user it belongs to")
     train_w, test_w = split_by_sequence(
         sequences, cfg.train_fraction, seed, cfg.rnn_window, cfg.rnn_step
     )
     users = sorted({w.user for w in train_w}, key=str)
-    if only_user is not None:
-        if only_user not in users:
-            raise PipelineError(f"user {only_user!r} not present in the data")
-        users = [only_user]
+    if user is not None:
+        if user not in users:
+            raise PipelineError(f"user {user!r} not present in the data")
+        users = [user]
     rows = []
     total = ConfusionCounts()
-    for user in users:
-        own = [w for w in train_w if w.user == user]
-        bundle = (bundles or {}).get(user)
-        model = fit_lad_model(user, own, kind, cfg, seed, bundle=bundle)
+    for owner in users:
+        own = [w for w in train_w if w.user == owner]
+        model = fit_lad_model(owner, own, kind, cfg, seed, bundle=bundle)
         counts = evaluate_lad(model, test_w, pipeline)
         total = total + counts
         metrics = safe_metrics(counts)
-        rows.append({"user": user, "model": kind, "pipeline": pipeline, **metrics})
+        rows.append({"user": owner, "model": kind, "pipeline": pipeline, **metrics})
     return rows, total
 
 

@@ -12,7 +12,7 @@ for the small synthetic workloads in the test suite, nothing more.
 import numpy as np
 
 from .models import (
-    ModelBundle, gru_cell, lstm_cell, sigmoid, softmax, split_gates, stacked_weights,
+    RNN_GATES, ModelBundle, gru_cell, lstm_cell, sigmoid, softmax, split_gates, stacked_weights,
 )
 
 
@@ -153,13 +153,17 @@ def train_linear_svm(dataset, lr=0.05, epochs=200, lam=1e-3, seed=0) -> ModelBun
     return ModelBundle("linear_svm", {"coef": [1.0], "sv": [w], "b": b})
 
 
+def _rbf_gram(X, gamma):
+    """K[i, j] = exp(-gamma * ||X_i - X_j||^2)."""
+    return np.exp(-gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+
+
 def train_kernel_svm(dataset, gamma=0.5, lr=0.05, epochs=100, lam=1e-3, seed=0) -> ModelBundle:
     X, y = _as_xy(dataset)
     y = _as_pm1(y)
     rng = np.random.default_rng(seed)
     n = len(X)
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    K = np.exp(-gamma * sq)
+    K = _rbf_gram(X, gamma)
     alpha = np.zeros(n)  # signed coefficients a_i = alpha_i * y_i folded in
     b = 0.0
     idx = np.arange(n)
@@ -224,8 +228,7 @@ def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
     cap = 1.0 / max(nu * n, 1.0)
     if cap * n < 1.0:
         raise TrainingError(f"nu={nu} is infeasible for {n} samples")
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    K = np.exp(-gamma * sq)
+    K = _rbf_gram(X, gamma)
     alpha = _project_capped_simplex(np.full(n, 1.0 / n), cap)
     for _ in range(iters):
         alpha = _project_capped_simplex(alpha - lr * (K @ alpha), cap)
@@ -243,30 +246,27 @@ def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
 # Recurrent models: batched BPTT on next-step mean squared error
 # ---------------------------------------------------------------------------
 
-def init_lstm(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
+def _init_rnn(kind, hidden, dim, seed, scale) -> ModelBundle:
+    """Per gate in RNN_GATES order: W, then U where the gate has one, then a zero b."""
     rng = np.random.default_rng(seed)
+    w_gates, u_gates = RNN_GATES[kind]
     tensors = {}
-    for gate in "cfio":
+    for gate in w_gates:
         tensors[f"W{gate}"] = rng.normal(0, scale / np.sqrt(dim), size=(hidden, dim))
-        tensors[f"U{gate}"] = rng.normal(0, scale / np.sqrt(hidden), size=(hidden, hidden))
+        if gate in u_gates:
+            tensors[f"U{gate}"] = rng.normal(0, scale / np.sqrt(hidden), size=(hidden, hidden))
         tensors[f"b{gate}"] = np.zeros(hidden)
     tensors["Wout"] = rng.normal(0, scale / np.sqrt(hidden), size=(dim, hidden))
     tensors["bout"] = np.zeros(dim)
-    return ModelBundle("lstm", tensors)
+    return ModelBundle(kind, tensors)
+
+
+def init_lstm(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
+    return _init_rnn("lstm", hidden, dim, seed, scale)
 
 
 def init_gru(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
-    rng = np.random.default_rng(seed)
-    tensors = {}
-    for gate in "zr":
-        tensors[f"W{gate}"] = rng.normal(0, scale / np.sqrt(dim), size=(hidden, dim))
-        tensors[f"U{gate}"] = rng.normal(0, scale / np.sqrt(hidden), size=(hidden, hidden))
-        tensors[f"b{gate}"] = np.zeros(hidden)
-    tensors["Wh"] = rng.normal(0, scale / np.sqrt(dim), size=(hidden, dim))
-    tensors["bh"] = np.zeros(hidden)
-    tensors["Wout"] = rng.normal(0, scale / np.sqrt(hidden), size=(dim, hidden))
-    tensors["bout"] = np.zeros(dim)
-    return ModelBundle("gru", tensors)
+    return _init_rnn("gru", hidden, dim, seed, scale)
 
 
 def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
@@ -380,7 +380,7 @@ def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
     B, T, D = x.shape
     if T < 2:
         raise TrainingError("sequences must have at least two readings")
-    m = init_lstm(hidden, D, seed=seed) if kind == "lstm" else init_gru(hidden, D, seed=seed)
+    m = _init_rnn(kind, hidden, D, seed, scale=0.2)
     losses = []
     for _ in range(epochs):
         epoch_loss = 0.0

@@ -125,6 +125,42 @@ def test_detect_lad_unknown_user_exits_two(tmp_path, capsys):
         assert len(errors) == 1 and errors[0].startswith("error:") and "9" in errors[0], extra
 
 
+def test_non_positive_window_or_step_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    capsys.readouterr()
+    commands = [
+        ("train", "--kind", "lr", "--out", str(tmp_path / "m.sidb")),
+        ("detect", "--scenario", "lad"),
+        ("detect", "--scenario", "idaas"),
+    ]
+    for command in commands:
+        for bad in (("--step", "0"), ("--step", "-5"), ("--window", "0")):
+            assert run_cli(*command, "--data", str(datadir), *bad) == 2, (command, bad)
+            errors = capsys.readouterr().err.splitlines()
+            assert len(errors) == 1 and errors[0].startswith("error:"), (command, bad)
+            assert "must be at least 1" in errors[0], (command, bad)
+
+
+def test_detect_zero_refs_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    capsys.readouterr()
+    assert run_cli("detect", "--scenario", "lad", "--refs", "0", "--data", str(datadir)) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "refs" in errors[0]
+
+
+def test_gen_data_freqs_must_match_users(tmp_path, capsys):
+    out = tmp_path / "synth"
+    assert run_cli("gen-data", "--users", "2", "--freqs", "1.8", "--out", str(out)) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "--freqs" in errors[0]
+    assert not out.exists()
+
+
 def test_detect_with_pretrained_bundle(tmp_path):
     datadir = tmp_path / "synth"
     run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "500",

@@ -14,8 +14,8 @@ from sid.data import (
     hapt_write,
     krr_features,
     random_gait_params,
-    synth_generate,
     synth_sequence,
+    synth_user_sessions,
 )
 
 
@@ -48,16 +48,15 @@ def test_noiseless_sequence_is_periodic():
 
 
 def test_synth_deterministic():
-    plist = [params(1.6), params(2.2)]
-    a = synth_generate(plist, 2, 128, seed=7)
-    b = synth_generate(plist, 2, 128, seed=7)
+    a = synth_user_sessions([1.6, 2.2], 2, 128, seed=7, noise_std=0.05)
+    b = synth_user_sessions([1.6, 2.2], 2, 128, seed=7, noise_std=0.05)
     for s1, s2 in zip(a, b):
         assert s1.user == s2.user and s1.seq == s2.seq
         assert np.array_equal(s1.readings, s2.readings)
 
 
 def test_synth_shape_and_user_ids():
-    seqs = synth_generate([params(), params()], 3, 100, seed=2)
+    seqs = synth_user_sessions([1.8, 1.8], 3, 100, seed=2, noise_std=0.05)
     assert len(seqs) == 6
     assert {s.user for s in seqs} == {1, 2}
     assert all(s.readings.shape == (100, 6) for s in seqs)
@@ -72,7 +71,7 @@ def test_gait_params_validation():
 
 
 def test_hapt_roundtrip(tmp_path):
-    seqs = synth_generate([params(1.5), params(2.1)], 2, 90, seed=4)
+    seqs = synth_user_sessions([1.5, 2.1], 2, 90, seed=4, noise_std=0.05)
     hapt_write(tmp_path, seqs)
     loaded = hapt_load(tmp_path)
     assert len(loaded) == len(seqs)

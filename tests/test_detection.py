@@ -48,6 +48,18 @@ def test_make_windows_counts():
     assert len(make_windows(np.zeros((63, 6)))) == 0
 
 
+def test_make_windows_rejects_non_positive_length_or_step():
+    for window_len, step in ((0, 4), (64, 0), (64, -5), (-1, 1)):
+        with pytest.raises(DetectionError):
+            make_windows(np.zeros((100, 6)), window_len, step)
+
+
+def test_ks_config_rejects_empty_counts():
+    for field_name in ("refs", "window_errors", "bins"):
+        with pytest.raises(DetectionError):
+            KsDecisionConfig(**{field_name: 0})
+
+
 def test_make_windows_offsets():
     seq = np.arange(80)
     windows = make_windows(seq, window_len=64, step=4)

@@ -8,7 +8,6 @@ from sid.fixedpoint import (
     FX_MAX,
     FX_MIN,
     FX_ONE,
-    LutTable,
     default_luts,
     fx_add,
     fx_array,
@@ -115,19 +114,6 @@ def test_lut_build_rejects_bad_args():
         lut_build("sigmoid", 128, 8, -8)
     with pytest.raises(ValueError):
         lut_build("sinh", 128, -8, 8)
-
-
-def test_lut_serialization_roundtrip():
-    for t in default_luts().values():
-        words = t.to_words()
-        back = LutTable.from_words(words)
-        assert back.name == t.name
-        assert back.lo_raw == t.lo_raw and back.hi_raw == t.hi_raw
-        assert np.array_equal(back.k, t.k) and np.array_equal(back.b, t.b)
-        rng = random.Random(5)
-        for _ in range(200):
-            x = rng.randint(t.lo_raw - FX_ONE, t.hi_raw + FX_ONE)
-            assert back.eval(x) == t.eval(x)
 
 
 def test_lookup_array_matches_scalar():

@@ -299,18 +299,6 @@ def test_image_bytes_roundtrip():
         image_from_bytes(b"XXXX" + b"\x00" * 8)
 
 
-def test_lut_tables_embed_in_image_format():
-    # LUT serialization rides inside the memory-image format: three contiguous
-    # blocks (metadata header, slopes, intercepts) as plain words.
-    from sid.fixedpoint import LutTable, default_luts
-
-    table = default_luts()["sigmoid"]
-    words = table.to_words()
-    blob = image_to_bytes(words)
-    back = LutTable.from_words([int(w) for w in image_from_bytes(blob)])
-    assert back.eval(fx_from_real(0.25)) == table.eval(fx_from_real(0.25))
-
-
 def test_saturating_accumulation_order():
     # max + 1 - 1: sequential saturating evaluation pins the result at max.
     program = [vec_op(Opcode.MVMUL, 3, 0, 8, 16, width=1), halt()]

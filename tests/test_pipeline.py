@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sid.data import random_gait_params, synth_generate
+from sid.data import synth_user_sessions
 from sid import pipeline as pipeline_module
 from sid.detection import Window
 from sid.pipeline import safe_metrics
@@ -19,9 +19,7 @@ from sid.training import init_gru, init_lstm
 
 
 def small_corpus(seed=0, freqs=(1.5, 2.2), length=700):
-    rng = np.random.default_rng(seed)
-    params = [random_gait_params(rng, step_freq=f, noise_std=0.05) for f in freqs]
-    return synth_generate(params, 2, length, seed=seed + 1)
+    return synth_user_sessions(freqs, 2, length, seed=seed, noise_std=0.05)
 
 
 def stepwise_errors(m, window):
@@ -73,6 +71,12 @@ def test_lad_rejects_two_class_kind():
     cfg = LadConfig(rnn_window=120, rnn_step=60)
     with pytest.raises(PipelineError):
         run_lad(small_corpus(), "mlp", "vote", cfg, seed=0)
+
+
+def test_run_lad_bundle_needs_its_user():
+    cfg = LadConfig(rnn_window=120, rnn_step=60)
+    with pytest.raises(PipelineError):
+        run_lad(small_corpus(), "lstm", "vote", cfg, seed=0, bundle=init_lstm(4, 6))
 
 
 def test_fit_lad_model_threshold_is_quantile():

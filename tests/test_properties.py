@@ -16,7 +16,6 @@ from sid.fixedpoint import (
     FX_MAX,
     FX_MIN,
     FX_ONE,
-    LutTable,
     default_luts,
     fx_add,
     fx_array,
@@ -476,19 +475,10 @@ SERIALIZED = {
     "program": (program_to_bytes(_PROGRAM), program_from_bytes),
     "image": (image_to_bytes(np.arange(-5, 20, dtype=np.int32)), image_from_bytes),
     "bundle": (bundle_to_bytes(_BUNDLE), bundle_from_bytes),
-    "lut": (LUTS["tanh"].to_words(), LutTable.from_words),
 }
 # reader name -> ways to make a whole input malformed other than by a cut
-_INT32 = st.integers(-(1 << 31), (1 << 31) - 1)
 CORRUPTED = {
     "bundle": [lambda blob, data: blob + data.draw(st.binary(min_size=1), label="tail")],
-    "lut": [
-        lambda words, data: [
-            data.draw(_INT32.filter(lambda v: v not in (0, 1, 2)), label="function id"),
-            *words[1:],
-        ],
-        lambda words, data: words + data.draw(st.lists(_INT32, min_size=1), label="tail"),
-    ],
 }
 
 
