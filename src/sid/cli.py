@@ -101,6 +101,8 @@ def _write(path, text):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    if args.users < 1:
+        raise UsageError(f"--users must be at least 1, got {args.users}")
     if args.freqs is None:
         freqs = [1.6, 2.2] if args.users == 2 else list(np.linspace(1.5, 2.3, args.users))
     else:
@@ -241,49 +243,39 @@ def cmd_energy(args) -> int:
 def cmd_report(args) -> int:
     rng = np.random.default_rng(args.seed)
     config = machine.MachineConfig()
-    programs = []
-    for name, sizes in (
-        ("mlp_50", [384, 50, 2]),
-        ("mlp_500", [384, 500, 2]),
-        ("mlp_50_25", [384, 50, 25, 2]),
-        ("mlp_200_100", [384, 200, 100, 2]),
-    ):
-        prog = codegen.compile_model(training.init_mlp(sizes, seed=args.seed), config)
-        prog.name = name
-        programs.append(prog)
+    rows = [
+        (name, codegen.compile_model(training.init_mlp(sizes, seed=args.seed), config), None)
+        for name, sizes in (
+            ("mlp_50", [384, 50, 2]),
+            ("mlp_500", [384, 500, 2]),
+            ("mlp_50_25", [384, 50, 25, 2]),
+            ("mlp_200_100", [384, 200, 100, 2]),
+        )
+    ]
     lstm = codegen.compile_model(training.init_lstm(200, 6, seed=args.seed), config)
-    lstm.name = "lstm_200"
-    programs.append(lstm)
+    rows.append(("lstm_200", lstm, None))
     svm = models.ModelBundle(
         "kernel_svm",
         {"coef": rng.normal(size=400) / 400, "sv": rng.normal(size=(400, 6)),
          "b": 0.0, "gamma": 0.5},
     )
-    for strategy in ("looped", "unrolled"):
-        prog = codegen.compile_model(svm, config, strategy)
-        prog.name = "kernel_svm_400"
-        programs.append(prog)
+    rows.append(("kernel_svm_400", codegen.compile_model(svm, config),
+                 codegen.compile_model(svm, config, "unrolled")))
     ocsvm = models.ModelBundle(
         "ocsvm",
         {"coef": np.abs(rng.normal(size=20)), "sv": rng.normal(size=(20, 20)),
          "rho": 0.5, "gamma": 0.5},
     )
-    ocsvm_prog = codegen.compile_model(ocsvm, config)
-    ocsvm_prog.name = "ocsvm_after_ks"
-    programs.append(ocsvm_prog)
+    rows.append(("ocsvm_after_ks", codegen.compile_model(ocsvm, config), None))
     cfg = detection.KsDecisionConfig()
     refs = [
         detection.build_ped(rng.exponential(size=cfg.window_errors), cfg.bins)
         for _ in range(cfg.refs)
     ]
-    for strategy in ("looped", "unrolled"):
-        prog = codegen.compile_ks_stage(refs, cfg, strategy, include_vote=False)
-        prog.name = "ks_40_20refs"
-        programs.append(prog)
-    vote = codegen.compile_ks_stage(refs, cfg, include_ks=False)
-    vote.name = "vote_ks"
-    programs.append(vote)
-    _write(args.out, codegen.code_size_report(programs))
+    rows.append(("ks_40_20refs", codegen.compile_ks_stage(refs, cfg, include_vote=False),
+                 codegen.compile_ks_stage(refs, cfg, "unrolled", include_vote=False)))
+    rows.append(("vote_ks", codegen.compile_ks_stage(refs, cfg, include_ks=False), None))
+    _write(args.out, codegen.code_size_report(rows))
     return 0
 
 

@@ -8,18 +8,20 @@ Layout conventions shared by every generated program:
   * biases are added with an explicit Vadd after the matrix blocks (the
     recurrent step programs instead copy the bias in before accumulating so a
     step can run repeatedly);
-  * programs end in Halt and are one-shot per load unless noted otherwise.
+  * programs end in Halt and are one-shot per load unless noted otherwise;
+  * an unrolled form is never written: `_unroll` derives it from the looped one.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .detection import KsDecisionConfig
 from .fixedpoint import FX_ONE, REAL_MAX, fx_array, fx_from_real
 from .isa import (
+    CONTROL_OPCODES,
     GROUP_LOOP,
     GROUP_OFFSET,
     MacroInstruction,
@@ -30,7 +32,7 @@ from .isa import (
     regload,
     regstore,
 )
-from .machine import MachineConfig, MachineState, load, run
+from .machine import MachineConfig, MachineState, load, run, step_instruction
 from .models import ModelBundle
 
 
@@ -42,7 +44,6 @@ class CompileError(ValueError):
 class CompiledProgram:
     name: str
     kind: str
-    strategy: str
     instructions: list
     image: np.ndarray
     symbols: dict[str, tuple[int, int]]
@@ -65,10 +66,9 @@ class CompiledProgram:
 
 
 class _Builder:
-    def __init__(self, name: str, kind: str, strategy: str):
+    def __init__(self, name: str, kind: str):
         self.name = name
         self.kind = kind
-        self.strategy = strategy
         self.cursor = 0
         self.symbols: dict[str, tuple[int, int]] = {}
         self.chunks: list[tuple[int, np.ndarray]] = []
@@ -127,7 +127,6 @@ class _Builder:
         return CompiledProgram(
             name=self.name,
             kind=self.kind,
-            strategy=self.strategy,
             instructions=self.instructions,
             image=image,
             symbols=self.symbols,
@@ -154,13 +153,48 @@ def _emit_matvec(b: _Builder, config, w_addr, rows, cols, y_addr, z_addr):
         )
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in ("looped", "unrolled"):
+        raise CompileError(f"unknown strategy {strategy!r}")
+
+
+def _unroll(prog: CompiledProgram, config: MachineConfig) -> CompiledProgram:
+    """Unrolled form of looped `prog`: the data instructions one run over its
+    own image executes, live off_x/off_y/off_z folded into their addresses,
+    then Halt.
+
+    The stream does not depend on the inputs: loop counts and regaddi steps
+    are immediates, and these loops regload only their zeroed `zeros3` and
+    their own `save_loop` spill, which no data instruction writes. Image and
+    symbols are kept; each stage, a run of instructions from the first in
+    `stages` order, counts the data instructions it ran.
+    """
+    state = MachineState(config, prog.instructions, prog.image.copy())
+    owner = [name for name, count in prog.stages.items() for _ in range(count)]
+    stages = dict.fromkeys(prog.stages, 0)
+    instructions = []
+    while not state.halted:
+        inst = state.program[state.pc]
+        if inst.mode not in CONTROL_OPCODES:
+            instructions.append(replace(
+                inst, off_x=False, off_y=False, off_z=False,
+                addr_x=inst.addr_x + inst.off_x * state.off_x,
+                addr_y=inst.addr_y + inst.off_y * state.off_y,
+                addr_z=inst.addr_z + inst.off_z * state.off_z))
+            if state.pc < len(owner):
+                stages[owner[state.pc]] += 1
+        step_instruction(state)
+    instructions.append(halt())
+    return replace(prog, instructions=instructions, stages=stages)
+
+
 # ---------------------------------------------------------------------------
 # Feed-forward models
 # ---------------------------------------------------------------------------
 
 def _compile_lr(m: ModelBundle) -> CompiledProgram:
     w = m["w"]
-    b = _Builder("lr", "lr", "looped")
+    b = _Builder("lr", "lr")
     waddr = b.tensor("w", w)
     baddr = b.tensor("b", [m.scalar("b")])
     x = b.alloc("input", len(w))
@@ -178,7 +212,7 @@ def _compile_lr(m: ModelBundle) -> CompiledProgram:
 
 def _compile_linear_svm(m: ModelBundle) -> CompiledProgram:
     weff = np.asarray(m["coef"]) @ np.asarray(m["sv"])  # collapse to the primal form
-    b = _Builder("linear_svm", "linear_svm", "looped")
+    b = _Builder("linear_svm", "linear_svm")
     waddr = b.tensor("w", weff)
     baddr = b.tensor("b", [m.scalar("b")])
     x = b.alloc("input", len(weff))
@@ -192,12 +226,12 @@ def _compile_linear_svm(m: ModelBundle) -> CompiledProgram:
     return b.finish()
 
 
-def _compile_kernel_machine(m: ModelBundle, strategy: str) -> CompiledProgram:
+def _compile_kernel_machine(m: ModelBundle) -> CompiledProgram:
     """Shared kernel-sum lowering for the two-class and one-class SVMs.
 
     Per support vector: d = x - v_i; sq = squared norm of d; kv = exp(-gamma*sq);
-    acc += coef_i * kv. The looped form walks v_i through off_y (stride D) and
-    coef_i through off_x (stride 1).
+    acc += coef_i * kv. The loop walks v_i through off_y (stride D) and coef_i
+    through off_x (stride 1).
     """
     is_ocsvm = m.kind == "ocsvm"
     sv = np.asarray(m["sv"], dtype=np.float64)
@@ -206,7 +240,7 @@ def _compile_kernel_machine(m: ModelBundle, strategy: str) -> CompiledProgram:
     gamma = m.scalar("gamma")
     offset = -m.scalar("rho") if is_ocsvm else m.scalar("b")
 
-    b = _Builder(m.kind, m.kind, strategy)
+    b = _Builder(m.kind, m.kind)
     zeros3 = b.alloc("zeros3", 3)
     svaddr = b.tensor("sv", sv)
     caddr = b.tensor("coef", coef)
@@ -223,26 +257,17 @@ def _compile_kernel_machine(m: ModelBundle, strategy: str) -> CompiledProgram:
     zero = b.alloc("zero", 1)
     decision = b.alloc("decision", 1)
 
-    if strategy == "looped":
-        b.emit(regload(GROUP_OFFSET, zeros3))
-        loop_idx = b.placeholder_loop(n_sv - 1)
-        b.op(Opcode.VSUB, dim, x, svaddr, d, offy=True)
-        b.op(Opcode.VSQNORM, dim, d, 0, sq)
-        b.op(Opcode.VMUL, 1, sq, neg_gamma, arg)
-        b.op(Opcode.VEXP, 1, arg, 0, kv)
-        b.op(Opcode.VMUL, 1, caddr, kv, term, offx=True)
-        b.op(Opcode.VADD, 1, acc, term, acc)
-        b.emit(regaddi(1, dim))  # off_y += dim: next support vector
-        end = b.emit(regaddi(0, 1))  # off_x += 1: next coefficient
-        b.patch_loop(loop_idx, end)
-    else:
-        for i in range(n_sv):
-            b.op(Opcode.VSUB, dim, x, svaddr + i * dim, d)
-            b.op(Opcode.VSQNORM, dim, d, 0, sq)
-            b.op(Opcode.VMUL, 1, sq, neg_gamma, arg)
-            b.op(Opcode.VEXP, 1, arg, 0, kv)
-            b.op(Opcode.VMUL, 1, caddr + i, kv, term)
-            b.op(Opcode.VADD, 1, acc, term, acc)
+    b.emit(regload(GROUP_OFFSET, zeros3))
+    loop_idx = b.placeholder_loop(n_sv - 1)
+    b.op(Opcode.VSUB, dim, x, svaddr, d, offy=True)
+    b.op(Opcode.VSQNORM, dim, d, 0, sq)
+    b.op(Opcode.VMUL, 1, sq, neg_gamma, arg)
+    b.op(Opcode.VEXP, 1, arg, 0, kv)
+    b.op(Opcode.VMUL, 1, caddr, kv, term, offx=True)
+    b.op(Opcode.VADD, 1, acc, term, acc)
+    b.emit(regaddi(1, dim))  # off_y += dim: next support vector
+    end = b.emit(regaddi(0, 1))  # off_x += 1: next coefficient
+    b.patch_loop(loop_idx, end)
     b.op(Opcode.VADD, 1, acc, offs, score)
     b.op(Opcode.VSGT, 1, score, zero, decision)  # 1.0 means +1 / normal
     b.emit(halt())
@@ -251,7 +276,7 @@ def _compile_kernel_machine(m: ModelBundle, strategy: str) -> CompiledProgram:
 
 def _compile_mlp(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     n_layers = int(m.scalar("n_layers"))
-    b = _Builder("mlp", "mlp", "looped")
+    b = _Builder("mlp", "mlp")
     sizes = [m["W0"].shape[1]] + [len(m[f"b{i}"]) for i in range(n_layers)]
     weights = []
     for i in range(n_layers):
@@ -287,7 +312,7 @@ STEP_ERRORS = 512  # words of `errors`: one squared error per step
 def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     hidden = len(m["bc"])
     dim = m["Wc"].shape[1]
-    b = _Builder("lstm_step", "lstm", "looped")
+    b = _Builder("lstm_step", "lstm")
     gates = {}
     for g in "cfio":
         wcat = np.concatenate([np.asarray(m[f"W{g}"]), np.asarray(m[f"U{g}"])], axis=1)
@@ -335,7 +360,7 @@ def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram
 def _compile_gru_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     hidden = len(m["bz"])
     dim = m["Wz"].shape[1]
-    b = _Builder("gru_step", "gru", "looped")
+    b = _Builder("gru_step", "gru")
     gates = {}
     for g in "zr":
         wcat = np.concatenate([np.asarray(m[f"W{g}"]), np.asarray(m[f"U{g}"])], axis=1)
@@ -404,10 +429,11 @@ def compile_ks_stage(
     reference the stage builds the observed histogram into `observed_hist`,
     subtracts it from the reference counts into `diff` and writes max|diff|
     into `d_values`; one compare after the last reference sets every
-    `rejects` bit. The unrolled form is the literal expansion of the looped
-    one, so both leave the same words in every symbol except the looped
-    form's loop-register spill slot, `save_loop`.
+    `rejects` bit. The unrolled form is the looped program's executed data
+    stream (`_unroll`), so both leave the same words in every symbol except
+    the looped form's loop-register spill slot, `save_loop`.
     """
+    _check_strategy(strategy)
     refs = list(references)
     n_ref = len(refs)
     n_err = cfg.window_errors
@@ -427,7 +453,7 @@ def compile_ks_stage(
     name = {(True, True): "ks_vote", (True, False): "ks", (False, True): "vote"}[
         (include_ks, include_vote)
     ]
-    b = _Builder(name, "ks", strategy)
+    b = _Builder(name, "ks")
     if include_ks:  # the vote reads only rejects, votes and vote_threshold
         zeros3 = b.alloc("zeros3", 3)
         save_l = b.alloc("save_loop", 3)
@@ -453,37 +479,27 @@ def compile_ks_stage(
     decision = b.alloc("decision", 1)
     if include_ks:
         ks_thresh = b.tensor("ks_threshold", [cfg.critical * math.sqrt(2 * n_err)])
-    vote_cutoff = n_ref / 2 if cfg.vote_threshold is None else cfg.vote_threshold
-    vote_thresh = b.tensor("vote_threshold", [vote_cutoff])
+    vote_thresh = b.tensor("vote_threshold", [n_ref / 2])
 
     stages = {}
     if include_ks:
         start = len(b.instructions)
-        if strategy == "looped":
-            b.emit(regload(GROUP_OFFSET, zeros3))  # entry hygiene: offsets <- 0
-            outer = b.placeholder_loop(n_ref - 1)
-            b.emit(regstore(GROUP_LOOP, save_l))
-            b.op(Opcode.VSUB, bins, acc, acc, acc)  # zero the observed histogram
-            inner = b.placeholder_loop(n_err - 1)
-            b.op(Opcode.VSSGT, bins, bnds, errs, tmp, offx=True, offy=True)
-            b.op(Opcode.VADD, bins, acc, tmp, acc)
-            inner_end = b.emit(regaddi(1, 1))  # next error
-            b.patch_loop(inner, inner_end)
-            b.emit(regload(GROUP_LOOP, save_l))
-            b.emit(regaddi(1, -n_err))  # rewind to the first error
-            b.op(Opcode.VSUB, bins, counts, acc, diff, offx=True)
-            b.op(Opcode.VMAXABS, bins, diff, 0, dvec, offz=True)
-            b.emit(regaddi(0, bins))  # next reference row
-            outer_end = b.emit(regaddi(2, 1))  # next D slot
-            b.patch_loop(outer, outer_end)
-        else:
-            for r in range(n_ref):
-                b.op(Opcode.VSUB, bins, acc, acc, acc)
-                for i in range(n_err):
-                    b.op(Opcode.VSSGT, bins, bnds + r * bins, errs + i, tmp)
-                    b.op(Opcode.VADD, bins, acc, tmp, acc)
-                b.op(Opcode.VSUB, bins, counts + r * bins, acc, diff)
-                b.op(Opcode.VMAXABS, bins, diff, 0, dvec + r)
+        b.emit(regload(GROUP_OFFSET, zeros3))  # entry hygiene: offsets <- 0
+        outer = b.placeholder_loop(n_ref - 1)
+        b.emit(regstore(GROUP_LOOP, save_l))
+        b.op(Opcode.VSUB, bins, acc, acc, acc)  # zero the observed histogram
+        inner = b.placeholder_loop(n_err - 1)
+        b.op(Opcode.VSSGT, bins, bnds, errs, tmp, offx=True, offy=True)
+        b.op(Opcode.VADD, bins, acc, tmp, acc)
+        inner_end = b.emit(regaddi(1, 1))  # next error
+        b.patch_loop(inner, inner_end)
+        b.emit(regload(GROUP_LOOP, save_l))
+        b.emit(regaddi(1, -n_err))  # rewind to the first error
+        b.op(Opcode.VSUB, bins, counts, acc, diff, offx=True)
+        b.op(Opcode.VMAXABS, bins, diff, 0, dvec, offz=True)
+        b.emit(regaddi(0, bins))  # next reference row
+        outer_end = b.emit(regaddi(2, 1))  # next D slot
+        b.patch_loop(outer, outer_end)
         b.op(Opcode.VSSGT, n_ref, dvec, ks_thresh, rejects)  # reject iff D > c*sqrt(2n)
         stages["ks"] = len(b.instructions) - start
     if include_vote:
@@ -494,7 +510,7 @@ def compile_ks_stage(
     b.emit(halt())
     prog = b.finish()
     prog.stages = stages
-    return prog
+    return _unroll(prog, MachineConfig()) if strategy == "unrolled" else prog
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +518,17 @@ def compile_ks_stage(
 # ---------------------------------------------------------------------------
 
 def compile_model(m: ModelBundle, config: MachineConfig, strategy: str = "looped") -> CompiledProgram:
-    """Lower a bundle; only the kernel machines have an unrolled form."""
-    if strategy not in ("looped", "unrolled"):
-        raise CompileError(f"unknown strategy {strategy!r}")
+    """Lower a bundle; only the kernel machines loop, so only they have an
+    unrolled form (`_unroll` of the looped program)."""
+    _check_strategy(strategy)
     if m.kind == "krr":
         raise CompileError(
             "krr is not compilable: its feature extraction needs vector min/max/"
             "sqrt/FFT operations the hardware leaves unimplemented"
         )
     if m.kind in ("kernel_svm", "ocsvm"):
-        return _compile_kernel_machine(m, strategy)
+        prog = _compile_kernel_machine(m)
+        return _unroll(prog, config) if strategy == "unrolled" else prog
     if strategy == "unrolled":
         raise CompileError(
             f"{m.kind} has no unrolled form; only kernel_svm and ocsvm have one"
@@ -529,29 +546,15 @@ def compile_model(m: ModelBundle, config: MachineConfig, strategy: str = "looped
     raise CompileError(f"unsupported model kind {m.kind!r}")
 
 
-def code_size_report(programs) -> str:
-    """Plain-text size table with looped/unrolled reduction factors."""
-    by_name: dict[str, dict[str, CompiledProgram]] = {}
-    order = []
-    for prog in programs:
-        if prog.name not in by_name:
-            order.append(prog.name)
-        by_name.setdefault(prog.name, {})[prog.strategy] = prog
+def code_size_report(rows) -> str:
+    """Plain-text size table of (name, looped, unrolled or None) rows with
+    looped/unrolled reduction factors."""
     lines = [f"{'program':<16} {'looped_B':>9} {'unrolled_B':>11} {'reduction':>10}"]
-    for name in order:
-        variants = by_name[name]
-        looped = variants.get("looped")
-        unrolled = variants.get("unrolled")
-        lb = looped.code_bytes if looped else None
-        ub = unrolled.code_bytes if unrolled else None
-        if lb and ub:
-            reduction = f"{ub / lb:.1f}X"
-        else:
-            reduction = "1.0X" if lb else "-"
-        lines.append(
-            f"{name:<16} {lb if lb is not None else '-':>9} "
-            f"{ub if ub is not None else '-':>11} {reduction:>10}"
-        )
+    for name, looped, unrolled in rows:
+        lb = looped.code_bytes
+        ub = unrolled.code_bytes if unrolled else "-"
+        reduction = f"{ub / lb:.1f}X" if unrolled else "1.0X"
+        lines.append(f"{name:<16} {lb:>9} {ub:>11} {reduction:>10}")
     return "\n".join(lines) + "\n"
 
 

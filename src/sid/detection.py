@@ -63,7 +63,8 @@ def split_by_sequence(sequences, train_fraction: float, seed: int,
     """Split windows so no source sequence spans the train/test boundary.
 
     `sequences` is an iterable of objects with .user, .seq and .readings.
-    Every user needs at least two sequences; each side gets at least one.
+    Every user needs at least two sequences; each side gets at least one
+    sequence, and at least one window in all.
     """
     by_user: dict = {}
     for s in sequences:
@@ -83,6 +84,9 @@ def split_by_sequence(sequences, train_fraction: float, seed: int,
             s = seqs[idx]
             target = train if pos < n_train else test
             target.extend(tag_windows(s.user, s.seq, s.readings, window_len, step))
+    for side, windows in (("train", train), ("test", test)):
+        if not windows:
+            raise DetectionError(f"no {side} sequence spans one {window_len}-reading window")
     return train, test
 
 
@@ -148,7 +152,6 @@ class KsDecisionConfig:
     critical: float = 1.358  # c(alpha) for alpha = 0.05
     refs: int = 20
     window_errors: int = 40
-    vote_threshold: float | None = None  # default refs / 2, inclusive
     bins: int = 16
 
     def __post_init__(self):
@@ -208,8 +211,7 @@ def ks_hardware(ref: Ped, observed, cfg: KsDecisionConfig) -> tuple[int, bool]:
 def vote_decide(rejections, cfg: KsDecisionConfig) -> bool:
     """Anomaly iff at least half (inclusive) of the reference tests reject."""
     votes = np.asarray(rejections, dtype=bool)
-    cutoff = len(votes) / 2 if cfg.vote_threshold is None else cfg.vote_threshold
-    return int(votes.sum()) >= cutoff
+    return int(votes.sum()) >= len(votes) / 2
 
 
 # ---------------------------------------------------------------------------

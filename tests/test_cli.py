@@ -158,7 +158,24 @@ def test_gen_data_freqs_must_match_users(tmp_path, capsys):
     assert run_cli("gen-data", "--users", "2", "--freqs", "1.8", "--out", str(out)) == 1
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error:") and "--freqs" in errors[0]
+    for users in ("0", "-1"):
+        assert run_cli("gen-data", "--users", users, "--out", str(out)) == 1, users
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and "--users" in errors[0]
     assert not out.exists()
+
+
+def test_detect_window_longer_than_every_sequence_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    capsys.readouterr()
+    for scenario in ("lad", "idaas"):
+        assert run_cli("detect", "--scenario", scenario, "--data", str(datadir),
+                       "--window", "2000") == 2, scenario
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:"), scenario
+        assert "2000-reading window" in errors[0], scenario
 
 
 def test_detect_with_pretrained_bundle(tmp_path):

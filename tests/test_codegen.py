@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from sid.codegen import (
 )
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
 from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul, fx_sub
-from sid.isa import CONTROL_OPCODES, Opcode
+from sid.isa import CONTROL_OPCODES, Opcode, program_to_bytes
 from sid.machine import MachineConfig, run, step_instruction
 from sid.models import (
     ModelBundle,
@@ -145,12 +146,15 @@ def test_code_size_report_text():
         "kernel_svm",
         {"coef": rng.normal(size=8), "sv": rng.normal(size=(8, 4)), "b": 0.0, "gamma": 1.0},
     )
-    report = code_size_report(
-        [compile_model(m, CONFIG, "looped"), compile_model(m, CONFIG, "unrolled")]
-    )
+    report = code_size_report([
+        ("kernel_svm", compile_model(m, CONFIG, "looped"), compile_model(m, CONFIG, "unrolled")),
+        ("lr", compile_model(ModelBundle("lr", {"w": [0.5, -0.5], "b": 0.0}), CONFIG), None),
+    ])
     assert "kernel_svm" in report
     line = [l for l in report.splitlines() if l.startswith("kernel_svm")][0]
-    assert f"{13 * 16}" in line
+    assert line.split() == ["kernel_svm", f"{13 * 16}", f"{51 * 16}", "3.9X"]
+    lr_line = [l for l in report.splitlines() if l.startswith("lr")][0]
+    assert lr_line.split() == ["lr", f"{5 * 16}", "-", "1.0X"]
 
 
 def test_krr_is_rejected():
@@ -298,20 +302,22 @@ def test_step_runner_stops_at_error_capacity(kind):
 
 def test_strategy_equivalence_kernel_svm():
     rng = np.random.default_rng(14)
-    m = ModelBundle(
-        "kernel_svm",
-        {"coef": rng.normal(0, 0.2, size=9), "sv": quantize(rng.uniform(-2, 2, size=(9, 5))),
-         "b": 0.1, "gamma": 0.6},
-    )
-    looped = compile_model(m, CONFIG, "looped")
-    unrolled = compile_model(m, CONFIG, "unrolled")
-    x = quantize(rng.uniform(-2, 2, size=5))
-    out_l, state_l = run_feedforward(looped, CONFIG, x, outputs=("score", "decision"))
-    out_u, state_u = run_feedforward(unrolled, CONFIG, x, outputs=("score", "decision"))
-    for name in ("score", "decision", "acc", "kv", "sq"):
-        a = state_l.memory[looped.addr(name) : looped.addr(name) + looped.length(name)]
-        b = state_u.memory[unrolled.addr(name) : unrolled.addr(name) + unrolled.length(name)]
-        assert np.array_equal(a, b)
+    for n_sv in (9, 1):  # one support vector is a loop count of 0
+        m = ModelBundle(
+            "kernel_svm",
+            {"coef": rng.normal(0, 0.2, size=n_sv),
+             "sv": quantize(rng.uniform(-2, 2, size=(n_sv, 5))), "b": 0.1, "gamma": 0.6},
+        )
+        looped = compile_model(m, CONFIG, "looped")
+        unrolled = compile_model(m, CONFIG, "unrolled")
+        assert len(unrolled.instructions) == kernel_instruction_count(n_sv, "unrolled")
+        x = quantize(rng.uniform(-2, 2, size=5))
+        out_l, state_l = run_feedforward(looped, CONFIG, x, outputs=("score", "decision"))
+        out_u, state_u = run_feedforward(unrolled, CONFIG, x, outputs=("score", "decision"))
+        for name in ("score", "decision", "acc", "kv", "sq"):
+            a = state_l.memory[looped.addr(name) : looped.addr(name) + looped.length(name)]
+            b = state_u.memory[unrolled.addr(name) : unrolled.addr(name) + unrolled.length(name)]
+            assert np.array_equal(a, b), (n_sv, name)
 
 
 # ---------------------------------------------------------------------------
@@ -378,45 +384,47 @@ def test_ks_stage_boundary_ties_are_exact():
 def test_ks_strategy_equivalence():
     rng = np.random.default_rng(16)
     cfg = KsDecisionConfig()
-    refs = make_refs(rng, cfg)
-    looped = compile_ks_stage(refs, cfg, "looped")
-    unrolled = compile_ks_stage(refs, cfg, "unrolled")
-    assert looped.symbols == unrolled.symbols
-    preds = quantize(rng.uniform(-1, 1, size=(40, 6)))
-    acts = quantize(rng.uniform(-1, 1, size=(40, 6)))
-    # Squared errors of (prediction, actual) pairs reject every reference; a
-    # window drawn like the references rejects only a few.
-    windows = [fx_window_errors(preds, acts), fx_array(rng.exponential(size=40))]
-    decisions = set()
-    for errors_raw in windows:
-        want = [ks_hardware(ref, errors_raw / FX_ONE, cfg) for ref in refs]
-        rejects_want = [reject for _, reject in want]
-        for n_track in (1, 2, 4, 8):
-            config = MachineConfig(n_track=n_track)
-            states = []
-            for prog in (looped, unrolled):
-                state = fresh_state(prog, config)
-                state.memory[prog.addr("errors") : prog.addr("errors") + 40] = errors_raw
-                run(state)
-                states.append(state)
-            state_l, state_u = states
-            for name in ("errors", "observed_hist", "diff", "d_values", "rejects", "votes",
-                         "decision"):
-                a = state_l.memory[looped.addr(name) : looped.addr(name) + looped.length(name)]
-                b = state_u.memory[unrolled.addr(name) : unrolled.addr(name) + unrolled.length(name)]
-                assert np.array_equal(a, b), (n_track, name)
-            # Only the looped form spills its loop registers; every other word matches.
-            spill, spill_len = looped.symbols["save_loop"]
-            state_l.memory[spill : spill + spill_len] = 0
-            assert np.array_equal(state_l.memory, state_u.memory), n_track
-            assert read_symbol(state_u, unrolled, "d_values").astype(int).tolist() == [
-                d_count for d_count, _ in want
-            ]
-            assert read_symbol(state_u, unrolled, "rejects").astype(bool).tolist() == rejects_want
-            decision = bool(read_symbol(state_u, unrolled, "decision")[0])
-            assert decision == vote_decide(rejects_want, cfg)
-            decisions.add(decision)
-    assert decisions == {False, True}
+    decisions = {}
+    for n_ref in (20, 1):  # one reference is an outer loop count of 0
+        refs = make_refs(rng, cfg, n_ref)
+        looped = compile_ks_stage(refs, cfg, "looped")
+        unrolled = compile_ks_stage(refs, cfg, "unrolled")
+        assert looped.symbols == unrolled.symbols
+        assert len(unrolled.instructions) == ks_instruction_count(n_ref, 40, "unrolled")
+        preds = quantize(rng.uniform(-1, 1, size=(40, 6)))
+        acts = quantize(rng.uniform(-1, 1, size=(40, 6)))
+        # Squared errors of (prediction, actual) pairs reject every reference; a
+        # window drawn like the references rejects only a few.
+        windows = [fx_window_errors(preds, acts), fx_array(rng.exponential(size=40))]
+        for errors_raw in windows:
+            want = [ks_hardware(ref, errors_raw / FX_ONE, cfg) for ref in refs]
+            rejects_want = [reject for _, reject in want]
+            for n_track in (1, 2, 4, 8):
+                config = MachineConfig(n_track=n_track)
+                states = []
+                for prog in (looped, unrolled):
+                    state = fresh_state(prog, config)
+                    state.memory[prog.addr("errors") : prog.addr("errors") + 40] = errors_raw
+                    run(state)
+                    states.append(state)
+                state_l, state_u = states
+                for name in ("errors", "observed_hist", "diff", "d_values", "rejects", "votes",
+                             "decision"):
+                    a = state_l.memory[looped.addr(name) : looped.addr(name) + looped.length(name)]
+                    b = state_u.memory[unrolled.addr(name) : unrolled.addr(name) + unrolled.length(name)]
+                    assert np.array_equal(a, b), (n_ref, n_track, name)
+                # Only the looped form spills its loop registers; every other word matches.
+                spill, spill_len = looped.symbols["save_loop"]
+                state_l.memory[spill : spill + spill_len] = 0
+                assert np.array_equal(state_l.memory, state_u.memory), (n_ref, n_track)
+                assert read_symbol(state_u, unrolled, "d_values").astype(int).tolist() == [
+                    d_count for d_count, _ in want
+                ]
+                assert read_symbol(state_u, unrolled, "rejects").astype(bool).tolist() == rejects_want
+                decision = bool(read_symbol(state_u, unrolled, "decision")[0])
+                assert decision == vote_decide(rejects_want, cfg)
+                decisions.setdefault(n_ref, set()).add(decision)
+    assert decisions[20] == {False, True}
 
 
 def test_ks_unrolled_instruction_count():
@@ -425,6 +433,9 @@ def test_ks_unrolled_instruction_count():
     refs = make_refs(rng, cfg)
     unrolled = compile_ks_stage(refs, cfg, "unrolled", include_vote=False)
     assert len(unrolled.instructions) == ks_instruction_count(20, 40, "unrolled", False)
+    assert unrolled.stages == {"ks": 1661}
+    assert compile_ks_stage(refs, cfg, "unrolled").stages == {"ks": 1661, "vote": 2}
+    assert compile_ks_stage(refs, cfg, "looped").stages == {"ks": 15, "vote": 2}
 
 
 def test_ks_reference_validation():
@@ -432,6 +443,43 @@ def test_ks_reference_validation():
     short = build_ped(np.arange(10.0), 5)
     with pytest.raises(CompileError, match="equal-size"):
         compile_ks_stage([short], cfg)
+    refs = make_refs(np.random.default_rng(17), cfg)
+    for compile_bogus in (lambda: compile_ks_stage(refs, cfg, "bogus"),
+                          lambda: compile_model(init_mlp([3, 4, 2], seed=1), CONFIG, "bogus")):
+        with pytest.raises(CompileError, match="unknown strategy 'bogus'"):
+            compile_bogus()
+
+
+# sha256 of the unrolled programs as the hand-written expansions emitted them.
+UNROLLED_DIGESTS = {
+    "ks_vote": "12f6a5249f4604945fb4258cfd9dbd1ac0d7b1e72eb7e143e636d555004c2b3b",
+    "ks": "2ae7df76f2754175a259689740aad34444918b4c26e989e7d97b3ebbc7e3ce64",
+    "kernel_svm": "53a0b9d38e39a64957c0f0ea5460e744254ccbd64bbd2dfde85e20f104b0eec4",
+    "ocsvm": "d2a4de55e9b0ed96ed83013e2e586596ba22e20e830de67e859a9f612d8b5dc3",
+}
+
+
+def test_unrolled_programs_are_pinned():
+    rng = np.random.default_rng(21)
+    cfg = KsDecisionConfig()
+    refs = make_refs(rng, cfg)
+    sv = quantize(rng.uniform(-2, 2, size=(7, 6)))
+    kernel_svm = ModelBundle("kernel_svm", {"coef": rng.normal(0, 0.2, size=7), "sv": sv,
+                                            "b": 0.05, "gamma": 0.4})
+    ocsvm = ModelBundle("ocsvm", {"coef": np.full(4, 0.25),
+                                  "sv": quantize(rng.uniform(-2, 2, size=(4, 3))),
+                                  "rho": 0.4, "gamma": 0.5})
+    programs = {
+        "ks_vote": compile_ks_stage(refs, cfg, "unrolled"),
+        "ks": compile_ks_stage(refs, cfg, "unrolled", include_vote=False),
+        "kernel_svm": compile_model(kernel_svm, CONFIG, "unrolled"),
+        "ocsvm": compile_model(ocsvm, CONFIG, "unrolled"),
+    }
+    digests = {
+        name: hashlib.sha256(program_to_bytes(prog.instructions)).hexdigest()
+        for name, prog in programs.items()
+    }
+    assert digests == UNROLLED_DIGESTS
 
 
 def test_gru_instruction_count_formula():

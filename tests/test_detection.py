@@ -86,6 +86,17 @@ def test_split_single_sequence_user_fails():
         split_by_sequence(seqs, 0.5, seed=0)
 
 
+def test_split_needs_a_window_on_each_side():
+    rng = np.random.default_rng(0)
+    seqs = [Seq(u, s, rng.normal(size=(70, 6))) for u in (1, 2) for s in (0, 1)]
+    train_srcs = {(w.user, w.seq) for w in split_by_sequence(seqs, 0.5, seed=1)[0]}
+    for side, long_side_is_train in (("train", False), ("test", True)):
+        cut = [Seq(s.user, s.seq, s.readings if ((s.user, s.seq) in train_srcs) == long_side_is_train
+                   else s.readings[:63]) for s in seqs]
+        with pytest.raises(DetectionError, match=f"no {side} sequence.*64-reading window"):
+            split_by_sequence(cut, 0.5, seed=1)
+
+
 def test_build_ped_hand_counts():
     ped = build_ped([1.0, 2.0, 3.0, 4.0], bins=4)
     assert list(ped.boundaries) == [1.0, 2.0, 3.0, 4.0]
