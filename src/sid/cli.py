@@ -151,6 +151,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    if args.max_cycles is not None and args.max_cycles < 0:
+        raise UsageError(f"--max-cycles must be at least 0, got {args.max_cycles}")
     program = isa.load_program(args.program)
     image = machine.load_image(args.image)
     config = machine.MachineConfig(n_track=args.n_track)

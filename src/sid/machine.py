@@ -20,6 +20,12 @@ read. Later runs replay the steps; where a guard reads other words, replay
 restores the registers and counters just before that regload and the
 interpreter goes on from there, so a trap is raised at the same pc with the
 same partial memory.
+
+Replay runs each run of Mvmul row blocks that read one Y range through
+contiguous X ranges into contiguous Z ranges, clear of that X and Y, as one
+Mvmul kernel call, which leaves the scratchpad as the blocks one by one do.
+When the extrema of its operands show that no row can saturate, the kernel
+takes the plain sum with no per-row check.
 """
 
 import struct
@@ -92,6 +98,7 @@ class MachineState:
     def __init__(self, config: MachineConfig, program, memory: np.ndarray):
         self.config = config
         self.program = list(program)
+        self.program_hash = hash(tuple(self.program))  # a trace key; checked on use
         self.memory = memory  # int32, data_mem_words long
         self.scratchpad = np.zeros(config.n_local, dtype=np.int32)
         self.pc = 0
@@ -235,17 +242,20 @@ def _fx_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _saturate(product)
 
 
-def _saturating_running_sum(start: np.ndarray, products: np.ndarray) -> np.ndarray:
+def _saturating_running_sum(start: np.ndarray, products: np.ndarray, cap: int) -> np.ndarray:
     """Row-wise sequential saturating accumulation onto `start` of `products`,
     unsaturated Q16.16 products that each saturate before they are added.
 
-    A row whose |start| + sum(|products|) fits the range cannot saturate a
-    product or leave the range at any prefix, so its result is the plain sum.
-    Rows over that bound saturate their products and get the prefix check;
-    only rows whose prefix really leaves the range take the exact
-    per-element loop.
+    `cap`, from operand extrema, bounds every row's |start| + sum(|products|):
+    if it fits the range, every result is the plain sum. Otherwise a row whose
+    own |start| + sum(|products|) fits the range cannot saturate a product or
+    leave the range at any prefix, so its result is the plain sum. Rows over
+    that bound saturate their products and get the prefix check; only rows
+    whose prefix really leaves the range take the exact per-element loop.
     """
     result = start + products.sum(axis=1)
+    if cap <= FX_MAX:
+        return result
     bound = np.abs(start) + np.abs(products).sum(axis=1)
     risky = np.flatnonzero(bound > FX_MAX)
     if risky.size:
@@ -320,17 +330,31 @@ def _vsqnorm(s, inst, x, y, z):
     s.memory[z] = total
 
 
+def _max_abs(words: np.ndarray) -> int:
+    """max |w| of int32 words, 0 if there are none, with no int64 temporary."""
+    return max(int(words.max(initial=0)), -int(words.min(initial=0)))
+
+
 def _mvmul(s, inst, x, y, z):
-    rows, cols = inst.width, inst.length
+    """Z += X @ Y, one row per Z word. `inst` is one Mvmul or, on replay, a
+    tuple of the Mvmul blocks fused into these ranges; the scratchpad takes
+    each block's rows in turn, as running the blocks one by one leaves it."""
+    rows, cols = z.stop - z.start, y.stop - y.start
     if rows == 0:
         return
     mem = s.memory
-    products = np.multiply(mem[x].reshape(rows, cols), mem[y], dtype=np.int64)
+    xv, yv, zv = mem[x].reshape(rows, cols), mem[y], mem[z]
+    products = np.multiply(xv, yv, dtype=np.int64)
     products >>= 16  # unsaturated; the running sum saturates where it must
+    # |floor(a * b / 2**16)| <= (max|X| * max|Y| >> 16) + 1 for every product.
+    cap = _max_abs(zv) + cols * (((_max_abs(xv) * _max_abs(yv)) >> 16) + 1)
     # Partial sums start from the prior Z contents.
-    result = _saturating_running_sum(mem[z].astype(np.int64), products)
-    s.scratchpad[:rows] = result
+    result = _saturating_running_sum(zv.astype(np.int64), products, cap)
     mem[z] = result
+    first = 0
+    for block in inst if type(inst) is tuple else (inst,):
+        s.scratchpad[: block.width] = result[first : first + block.width]
+        first += block.width
 
 
 def _put_registers(s, inst, x, y, z):
@@ -497,7 +521,8 @@ _TRACE_CAP = 1 << 16  # steps one trace may hold
 class Trace:
     """What replay must redo of one interpreted run: its `steps` in order
     (data kernels, regstores and regload guards, operands resolved) and its
-    `end` point.
+    `end` point. Replay runs `runs`, the steps with Mvmul blocks fused (see
+    `fuse`).
 
     A point is the loop registers and pc, the offsets, and the counters
     relative to the run's start. An offset is (register, delta): delta plus
@@ -509,6 +534,7 @@ class Trace:
     """
 
     def __init__(self, state: MachineState):
+        self.program = state.program
         self.starts = {name: getattr(state, name) for name in _OFFSETS}
         self.counts = (state.cycles, state.reads, state.writes)
         self.steps = []
@@ -542,13 +568,35 @@ class Trace:
             self.relative = False
         return self if len(self.steps) < _TRACE_CAP else None
 
+    def fuse(self) -> None:
+        """Set `runs`: `steps` with each run of consecutive Mvmuls that read one
+        Y range (so one length) through contiguous X ranges into contiguous Z
+        ranges, the Z clear of that X and Y and no range moving, as one kernel
+        call; and remap `moving` onto it."""
+        moving = {i for i, *_ in self.moving}
+        runs, first, joinable = [], {}, False
+        for i, (kernel, inst, x, y, z) in enumerate(self.steps):
+            fusable = kernel is _mvmul and i not in moving
+            if fusable and joinable:
+                _, blocks, x0, y0, z0 = runs[-1]
+                xs, zs = slice(x0.start, x.stop), slice(z0.start, z.stop)
+                if y == y0 and (x.start, z.start) == (x0.stop, z0.stop) and all(
+                        zs.stop <= r.start or r.stop <= zs.start for r in (xs, y)):
+                    runs[-1] = (kernel, (*blocks, inst), xs, y, zs)
+                    continue
+            first[i] = len(runs)
+            runs.append((kernel, (inst,) if fusable else inst, x, y, z))
+            joinable = fusable
+        self.runs = runs
+        self.moving = [(first[i], *moves) for i, *moves in self.moving]
+
     def bind(self, state: MachineState) -> list | None:
-        """`steps` with the moving ranges shifted to `state`'s start offsets;
+        """`runs` with the moving ranges shifted to `state`'s start offsets;
         None if a shifted range leaves memory."""
         shift = [getattr(state, name) - start for name, start in self.starts.items()]
         if not self.moving or not any(shift):
-            return self.steps
-        steps, words = list(self.steps), len(state.memory)
+            return self.runs
+        steps, words = list(self.runs), len(state.memory)
         for i, *moves in self.moving:
             kernel, inst, *ranges = steps[i]
             for j in range(3):
@@ -592,7 +640,8 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
     return True
 
 
-# Traces `run` has recorded, keyed by program, memory size, cycle and
+# Traces `run` has recorded, keyed by program (its hash; a trace of another
+# program under that hash is recorded over), memory size, cycle and
 # scratchpad config, pc and loop registers: what fixes the control flow up
 # to the first regload. Shared by every state, so a fresh state of a
 # compiled program finds its trace; bounded, oldest dropped first.
@@ -605,6 +654,7 @@ def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
     trace = _interpret(state, max_cycles, Trace(state))
     if trace is not None:
         trace.end = trace.point(_point(state))
+        trace.fuse()
         _TRACES[key] = trace
         if len(_TRACES) > _TRACE_KEYS:
             _TRACES.popitem(last=False)
@@ -619,11 +669,11 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
     if not state.halted:
         config = state.config
         key = (
-            tuple(state.program), len(state.memory), config.n_track, config.n_local,
+            state.program_hash, len(state.memory), config.n_track, config.n_local,
             config.pipeline_overhead, state.pc, state.loop_begin, state.loop_end, state.loop_n,
         )
         trace = _TRACES.get(key)
-        if trace is None:
+        if trace is None or trace.program != state.program:
             _record(state, max_cycles, key)
         else:
             _TRACES.move_to_end(key)

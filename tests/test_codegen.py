@@ -1,9 +1,11 @@
 import hashlib
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from sid import machine
 from sid.codegen import (
     CompileError,
     StepRunner,
@@ -282,6 +284,27 @@ def test_rnn_step_matches_oracle(kind):
     got = runner.errors()
     want = predict_series(m, readings)
     assert np.abs(got - want).max() <= TOL
+
+
+def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
+    # Each gate's 200x206 mat-vec is four row blocks (64, 64, 64, 8) over one
+    # Y range; replay runs them as one kernel call, the output mat-vec as one.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    prog = compile_model(init_lstm(200, 6, seed=0), CONFIG)
+    runner, stepped = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
+    for reading in quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, 6))):
+        runner.step(reading)  # records the trace, then replays it
+        write_symbol(stepped, prog, "input", reading)
+        stepped.pc, stepped.halted = 0, False
+        while not stepped.halted:
+            step_instruction(stepped)
+        assert runner.state.memory.tolist() == stepped.memory.tolist()
+        assert runner.state.scratchpad.tolist() == stepped.scratchpad.tolist()
+    (trace,) = machine._TRACES.values()
+    mvmuls = [inst for kernel, inst, *_ in trace.steps if kernel is machine._mvmul]
+    assert len(mvmuls) == 17
+    fused = [blocks for kernel, blocks, *_ in trace.runs if kernel is machine._mvmul]
+    assert [[inst.width for inst in blocks] for blocks in fused] == [[64, 64, 64, 8]] * 4 + [[6]]
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,3 +414,28 @@ def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
     assert snapshot(replayed) == snapshot(reference)
     run(load(config, program, fx_array([1.0, 2.0])))  # a fresh state of the same program
     assert len(records) == 1
+
+
+def test_programs_differing_in_one_field_never_share_a_trace(monkeypatch):
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    base = vec_op(Opcode.MVMUL, 2, 0, 8, 16, width=1)
+    changes = [("mode", Opcode.VADD), ("length", 3), ("width", 2), ("addr_x", 1),
+               ("addr_y", 9), ("addr_z", 17), ("off_x", True), ("off_y", True), ("off_z", True)]
+    programs = [[base, halt()]] + [[replace(base, **{k: v}), halt()] for k, v in changes]
+
+    def state(program):
+        s = fresh(program, [(0, [1.0, 2.0, 3.0, 4.0]), (8, [0.5, -1.0, 2.0]), (16, [0.25])])
+        s.off_x = s.off_y = s.off_z = 1  # so that each offset flag changes the result
+        return s
+
+    for program in programs:
+        replayed = state(program)
+        run(replayed)
+        assert snapshot(replayed) == snapshot(stepped(state(program))), program[0]
+    assert len(machine._TRACES) == len(programs)
+    # The hash is only the key: a program filed under another's hash still
+    # runs as itself.
+    replayed = state(programs[1])
+    replayed.program_hash = state(programs[0]).program_hash
+    run(replayed)
+    assert snapshot(replayed) == snapshot(stepped(state(programs[1])))

@@ -1,14 +1,16 @@
 """Property tests: the VM against a per-element scalar reference, trace replay
-against one-instruction stepping on looped programs, compiled random bundles
-against the float oracle, ISA text and binary round trips, truncated or
-corrupted binary inputs, the exact capped-simplex projection against
-bisection, and the stacked KS statistic against per-reference calls."""
+against one-instruction stepping on looped programs and on runs of Mvmul row
+blocks, compiled random bundles against the float oracle, ISA text and binary
+round trips, truncated or corrupted binary inputs, the exact capped-simplex
+projection against bisection, and the stacked KS statistic against
+per-reference calls."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sid import machine
 from sid.cli import DOMAIN_ERRORS
 from sid.codegen import StepRunner, compile_model, run_feedforward
 from sid.detection import ks_statistic
@@ -316,6 +318,13 @@ def _outcome(execute, state, max_cycles):
     image=[0, 5] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
     starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
 )
+@example(  # two Mvmul blocks codegen would emit, but moved by off_z: not fused, and
+    # the second start replays both shifted
+    program=[MacroInstruction(mode=Opcode.MVMUL, length=2, width=1, addr_x=2 * row, addr_y=8,
+                              addr_z=20 + row, off_z=True) for row in range(2)] + [halt()],
+    image=[(i % 5 - 2) * FX_ONE for i in range(LOOPED_WORDS)], zeros=[0, 0, 0],
+    starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
+)
 def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
     """`run` (trace replay, or its fallback) leaves exactly what stepping one
     instruction at a time leaves, traps included. States of one program start
@@ -338,6 +347,65 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
                     break
                 for state in states:
                     state.pc, state.halted = 0, False
+
+
+# Runs of Mvmul row blocks as `codegen` cuts a tall mat-vec: one length and Y
+# range, X and Z contiguous, widths 0 to n_local, Z clear of X and Y; or not
+# quite, with gaps in X or Z, another Y, or Z over X or Y, which replay must not
+# fuse. Small words take the extrema fast path; full-range words reach the
+# plain sum, the prefix check and the per-element loop.
+FUSED_WORDS = 160
+FUSED_CONFIG = dict(n_local=4, data_mem_words=FUSED_WORDS, luts=LUTS)
+
+
+@st.composite
+def mvmul_runs(draw):
+    """A run of Mvmul blocks then halt, and whether it is exactly as codegen
+    emits it (so replay must fuse it into one call). Otherwise one block
+    after the first moves its X, Y or Z, or Z starts where the first block's
+    writes reach the second block's X or every block's Y."""
+    widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    cols, x, y = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(96, 100))
+    change = draw(st.sampled_from(("none", "none", "gap X", "gap Z", "other Y", "Z over X",
+                                   "Z over Y")))
+    z = {"Z over X": max(0, x + widths[0] * cols + draw(st.integers(-2, 2))),
+         "Z over Y": y + draw(st.integers(-2, max(cols - 1, 0)))}.get(
+        change, draw(st.integers(112, 120)))
+    moved = draw(st.integers(1, 3)) if change in ("gap X", "gap Z", "other Y") else None
+    program = []
+    for i, rows in enumerate(widths):
+        step = draw(st.integers(1, 2)) if i == moved else 0
+        x, z = x + step * (change == "gap X"), z + step * (change == "gap Z")
+        program.append(_mvmul(rows, cols, x, y + step * (change == "other Y"), z))
+        x, z = x + rows * cols, z + rows
+    return program + [halt()], change == "none" or (moved or 0) >= len(widths)
+
+
+small_words = st.integers(-4 * FX_ONE, 4 * FX_ONE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=mvmul_runs(),
+    image=st.one_of(*(st.lists(w, min_size=FUSED_WORDS, max_size=FUSED_WORDS)
+                      for w in (small_words, words))),
+)
+@example(  # MVMUL_PATHS's first Mvmul cut in two blocks: one call, three paths
+    blocks=([_mvmul(1, 2, 0, 8, 16), _mvmul(2, 2, 2, 8, 17), halt()], True),
+    image=MVMUL_PATHS[1] + [0] * (FUSED_WORDS - WORDS),
+)
+def test_fused_mvmul_replay_matches_stepping(blocks, image):
+    """`run` records a run of Mvmul blocks, then replays it, fused into one
+    kernel call where it may be; both leave exactly what stepping leaves."""
+    program, exact = blocks
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, **FUSED_CONFIG)
+        want = _outcome(_stepped, load(config, program, image), None)
+        for _ in range(2):
+            assert _outcome(run, load(config, program, image), None) == want, f"n_track={n_track}"
+        if exact:
+            trace = next(reversed(machine._TRACES.values()))
+            assert len(trace.runs) == 1 and len(trace.runs[0][1]) == len(program) - 1
 
 
 # Compiler differential: small random bundles of every compilable kind, run at
