@@ -153,6 +153,8 @@ def cmd_compile(args) -> int:
 def cmd_sim(args) -> int:
     if args.max_cycles is not None and args.max_cycles < 0:
         raise UsageError(f"--max-cycles must be at least 0, got {args.max_cycles}")
+    if args.n_track < 1:
+        raise UsageError(f"--n-track must be at least 1, got {args.n_track}")
     program = isa.load_program(args.program)
     image = machine.load_image(args.image)
     config = machine.MachineConfig(n_track=args.n_track)

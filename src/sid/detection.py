@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -149,7 +150,7 @@ def build_ped(errors, bins: int) -> Ped:
 
 @dataclass(frozen=True)
 class KsDecisionConfig:
-    critical: float = 1.358  # c(alpha) for alpha = 0.05
+    critical: ClassVar[float] = 1.358  # c(alpha) for alpha = 0.05
     refs: int = 20
     window_errors: int = 40
     bins: int = 16

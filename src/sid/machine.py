@@ -21,16 +21,20 @@ restores the registers and counters just before that regload and the
 interpreter goes on from there, so a trap is raised at the same pc with the
 same partial memory.
 
-Replay runs each run of Mvmul row blocks that read one Y range through
-contiguous X ranges into contiguous Z ranges, clear of that X and Y, as one
-Mvmul kernel call, which leaves the scratchpad as the blocks one by one do.
-When the extrema of its operands show that no row can saturate, the kernel
-takes the plain sum with no per-row check.
+As it records, the trace joins each run of Mvmul row blocks that read one Y
+range through contiguous X ranges into contiguous Z ranges, clear of that X
+and Y, into one Mvmul kernel call. When operand extrema show that no row can
+saturate, the kernel takes the plain sum; otherwise every row gets the prefix
+check and only rows that leave the range run the per-element loop.
+
+The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
+design, so they are constants, not `MachineConfig` fields.
 """
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +50,9 @@ from .isa import (
 IMAGE_MAGIC = b"SIDM"
 IMAGE_VERSION = 1
 IMAGE_HEADER_BYTES = 12  # magic, version, word count
+
+INST_MEM_SLOTS = 8_192  # 128 KB of 16-byte instructions
+PIPELINE_OVERHEAD = 4  # fetch/decode + EXE fill per macro instruction
 
 
 class MachineTrap(RuntimeError):
@@ -63,17 +70,15 @@ class LoadError(ValueError):
 
 @dataclass(frozen=True)
 class MachineConfig:
+    clock_hz: ClassVar[float] = 115e6
     n_track: int = 4
     n_local: int = 64  # scratchpad words (256 bytes)
     data_mem_words: int = 458_752  # 1.75 MB
-    inst_mem_slots: int = 8_192  # 128 KB of 16-byte instructions
-    pipeline_overhead: int = 4  # fetch/decode + EXE fill per macro instruction
-    clock_hz: float = 115e6
-    luts: dict = field(default_factory=default_luts)
 
     def __post_init__(self):
-        if self.n_track < 1 or self.n_local < 1 or self.pipeline_overhead < 0:
-            raise ValueError("invalid machine configuration")
+        for name in ("n_track", "n_local"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -116,10 +121,9 @@ class MachineState:
 
 def load(config: MachineConfig, program, image) -> MachineState:
     program = list(program)
-    if len(program) > config.inst_mem_slots:
+    if len(program) > INST_MEM_SLOTS:
         raise LoadError(
-            f"program has {len(program)} instructions, "
-            f"instruction memory holds {config.inst_mem_slots}"
+            f"program has {len(program)} instructions, instruction memory holds {INST_MEM_SLOTS}"
         )
     image = np.asarray(image, dtype=np.int32)
     if len(image) > config.data_mem_words:
@@ -138,8 +142,8 @@ def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
         return 1
     iters = -(-inst.length // config.n_track)
     if op is Opcode.MVMUL:
-        return inst.width * iters + config.pipeline_overhead
-    return iters + config.pipeline_overhead
+        return inst.width * iters + PIPELINE_OVERHEAD
+    return iters + PIPELINE_OVERHEAD
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,7 @@ def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
 
 _OFFSETS = ("off_x", "off_y", "off_z")
 _LUT_NAMES = {Opcode.VSIG: "sigmoid", Opcode.VTANH: "tanh", Opcode.VEXP: "exp-neg"}
+_LUTS = default_luts()  # the LUT ROM, built once at import
 
 
 def _check_range(pc: int, start: int, count: int, words: int) -> None:
@@ -242,36 +247,31 @@ def _fx_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _saturate(product)
 
 
+def _max_abs(words: np.ndarray) -> int:
+    """max |w| of int32 words, 0 if there are none, with no int64 temporary."""
+    return max(int(words.max(initial=0)), -int(words.min(initial=0)))
+
+
 def _saturating_running_sum(start: np.ndarray, products: np.ndarray, cap: int) -> np.ndarray:
     """Row-wise sequential saturating accumulation onto `start` of `products`,
     unsaturated Q16.16 products that each saturate before they are added.
 
     `cap`, from operand extrema, bounds every row's |start| + sum(|products|):
-    if it fits the range, every result is the plain sum. Otherwise a row whose
-    own |start| + sum(|products|) fits the range cannot saturate a product or
-    leave the range at any prefix, so its result is the plain sum. Rows over
-    that bound saturate their products and get the prefix check; only rows
-    whose prefix really leaves the range take the exact per-element loop.
+    if it fits the range, every result is the plain sum. Otherwise the
+    products are saturated and a row whose prefix sums all stay in range
+    takes the plain sum of those; only rows whose prefix leaves the range
+    take the exact per-element loop.
     """
-    result = start + products.sum(axis=1)
     if cap <= FX_MAX:
-        return result
-    bound = np.abs(start) + np.abs(products).sum(axis=1)
-    risky = np.flatnonzero(bound > FX_MAX)
-    if risky.size:
-        terms = _saturate(products[risky])
-        prefix = start[risky, None] + np.cumsum(terms, axis=1)
-        result[risky] = start[risky] + terms.sum(axis=1)
-        leaves = ((prefix > FX_MAX) | (prefix < FX_MIN)).any(axis=1)
-        for i in np.flatnonzero(leaves):
-            acc = int(start[risky[i]])
-            for t in terms[i].tolist():
-                acc += t
-                if acc > FX_MAX:
-                    acc = FX_MAX
-                elif acc < FX_MIN:
-                    acc = FX_MIN
-            result[risky[i]] = acc
+        return start + products.sum(axis=1)
+    terms = np.clip(products, _LO, _HI)
+    prefix = start[:, None] + np.cumsum(terms, axis=1)
+    result = start + terms.sum(axis=1)
+    for i in np.flatnonzero(((prefix > FX_MAX) | (prefix < FX_MIN)).any(axis=1)):
+        acc = int(start[i])
+        for t in terms[i].tolist():
+            acc = min(max(acc + t, FX_MIN), FX_MAX)
+        result[i] = acc
     return result
 
 
@@ -311,14 +311,14 @@ def _vssgt(s, inst, x, y, z):
 def _vlut(s, inst, x, y, z):
     mem = s.memory
     xv = mem[x]
-    k, b = s.config.luts[_LUT_NAMES[inst.mode]].lookup_array(xv)
+    k, b = _LUTS[_LUT_NAMES[inst.mode]].lookup_array(xv)
     result = _fx_mul(k, xv)
     result += b
     mem[z] = _saturate(result)
 
 
 def _vmaxabs(s, inst, x, y, z):
-    best = min(int(np.absolute(s.memory[x], dtype=np.int64).max(initial=0)), FX_MAX)
+    best = min(_max_abs(s.memory[x]), FX_MAX)
     s.scratchpad[0] = best
     s.memory[z] = best
 
@@ -328,11 +328,6 @@ def _vsqnorm(s, inst, x, y, z):
     total = min(int(_fx_mul(xv, xv).sum()), FX_MAX)  # non-negative terms: monotone prefix
     s.scratchpad[0] = total
     s.memory[z] = total
-
-
-def _max_abs(words: np.ndarray) -> int:
-    """max |w| of int32 words, 0 if there are none, with no int64 temporary."""
-    return max(int(words.max(initial=0)), -int(words.min(initial=0)))
 
 
 def _mvmul(s, inst, x, y, z):
@@ -515,14 +510,14 @@ def _interpret(state: MachineState, max_cycles: int | None, trace=None):
 # Recorded traces
 # ---------------------------------------------------------------------------
 
-_TRACE_CAP = 1 << 16  # steps one trace may hold
+_TRACE_CAP = 1 << 16  # runs one trace may hold
 
 
 class Trace:
-    """What replay must redo of one interpreted run: its `steps` in order
+    """What replay must redo of one interpreted run: its `runs` in order
     (data kernels, regstores and regload guards, operands resolved) and its
-    `end` point. Replay runs `runs`, the steps with Mvmul blocks fused (see
-    `fuse`).
+    `end` point. `add` joins a run of Mvmul row blocks into one kernel call
+    whose `inst` is the tuple of blocks.
 
     A point is the loop registers and pc, the offsets, and the counters
     relative to the run's start. An offset is (register, delta): delta plus
@@ -537,7 +532,7 @@ class Trace:
         self.program = state.program
         self.starts = {name: getattr(state, name) for name in _OFFSETS}
         self.counts = (state.cycles, state.reads, state.writes)
-        self.steps = []
+        self.runs = []
         self.moving = []
         self.relative = True  # no regload has set the offsets yet
         self.end = None
@@ -562,33 +557,31 @@ class Trace:
         else:
             moves = (inst.off_x, inst.off_y, inst.off_z)
         if self.relative and any(moves):
-            self.moving.append((len(self.steps), *moves))
-        self.steps.append((kernel, inst, x, y, z))
+            self.moving.append((len(self.runs), *moves))
+        elif kernel is _mvmul:
+            if self._join(inst, x, y, z):
+                return self
+            inst = (inst,)
+        self.runs.append((kernel, inst, x, y, z))
         if kernel is _guard and inst.length == GROUP_OFFSET:
             self.relative = False
-        return self if len(self.steps) < _TRACE_CAP else None
+        return self if len(self.runs) < _TRACE_CAP else None
 
-    def fuse(self) -> None:
-        """Set `runs`: `steps` with each run of consecutive Mvmuls that read one
-        Y range (so one length) through contiguous X ranges into contiguous Z
-        ranges, the Z clear of that X and Y and no range moving, as one kernel
-        call; and remap `moving` onto it."""
-        moving = {i for i, *_ in self.moving}
-        runs, first, joinable = [], {}, False
-        for i, (kernel, inst, x, y, z) in enumerate(self.steps):
-            fusable = kernel is _mvmul and i not in moving
-            if fusable and joinable:
-                _, blocks, x0, y0, z0 = runs[-1]
-                xs, zs = slice(x0.start, x.stop), slice(z0.start, z.stop)
-                if y == y0 and (x.start, z.start) == (x0.stop, z0.stop) and all(
-                        zs.stop <= r.start or r.stop <= zs.start for r in (xs, y)):
-                    runs[-1] = (kernel, (*blocks, inst), xs, y, zs)
-                    continue
-            first[i] = len(runs)
-            runs.append((kernel, (inst,) if fusable else inst, x, y, z))
-            joinable = fusable
-        self.runs = runs
-        self.moving = [(first[i], *moves) for i, *moves in self.moving]
+    def _join(self, inst: MacroInstruction, x: slice, y: slice, z: slice) -> bool:
+        """Join a fixed Mvmul block onto the last run if that is a fixed
+        Mvmul run over the same Y range (so one length) whose X and Z ranges
+        this block continues, with the joined Z clear of the joined X and Y."""
+        if not self.runs:
+            return False
+        kernel, blocks, x0, y0, z0 = self.runs[-1]
+        if kernel is not _mvmul or type(blocks) is not tuple or y != y0:
+            return False
+        xs, zs = slice(x0.start, x.stop), slice(z0.start, z.stop)
+        if (x.start, z.start) != (x0.stop, z0.stop) or not all(
+                zs.stop <= r.start or r.stop <= zs.start for r in (xs, y)):
+            return False
+        self.runs[-1] = (kernel, (*blocks, inst), xs, y, zs)
+        return True
 
     def bind(self, state: MachineState) -> list | None:
         """`runs` with the moving ranges shifted to `state`'s start offsets;
@@ -641,8 +634,8 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
 
 
 # Traces `run` has recorded, keyed by program (its hash; a trace of another
-# program under that hash is recorded over), memory size, cycle and
-# scratchpad config, pc and loop registers: what fixes the control flow up
+# program under that hash is recorded over), memory size, lane count and
+# scratchpad size, pc and loop registers: what fixes the control flow up
 # to the first regload. Shared by every state, so a fresh state of a
 # compiled program finds its trace; bounded, oldest dropped first.
 _TRACES: OrderedDict = OrderedDict()
@@ -654,7 +647,6 @@ def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
     trace = _interpret(state, max_cycles, Trace(state))
     if trace is not None:
         trace.end = trace.point(_point(state))
-        trace.fuse()
         _TRACES[key] = trace
         if len(_TRACES) > _TRACE_KEYS:
             _TRACES.popitem(last=False)
@@ -670,7 +662,7 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
         config = state.config
         key = (
             state.program_hash, len(state.memory), config.n_track, config.n_local,
-            config.pipeline_overhead, state.pc, state.loop_begin, state.loop_end, state.loop_n,
+            state.pc, state.loop_begin, state.loop_end, state.loop_n,
         )
         trace = _TRACES.get(key)
         if trace is None or trace.program != state.program:

@@ -11,6 +11,7 @@ over the KS feature vector.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class LadConfig:
     hidden: int = 16
     epochs: int = 40
     lr: float = 0.05
-    train_fraction: float = 0.5
+    train_fraction: ClassVar[float] = 0.5
     validation_fraction: float = 0.35  # tail of the train windows; references come from it
     threshold_quantile: float = 0.95
     ks: KsDecisionConfig = field(default_factory=KsDecisionConfig)
@@ -262,7 +263,7 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
 class IdaasConfig:
     window_len: int = 64
     step: int = 4
-    train_fraction: float = 0.5
+    train_fraction: ClassVar[float] = 0.5
     epochs: int = 40
 
 

@@ -22,6 +22,9 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("sim", "--program", "nowhere", "--image", "nowhere", "--max-cycles", "-1") == 1
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 1 and errors[0].startswith("error:") and "--max-cycles" in errors[0]
+    assert run_cli("sim", "--program", "nowhere", "--image", "nowhere", "--n-track", "0") == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and "--n-track" in errors[0]
 
 
 def test_lad_rejects_kinds_that_are_not_recurrent(capsys):

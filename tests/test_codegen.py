@@ -301,10 +301,10 @@ def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
         assert runner.state.memory.tolist() == stepped.memory.tolist()
         assert runner.state.scratchpad.tolist() == stepped.scratchpad.tolist()
     (trace,) = machine._TRACES.values()
-    mvmuls = [inst for kernel, inst, *_ in trace.steps if kernel is machine._mvmul]
-    assert len(mvmuls) == 17
     fused = [blocks for kernel, blocks, *_ in trace.runs if kernel is machine._mvmul]
     assert [[inst.width for inst in blocks] for blocks in fused] == [[64, 64, 64, 8]] * 4 + [[6]]
+    mvmuls = [inst for inst in prog.instructions if inst.mode is Opcode.MVMUL]
+    assert len(mvmuls) == 17 and [inst for blocks in fused for inst in blocks] == mvmuls
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])

@@ -45,6 +45,13 @@ def test_load_rejects_oversize():
         load(config, [halt()], np.zeros(config.data_mem_words + 1, dtype=np.int32))
 
 
+def test_config_needs_a_lane_and_a_scratchpad_word():
+    for name in ("n_track", "n_local"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+                MachineConfig(**{name: value})
+
+
 def test_empty_program_halts():
     state = fresh([])
     report = run(state)
@@ -351,10 +358,10 @@ def test_nested_run_matches_stepping_and_profile(monkeypatch):
     report = run(state)
     assert snapshot(state) == snapshot(stepped(fresh(program, [(65, [1.0])])))
     (trace,) = machine._TRACES.values()  # what the run recorded
-    ops = [inst.mode.name for _, inst, *_ in trace.steps]
+    ops = [inst.mode.name for _, inst, *_ in trace.runs]
     assert ops == ["REGSTORE", "REGSTORE", "VADD", "VADD", "REGLOAD", "REGLOAD", "VADD"] * 3
-    assert [program.index(inst) for _, inst, *_ in trace.steps[:7]] == [1, 2, 4, 4, 6, 7, 8]
-    assert [z for *_, z in trace.steps[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
+    assert [program.index(inst) for _, inst, *_ in trace.runs[:7]] == [1, 2, 4, 4, 6, 7, 8]
+    assert [z for *_, z in trace.runs[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
     rows = profile(fresh(program, [(65, [1.0])]))
     totals = [sum(row[i] for row in rows.values()) for i in range(4)]
     assert totals == [1 + 3 * 10 + 1, report.cycles, report.reads, report.writes]

@@ -147,13 +147,15 @@ def _image(pairs):
 
 
 # Rows built to reach each accumulation path of the MVMUL handler. With
-# v = [50, -60] raw and unit weights the products are 50 and -60:
-#   row 0, prior 0: |prior| + sum|products| fits, the plain sum;
-#   row 1, prior FX_MAX - 100: over that bound, but every prefix stays in
-#     range, so the prefix check passes;
+# v = [50, -60] raw and unit weights the products are 50 and -60. The prior
+# FX_MAX - 100 of rows 1 and 2 puts the operand extrema over the range, so the
+# first Mvmul misses the extrema fast path and every row gets the prefix check:
+#   rows 0 (prior 0) and 1 (prior FX_MAX - 100): every prefix stays in range,
+#     so the check passes and the result is the plain sum;
 #   row 2, prior FX_MAX - 100 and products 200, -60: the first prefix leaves
 #     the range, so the per-element loop saturates it and then subtracts.
 # The second Mvmul's two products saturate on their own before they are added.
+# Small operands take the extrema fast path, with no prefix check.
 MVMUL_PATHS = (
     [_mvmul(3, 2, 0, 8, 16), _mvmul(1, 2, 32, 40, 48)],
     _image([
@@ -175,7 +177,7 @@ MVMUL_PATHS = (
 def test_vm_matches_scalar_reference(program, image):
     want = reference_run(program, image)
     for n_track in (1, 2, 4, 8):
-        config = MachineConfig(n_track=n_track, data_mem_words=WORDS, luts=LUTS)
+        config = MachineConfig(n_track=n_track, data_mem_words=WORDS)
         state = load(config, program + [halt()], image)
         run(state)
         assert state.memory.tolist() == want, f"n_track={n_track}"
@@ -183,7 +185,7 @@ def test_vm_matches_scalar_reference(program, image):
 
 def test_mvmul_accumulation_paths():
     program, image = MVMUL_PATHS
-    state = load(MachineConfig(data_mem_words=WORDS, luts=LUTS), program + [halt()], image)
+    state = load(MachineConfig(data_mem_words=WORDS), program + [halt()], image)
     run(state)
     assert state.memory[16:19].tolist() == [-10, FX_MAX - 110, FX_MAX - 60]
     assert state.memory[48] == -1  # saturated FX_MAX, then saturated FX_MIN
@@ -198,7 +200,7 @@ LOOPED_WORDS = 64
 LOOP_SLOTS = (48, 51)  # loop registers saved by the loop at depth 0 and 1
 OFFSET_SLOT = 54
 ZEROS_SLOT = 57  # read by an entry regload of the offset group; no regstore writes it
-LOOPED_CONFIG = dict(n_local=4, data_mem_words=LOOPED_WORDS, luts=LUTS)  # Mvmul rows reach 5
+LOOPED_CONFIG = dict(n_local=4, data_mem_words=LOOPED_WORDS)  # Mvmul rows reach 5
 
 
 @st.composite
@@ -325,6 +327,13 @@ def _outcome(execute, state, max_cycles):
     image=[(i % 5 - 2) * FX_ONE for i in range(LOOPED_WORDS)], zeros=[0, 0, 0],
     starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
 )
+@example(  # the same blocks with only the first moved by off_z: a fixed block is
+    # never joined onto a moving one, so the second start moves the first alone
+    program=[MacroInstruction(mode=Opcode.MVMUL, length=2, width=1, addr_x=2 * row, addr_y=8,
+                              addr_z=20 + row, off_z=row == 0) for row in range(2)] + [halt()],
+    image=[(i % 5 - 2) * FX_ONE for i in range(LOOPED_WORDS)], zeros=[0, 0, 0],
+    starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
+)
 def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
     """`run` (trace replay, or its fallback) leaves exactly what stepping one
     instruction at a time leaves, traps included. States of one program start
@@ -353,9 +362,9 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
 # range, X and Z contiguous, widths 0 to n_local, Z clear of X and Y; or not
 # quite, with gaps in X or Z, another Y, or Z over X or Y, which replay must not
 # fuse. Small words take the extrema fast path; full-range words reach the
-# plain sum, the prefix check and the per-element loop.
+# prefix check and the per-element loop.
 FUSED_WORDS = 160
-FUSED_CONFIG = dict(n_local=4, data_mem_words=FUSED_WORDS, luts=LUTS)
+FUSED_CONFIG = dict(n_local=4, data_mem_words=FUSED_WORDS)
 
 
 @st.composite
@@ -390,7 +399,7 @@ small_words = st.integers(-4 * FX_ONE, 4 * FX_ONE)
     image=st.one_of(*(st.lists(w, min_size=FUSED_WORDS, max_size=FUSED_WORDS)
                       for w in (small_words, words))),
 )
-@example(  # MVMUL_PATHS's first Mvmul cut in two blocks: one call, three paths
+@example(  # MVMUL_PATHS's first Mvmul cut in two blocks: one call, both slow-path outcomes
     blocks=([_mvmul(1, 2, 0, 8, 16), _mvmul(2, 2, 2, 8, 17), halt()], True),
     image=MVMUL_PATHS[1] + [0] * (FUSED_WORDS - WORDS),
 )
