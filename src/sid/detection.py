@@ -183,8 +183,11 @@ def ks_statistic(sample_a, sample_b):
     return gap.max(axis=-1) if b.ndim == 2 else float(gap.max())
 
 
-def ks_reject(d: float, n: int, m: int, cfg: KsDecisionConfig) -> bool:
-    """Reject the same-distribution hypothesis iff D exceeds the critical bound."""
+def ks_reject(d, n: int, m: int, cfg: KsDecisionConfig):
+    """Reject the same-distribution hypothesis iff D exceeds the critical bound.
+
+    `d` may be an array of statistics, for one decision each.
+    """
     if n < 1 or m < 1:
         raise DetectionError("KS test needs non-empty samples")
     return d > cfg.critical * math.sqrt((n + m) / (n * m))
@@ -209,10 +212,15 @@ def ks_hardware(ref: Ped, observed, cfg: KsDecisionConfig) -> tuple[int, bool]:
     return d_count, d_count > threshold
 
 
-def vote_decide(rejections, cfg: KsDecisionConfig) -> bool:
-    """Anomaly iff at least half (inclusive) of the reference tests reject."""
+def vote_decide(rejections, cfg: KsDecisionConfig):
+    """Anomaly iff at least half (inclusive) of the reference tests reject.
+
+    `rejections` may stack rows, (..., refs), for one decision per row; a
+    single row gives a bool.
+    """
     votes = np.asarray(rejections, dtype=bool)
-    return int(votes.sum()) >= len(votes) / 2
+    decisions = votes.sum(axis=-1) >= votes.shape[-1] / 2
+    return bool(decisions) if votes.ndim == 1 else decisions
 
 
 # ---------------------------------------------------------------------------

@@ -236,33 +236,30 @@ def rnn_hidden_size(m: ModelBundle) -> int:
 
 
 def batched_window_errors(m: ModelBundle, windows) -> np.ndarray:
-    """Per-window next-step squared errors, (B, T-1); state resets per window."""
+    """Per-window next-step squared errors, (B, T-1); state resets per window.
+
+    errors[:, t] = ||Wout h_t + bout - x_{t+1}||^2, where h_t has read
+    x_0..x_t. The step loop runs only the recurrence and writes each step's
+    h_t @ Wout.T into row t of one (T-1, B, D) buffer; bias, difference,
+    square and sum over D run once over that buffer after the loop.
+    """
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
     W, U, b = stacked_weights(m)
+    w_out_t = m["Wout"].T
     h = np.zeros((B, rnn_hidden_size(m)))
     c = np.zeros_like(h)
-    errors = np.empty((B, T - 1))
+    pred = np.empty((T - 1, B, D))
     for t in range(T - 1):
         if m.kind == "lstm":
             h, c = lstm_cell(W, U, b, h, c, x[:, t, :])[:2]
         else:
             h = gru_cell(W, U, b, h, x[:, t, :])[0]
-        pred = h @ m["Wout"].T + m["bout"]
-        errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
-    return errors
-
-
-def predict_series(m: ModelBundle, readings) -> np.ndarray:
-    """Squared-L2 next-step prediction errors over a reading sequence.
-
-    errors[t-1] = ||prediction from readings[..t-1] - readings[t]||^2,
-    one error per transition, so a length-T sequence yields T-1 errors.
-    """
-    readings = np.asarray(readings, dtype=np.float64)
-    if readings.ndim != 2 or len(readings) < 2:
-        raise ShapeError("need at least two readings to score predictions")
-    return batched_window_errors(m, readings[None])[0]
+        np.matmul(h, w_out_t, out=pred[t])
+    pred += m["bout"]
+    pred -= x[:, 1:, :].transpose(1, 0, 2)
+    pred **= 2
+    return np.ascontiguousarray(pred.sum(axis=2).T)
 
 
 # ---------------------------------------------------------------------------

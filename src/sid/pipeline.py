@@ -152,26 +152,25 @@ class LadModel:
     mean_threshold: float
     cfg: LadConfig
 
-    def ks_features(self, window_errors: np.ndarray) -> np.ndarray:
-        """The KS feature vector: the statistic against each reference sample."""
-        return ks_statistic(window_errors, self.ref_samples)
+    def ks_features(self, windows: np.ndarray) -> np.ndarray:
+        """(windows, refs): each window's KS statistic against each reference sample."""
+        return np.array([ks_statistic(w, self.ref_samples) for w in windows])
 
     @cached_property
     def ocsvm(self) -> ModelBundle:
         """One-class SVM over the pool's KS feature vectors, fit on first use."""
-        return train_ocsvm(np.array([self.ks_features(w) for w in self.pool]), gamma=2.0, nu=0.1)
+        return train_ocsvm(self.ks_features(self.pool), gamma=2.0, nu=0.1)
 
-    def decide(self, window_errors: np.ndarray, pipeline: str) -> bool:
-        """True = anomaly (impostor)."""
+    def decide(self, windows: np.ndarray, pipeline: str) -> np.ndarray:
+        """One flag per row of (windows, n_errors); True = anomaly (impostor)."""
         if pipeline == "threshold":
-            return bool(window_errors.mean() > self.mean_threshold)
+            return windows.mean(axis=1) > self.mean_threshold
         if pipeline == "vote":
             n = self.cfg.ks.window_errors
-            rejections = [ks_reject(d, n, n, self.cfg.ks) for d in self.ks_features(window_errors)]
+            rejections = ks_reject(self.ks_features(windows), n, n, self.cfg.ks)
             return vote_decide(rejections, self.cfg.ks)
         if pipeline == "ocsvm":
-            anomaly, _ = infer_ocsvm(self.ocsvm, self.ks_features(window_errors))
-            return anomaly
+            return np.array([infer_ocsvm(self.ocsvm, f)[0] for f in self.ks_features(windows)])
         raise PipelineError(f"unknown pipeline {pipeline!r}")
 
 
@@ -210,20 +209,15 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
 
 
 def evaluate_lad(model: LadModel, test_windows, pipeline: str) -> ConfusionCounts:
-    """Owner windows are negatives; every other user's windows are positives."""
-    cfg = model.cfg
-    n = cfg.ks.window_errors
-    counts = ConfusionCounts()
-    by_owner: dict[bool, list] = {True: [], False: []}
-    for w in test_windows:
-        by_owner[w.user == model.user].append(w.data)
-    for is_owner, rows in by_owner.items():
-        if not rows:
-            continue
-        errors = window_error_samples(model.bundle, np.stack(rows), n)
-        flagged = [model.decide(werr, pipeline) for werr in errors]
-        counts = counts + ConfusionCounts.tally([not is_owner] * len(flagged), flagged)
-    return counts
+    """Owner windows are negatives; every other user's windows are positives.
+
+    One forward pass scores every test window, and one `decide` flags them all.
+    """
+    errors = window_error_samples(
+        model.bundle, np.stack([w.data for w in test_windows]), model.cfg.ks.window_errors
+    )
+    impostor = [w.user != model.user for w in test_windows]
+    return ConfusionCounts.tally(impostor, model.decide(errors, pipeline))
 
 
 def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,

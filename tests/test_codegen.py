@@ -27,9 +27,10 @@ from sid.models import (
     infer_ocsvm,
     infer_svm,
     mlp_logits,
-    predict_series,
 )
 from sid.training import init_gru, init_lstm, init_mlp
+
+from oracles import predict_series
 
 CONFIG = MachineConfig()
 TOL = 2**-8

@@ -207,6 +207,17 @@ def test_vote_decide():
     assert vote_decide([True] * 10 + [False] * 10, cfg)  # half is inclusive
 
 
+def test_vote_decide_stacked_rows_match_single_rows():
+    cfg = KsDecisionConfig(refs=20)
+    rows = np.random.default_rng(3).random((3, 4, 20)) < 0.5
+    rows[1, 2] = [True] * 10 + [False] * 10  # exactly half
+    got = vote_decide(rows, cfg)
+    assert got.shape == (3, 4)
+    assert got[1, 2]
+    assert got.tolist() == [[vote_decide(r, cfg) for r in block] for block in rows]
+    assert type(vote_decide(rows[0, 0], cfg)) is bool
+
+
 def test_vote_monotone():
     cfg = KsDecisionConfig(refs=20)
     rng = np.random.default_rng(7)

@@ -6,6 +6,7 @@ import pytest
 from sid.models import (
     ModelBundle,
     ShapeError,
+    batched_window_errors,
     bundle_from_bytes,
     bundle_to_bytes,
     infer_krr,
@@ -14,11 +15,13 @@ from sid.models import (
     infer_ocsvm,
     infer_svm,
     mlp_logits,
-    predict_series,
     sigmoid,
     step_gru,
     step_lstm,
 )
+from sid.training import init_gru, init_lstm
+
+from oracles import predict_series, stepwise_readout_errors
 
 
 def lstm_bundle(hidden, dim, rng=None, scale=0.0):
@@ -227,6 +230,16 @@ def test_predict_series_requires_two_readings():
     m = lstm_bundle(2, 3)
     with pytest.raises(ShapeError):
         predict_series(m, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("hidden", [3, 16, 33])
+@pytest.mark.parametrize("init", [init_lstm, init_gru], ids=["lstm", "gru"])
+def test_batched_readout_after_loop_is_exact(init, hidden):
+    # Each prediction error sees the same float operations in the same order
+    # as the readout inside the step loop, so the bits must agree.
+    m = init(hidden, 6, seed=hidden)
+    windows = np.random.default_rng(hidden).normal(size=(7, 30, 6))
+    assert np.array_equal(batched_window_errors(m, windows), stepwise_readout_errors(m, windows))
 
 
 def test_ocsvm_examples():

@@ -3,36 +3,27 @@ import pytest
 
 from sid.data import synth_user_sessions
 from sid import pipeline as pipeline_module
-from sid.detection import Window
-from sid.pipeline import safe_metrics
-from sid.models import predict_series, rnn_hidden_size, step_gru, step_lstm
+from sid.detection import ConfusionCounts, Window, ks_reject, ks_statistic, split_by_sequence
+from sid.models import infer_ocsvm
 from sid.pipeline import (
+    PIPELINES,
     IdaasConfig,
     LadConfig,
     PipelineError,
     batched_window_errors,
+    evaluate_lad,
     fit_lad_model,
     run_idaas,
     run_lad,
+    safe_metrics,
 )
-from sid.training import init_gru, init_lstm
+from sid.training import init_gru, init_lstm, train_ocsvm
+
+from oracles import predict_series
 
 
 def small_corpus(seed=0, freqs=(1.5, 2.2), length=700):
     return synth_user_sessions(freqs, 2, length, seed=seed, noise_std=0.05)
-
-
-def stepwise_errors(m, window):
-    """Next-step squared errors from the single-step oracle, state from zero."""
-    h = c = np.zeros(rnn_hidden_size(m))
-    errors = []
-    for t in range(len(window) - 1):
-        if m.kind == "lstm":
-            h, c, pred = step_lstm(m, h, c, window[t])
-        else:
-            h, pred = step_gru(m, h, window[t])
-        errors.append(float(np.dot(pred - window[t + 1], pred - window[t + 1])))
-    return errors
 
 
 def test_batched_errors_match_predict_series():
@@ -42,7 +33,6 @@ def test_batched_errors_match_predict_series():
         m = init(5, 6, seed=2)
         batched = batched_window_errors(m, windows)
         for i in range(3):
-            assert batched[i] == pytest.approx(stepwise_errors(m, windows[i]), abs=1e-12)
             assert predict_series(m, windows[i]) == pytest.approx(batched[i], abs=1e-12)
 
 
@@ -81,8 +71,6 @@ def test_run_lad_bundle_needs_its_user():
 
 def test_fit_lad_model_threshold_is_quantile():
     cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=8, epochs=5)
-    from sid.detection import split_by_sequence
-
     train_w, _ = split_by_sequence(small_corpus(), 0.5, 0, 120, 60)
     own = [w for w in train_w if w.user == 1]
     model = fit_lad_model(1, own, "lstm", cfg, seed=4)
@@ -122,3 +110,55 @@ def test_fit_lad_model_scores_validation_windows_once(monkeypatch):
     assert model.mean_threshold == float(
         np.quantile(want.mean(axis=1), cfg.threshold_quantile)
     )
+
+
+def separate_group_counts(model, test_windows, pipeline):
+    """evaluate_lad's counts as owner and impostor windows scored apart, with
+    one decision per window by the threshold, vote or one-class SVM rule."""
+    ks = model.cfg.ks
+    n = ks.window_errors
+    feature_rows = [ks_statistic(w, model.ref_samples) for w in model.pool]
+    svm = train_ocsvm(np.array(feature_rows), gamma=2.0, nu=0.1)
+    counts = ConfusionCounts()
+    for impostor in (False, True):
+        rows = [w.data for w in test_windows if (w.user != model.user) == impostor]
+        for errors in pipeline_module.window_error_samples(model.bundle, np.stack(rows), n):
+            features = ks_statistic(errors, model.ref_samples)
+            if pipeline == "threshold":
+                flagged = errors.mean() > model.mean_threshold
+            elif pipeline == "vote":
+                rejections = [ks_reject(d, n, n, ks) for d in features]
+                flagged = sum(rejections) >= len(rejections) / 2
+            else:
+                flagged = infer_ocsvm(svm, features)[0]
+            counts = counts + ConfusionCounts.tally([impostor], [flagged])
+    return counts
+
+
+@pytest.fixture(scope="module", params=["lstm", "gru"])
+def lad_models(request):
+    """(models per owner, test windows) for a kind trained on small_corpus."""
+    cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=8, epochs=10)
+    train_w, test_w = split_by_sequence(small_corpus(), 0.5, 3, 120, 60)
+    owners = sorted({w.user for w in train_w})
+    models = [
+        fit_lad_model(u, [w for w in train_w if w.user == u], request.param, cfg, seed=3)
+        for u in owners
+    ]
+    return models, test_w
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_evaluate_lad_scores_test_windows_in_one_pass(lad_models, pipeline, monkeypatch):
+    models, test_w = lad_models
+    want = [separate_group_counts(model, test_w, pipeline) for model in models]
+    calls = []
+    real = pipeline_module.window_error_samples
+    monkeypatch.setattr(
+        pipeline_module, "window_error_samples",
+        lambda *a: calls.append(a) or real(*a),
+    )
+    assert [evaluate_lad(model, test_w, pipeline) for model in models] == want
+    assert len(calls) == len(models)  # one forward per owner, over every test window
+    test_data = np.stack([w.data for w in test_w])
+    assert all(np.array_equal(args[1], test_data) for args in calls)

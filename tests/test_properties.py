@@ -62,9 +62,10 @@ from sid.models import (
     infer_ocsvm,
     infer_svm,
     mlp_logits,
-    predict_series,
 )
 from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
+
+from oracles import predict_series
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
