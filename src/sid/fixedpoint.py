@@ -44,10 +44,6 @@ def fx_add(a: int, b: int) -> int:
     return saturate(a + b)
 
 
-def fx_sub(a: int, b: int) -> int:
-    return saturate(a - b)
-
-
 def fx_mul(a: int, b: int) -> int:
     # Full product, then arithmetic shift: rounds toward negative infinity.
     return saturate((a * b) >> FRAC_BITS)
@@ -60,10 +56,6 @@ def fx_array(values) -> np.ndarray:
         raise ValueError("cannot convert NaN to fixed point")
     raw = np.floor(v * FX_ONE + 0.5)
     return np.clip(raw, FX_MIN, FX_MAX).astype(np.int32)
-
-
-def real_array(raw) -> np.ndarray:
-    return np.asarray(raw, dtype=np.float64) / FX_ONE
 
 
 _FUNCTIONS = {

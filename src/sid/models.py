@@ -140,39 +140,50 @@ def infer_ocsvm(m: ModelBundle, x) -> tuple[bool, float]:
 RNN_GATES = {"lstm": ("cfio", "cfio"), "gru": ("zrh", "zr")}
 
 
+def mT(a):
+    """`a` transposed over its last two axes (numpy 2's ndarray.mT), a view."""
+    return a.swapaxes(-1, -2)
+
+
 def stacked_weights(m: ModelBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, U, b) of a recurrent bundle, gate blocks stacked in RNN_GATES order."""
+    """(W, U, b) of a recurrent bundle, gate blocks stacked in RNN_GATES order.
+
+    Leading model axes on the tensors carry over: gates stack along the rows.
+    """
     w_gates, u_gates = RNN_GATES[m.kind]
     return (
-        np.concatenate([m[f"W{g}"] for g in w_gates]),
-        np.concatenate([m[f"U{g}"] for g in u_gates]),
-        np.concatenate([m[f"b{g}"] for g in w_gates]),
+        np.concatenate([m[f"W{g}"] for g in w_gates], axis=-2),
+        np.concatenate([m[f"U{g}"] for g in u_gates], axis=-2),
+        np.concatenate([m[f"b{g}"] for g in w_gates], axis=-1),
     )
 
 
 def split_gates(kind: str, W, U, b) -> dict[str, np.ndarray]:
     """Inverse of stacked_weights: the named W*/U*/b* tensors in bundle order."""
     w_gates, u_gates = RNN_GATES[kind]
-    hidden = len(b) // len(w_gates)
+    hidden = b.shape[-1] // len(w_gates)
     out = {}
     for k, g in enumerate(w_gates):
         rows = slice(k * hidden, (k + 1) * hidden)
-        out[f"W{g}"] = W[rows]
+        out[f"W{g}"] = W[..., rows, :]
         if g in u_gates:
-            out[f"U{g}"] = U[rows]
-        out[f"b{g}"] = b[rows]
+            out[f"U{g}"] = U[..., rows, :]
+        out[f"b{g}"] = b[..., rows]
     return out
 
 
 def lstm_cell(W, U, b, h, c, x):
     """step_lstm's cell update over gate-stacked weights; h, c, x may be batched.
 
+    W and U are used transposed over their last two axes and b broadcasts
+    against the gate pre-activations, so weights with a leading model axis,
+    (M, 4H, D) and b as (M, 1, 4H), step a (M, B, .) batch, model k on row k.
     Returns (h', c', (cand, fio, tanh(c'))), where fio stacks the f, i and o
     activations: what backpropagation through the step needs.
     """
     hidden = h.shape[-1]
-    a = x @ W.T
-    a += h @ U.T
+    a = x @ mT(W)
+    a += h @ mT(U)
     a += b
     cand = np.tanh(a[..., :hidden])
     fio = sigmoid(a[..., hidden:])
@@ -185,15 +196,16 @@ def lstm_cell(W, U, b, h, c, x):
 def gru_cell(W, U, b, h, x):
     """step_gru's cell update over gate-stacked weights; h and x may be batched.
 
+    Weights may carry a leading model axis, as in lstm_cell.
     Returns (h', (zr, r*h, cand)), where zr stacks the z and r activations:
     what backpropagation through the step needs.
     """
     hidden = h.shape[-1]
-    ax = x @ W.T
-    zr = sigmoid(ax[..., : 2 * hidden] + h @ U.T + b[: 2 * hidden])
+    ax = x @ mT(W)
+    zr = sigmoid(ax[..., : 2 * hidden] + h @ mT(U) + b[..., : 2 * hidden])
     z, r = zr[..., :hidden], zr[..., hidden:]
     rh = r * h
-    cand = sigmoid(ax[..., 2 * hidden :] + rh @ U[hidden:].T + b[2 * hidden :])
+    cand = sigmoid(ax[..., 2 * hidden :] + rh @ mT(U[..., hidden:, :]) + b[..., 2 * hidden :])
     return (1.0 - z) * h + z * cand, (zr, rh, cand)
 
 
@@ -235,29 +247,36 @@ def rnn_hidden_size(m: ModelBundle) -> int:
     return len(m["bc"]) if m.kind == "lstm" else len(m["bz"])
 
 
-def batched_window_errors(m: ModelBundle, windows) -> np.ndarray:
-    """Per-window next-step squared errors, (B, T-1); state resets per window.
+def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.ndarray:
+    """The last n per-window next-step squared errors, (B, n); state resets per window.
 
     errors[:, t] = ||Wout h_t + bout - x_{t+1}||^2, where h_t has read
-    x_0..x_t. The step loop runs only the recurrence and writes each step's
-    h_t @ Wout.T into row t of one (T-1, B, D) buffer; bias, difference,
-    square and sum over D run once over that buffer after the loop.
+    x_0..x_t, over the trailing n of the T-1 transitions (all of them by
+    default). The step loop runs the recurrence at every step and writes
+    h_t @ Wout.T into row t of one (n, B, D) buffer for the kept steps only;
+    bias, difference, square and sum over D run once over that buffer after
+    the loop.
     """
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
+    n = T - 1 if n is None else n
+    if not 1 <= n <= T - 1:
+        raise ShapeError(f"windows of {T} readings yield 1 to {T - 1} errors, not {n}")
+    first = T - 1 - n  # the first kept step
     W, U, b = stacked_weights(m)
     w_out_t = m["Wout"].T
     h = np.zeros((B, rnn_hidden_size(m)))
     c = np.zeros_like(h)
-    pred = np.empty((T - 1, B, D))
+    pred = np.empty((n, B, D))
     for t in range(T - 1):
         if m.kind == "lstm":
             h, c = lstm_cell(W, U, b, h, c, x[:, t, :])[:2]
         else:
             h = gru_cell(W, U, b, h, x[:, t, :])[0]
-        np.matmul(h, w_out_t, out=pred[t])
+        if t >= first:
+            np.matmul(h, w_out_t, out=pred[t - first])
     pred += m["bout"]
-    pred -= x[:, 1:, :].transpose(1, 0, 2)
+    pred -= x[:, first + 1 :, :].transpose(1, 0, 2)
     pred **= 2
     return np.ascontiguousarray(pred.sum(axis=2).T)
 

@@ -8,6 +8,7 @@ KS majority vote against reference error distributions, or a one-class SVM
 over the KS feature vector.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -126,19 +127,17 @@ def train_hyper(kind: str, dataset, epochs=None, hidden=None, lr=None) -> dict:
 
 def train_user_model(kind: str, windows, user, seed: int = 0, epochs: int = LadConfig.epochs,
                      hidden: int = LadConfig.hidden, lr: float = LadConfig.lr) -> ModelBundle:
-    """Train `user`'s model of `kind` on `windows`, for `sid train` and local detection."""
+    """Train `user`'s model of `kind` on all their `windows`, for `sid train`."""
     dataset = training_sets(kind, windows, [user])[user]
     return train(kind, dataset, train_hyper(kind, dataset, epochs, hidden, lr), seed=seed)
 
 
 def window_error_samples(m: ModelBundle, windows, n_errors: int) -> np.ndarray:
     """The last n_errors prediction errors of each window, (B, n_errors)."""
-    errs = batched_window_errors(m, windows)
-    if errs.shape[1] < n_errors:
-        raise PipelineError(
-            f"windows yield {errs.shape[1]} errors, need {n_errors}"
-        )
-    return errs[:, -n_errors:]
+    x = np.asarray(windows, dtype=np.float64)
+    if x.shape[1] - 1 < n_errors:
+        raise PipelineError(f"windows yield {x.shape[1] - 1} errors, need {n_errors}")
+    return batched_window_errors(m, x, n_errors)
 
 
 @dataclass
@@ -174,6 +173,39 @@ class LadModel:
         raise PipelineError(f"unknown pipeline {pipeline!r}")
 
 
+def validation_split(windows, cfg: LadConfig) -> tuple[list, list]:
+    """(fit, validation): an owner's windows before and in the validation tail.
+
+    The tail holds validation_fraction of the windows, at least one, and
+    leaves at least one to fit when there are two or more.
+    """
+    n_val = max(int(round(cfg.validation_fraction * len(windows))), 1)
+    n_val = min(n_val, len(windows) - 1) if len(windows) > 1 else 1
+    return windows[: len(windows) - n_val], windows[len(windows) - n_val :]
+
+
+def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int) -> dict:
+    """owner -> recurrent bundle trained on the owner's windows before the validation tail.
+
+    Owners whose training stacks share a shape train in one `train` call,
+    their models on a leading axis, each bit-identical to training that
+    owner alone. Groups are never padded: another batch size can change the
+    last bits of the matrix products.
+    """
+    if kind not in LAD_KINDS:
+        raise PipelineError("local detection trains an lstm or gru per user")
+    groups = defaultdict(dict)  # training-stack shape -> owner -> stack
+    for owner, windows in owner_windows.items():
+        stack = training_sets(kind, validation_split(windows, cfg)[0], [owner])[owner]
+        groups[stack.shape][owner] = stack
+    bundles = {}
+    for stacks in groups.values():
+        group = np.stack(list(stacks.values()))
+        hyper = train_hyper(kind, group, cfg.epochs, cfg.hidden, cfg.lr)
+        bundles.update(zip(stacks, train(kind, group, hyper, seed=seed)))
+    return bundles
+
+
 def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
                   bundle: ModelBundle | None = None) -> LadModel:
     """Train the user's recurrent model and derive references and thresholds.
@@ -184,13 +216,9 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     if kind not in LAD_KINDS:
         raise PipelineError("local detection trains an lstm or gru per user")
     rng = np.random.default_rng(seed)
-    n_val = max(int(round(cfg.validation_fraction * len(windows))), 1)
-    n_val = min(n_val, len(windows) - 1) if len(windows) > 1 else 1
-    val = np.stack([w.data for w in windows[len(windows) - n_val :]])
+    val = np.stack([w.data for w in validation_split(windows, cfg)[1]])
     if bundle is None:
-        bundle = train_user_model(
-            kind, windows[: len(windows) - n_val], user, seed, cfg.epochs, cfg.hidden, cfg.lr
-        )
+        bundle = train_lad_bundles(kind, {user: windows}, cfg, seed)[user]
     elif bundle.kind != kind:
         raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
     n = cfg.ks.window_errors
@@ -225,7 +253,9 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
     """Per-user one-class evaluation; returns (report rows, aggregate counts).
 
     `user` restricts the evaluation to that owner's detector, and `bundle`,
-    which needs a `user`, is that owner's pre-trained model.
+    which needs a `user`, is that owner's pre-trained model. Without one,
+    owners whose training stacks share a shape train together
+    (train_lad_bundles).
     """
     if bundle is not None and user is None:
         raise PipelineError("a pre-trained bundle needs the user it belongs to")
@@ -237,11 +267,15 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
         if user not in users:
             raise PipelineError(f"user {user!r} not present in the data")
         users = [user]
+    own = {owner: [w for w in train_w if w.user == owner] for owner in users}
+    if bundle is None:
+        bundles = train_lad_bundles(kind, own, cfg, seed)
+    else:
+        bundles = {user: bundle}
     rows = []
     total = ConfusionCounts()
     for owner in users:
-        own = [w for w in train_w if w.user == owner]
-        model = fit_lad_model(owner, own, kind, cfg, seed, bundle=bundle)
+        model = fit_lad_model(owner, own[owner], kind, cfg, seed, bundle=bundles[owner])
         counts = evaluate_lad(model, test_w, pipeline)
         total = total + counts
         metrics = safe_metrics(counts)

@@ -7,12 +7,20 @@ solve for ridge regression, projected gradient on the dual for the one-class
 SVM, and truncated backpropagation-through-time with gradient-norm clipping
 for the recurrent models. Learning rates and epoch counts are defaults tuned
 for the small synthetic workloads in the test suite, nothing more.
+
+The recurrent trainers take an optional leading model axis: weights shaped
+(M, ...) and a batch shaped (M, B, T, D) train M models in one pass, which
+shares numpy's per-call overhead across them. Each model keeps its own loss,
+gradient-norm clip and update, computed with the same float operations in
+the same order as a one-model call, so every bundle is bit-identical to
+training it alone; a one-model call is the same code with no model axis.
 """
 
 import numpy as np
 
 from .models import (
-    RNN_GATES, ModelBundle, gru_cell, lstm_cell, sigmoid, softmax, split_gates, stacked_weights,
+    RNN_GATES, ModelBundle, gru_cell, lstm_cell, mT, sigmoid, softmax, split_gates,
+    stacked_weights,
 )
 
 
@@ -275,44 +283,51 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     Loss is the mean over (sequence, transition) of the squared L2 next-step
     error. Returns (loss, grads, final h, final c); gradients do not flow into
     h0/c0, which is what makes chunked calls a truncated BPTT.
+
+    Leading axes are model axes: tensors shaped (M, ...) with a batch shaped
+    (M, B, T, D) give M losses, gradients and states, model k's computed from
+    batch[k] alone with the same float operations as a one-model call.
     """
     x = np.asarray(batch, dtype=np.float64)
-    B, T, D = x.shape
-    H = len(m["bc"])
+    *_, B, T, D = x.shape
+    H = m["bc"].shape[-1]
     W, U, b = stacked_weights(m)
-    h = np.zeros((B, H)) if h0 is None else h0
-    c = np.zeros((B, H)) if c0 is None else c0
+    b_rows = b[..., None, :]  # one bias row per model, broadcast over its batch
+    w_out, b_out = m["Wout"], m["bout"][..., None, :]
+    state = x.shape[:-2] + (H,)
+    h = np.zeros(state) if h0 is None else h0
+    c = np.zeros(state) if c0 is None else c0
     steps = T - 1
     cache = []
     loss = 0.0
     for t in range(steps):
-        xt = x[:, t, :]
-        h_new, c_new, acts = lstm_cell(W, U, b, h, c, xt)
-        pred = h_new @ m["Wout"].T + m["bout"]
-        err = pred - x[:, t + 1, :]
-        loss += float((err**2).sum())
+        xt = x[..., t, :]
+        h_new, c_new, acts = lstm_cell(W, U, b_rows, h, c, xt)
+        pred = h_new @ mT(w_out) + b_out
+        err = pred - x[..., t + 1, :]
+        loss += (err**2).sum(axis=(-2, -1))
         cache.append((xt, h, c, acts, h_new, err))
         h, c = h_new, c_new
     scale = 1.0 / (B * steps)
     loss *= scale
 
     gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-    g_out, g_bout = np.zeros_like(m["Wout"]), np.zeros_like(m["bout"])
-    dh = np.zeros((B, H))
-    dc = np.zeros((B, H))
+    g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
+    dh = np.zeros(state)
+    dc = np.zeros(state)
     for t in reversed(range(steps)):
         xt, h_prev, c_prev, (cand, fio, hc), h_new, err = cache[t]
-        f, i, o = fio[:, :H], fio[:, H : 2 * H], fio[:, 2 * H :]
+        f, i, o = fio[..., :H], fio[..., H : 2 * H], fio[..., 2 * H :]
         dpred = 2.0 * scale * err
-        g_out += dpred.T @ h_new
-        g_bout += dpred.sum(axis=0)
-        dh = dh + dpred @ m["Wout"]
+        g_out += mT(dpred) @ h_new
+        g_bout += dpred.sum(axis=-2)
+        dh = dh + dpred @ w_out
         dc = dc + dh * o * (1.0 - hc**2)
-        dfio = np.concatenate([dc * c_prev, dc * cand, dh * hc], axis=1)
-        dz = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=1)
-        gW += dz.T @ xt
-        gU += dz.T @ h_prev
-        gb += dz.sum(axis=0)
+        dfio = np.concatenate([dc * c_prev, dc * cand, dh * hc], axis=-1)
+        dz = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1)
+        gW += mT(dz) @ xt
+        gU += mT(dz) @ h_prev
+        gb += dz.sum(axis=-2)
         dh, dc = dz @ U, dc * f
     grads = {**split_gates("lstm", gW, gU, gb), "Wout": g_out, "bout": g_bout}
     return loss, grads, h, c
@@ -321,88 +336,111 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
 def gru_loss_and_grads(m: ModelBundle, batch, h0=None):
     """GRU counterpart of lstm_loss_and_grads; the candidate reuses Ur."""
     x = np.asarray(batch, dtype=np.float64)
-    B, T, D = x.shape
-    H = len(m["bz"])
+    *_, B, T, D = x.shape
+    H = m["bz"].shape[-1]
     W, U, b = stacked_weights(m)
-    h = np.zeros((B, H)) if h0 is None else h0
+    b_rows = b[..., None, :]
+    w_out, b_out = m["Wout"], m["bout"][..., None, :]
+    state = x.shape[:-2] + (H,)
+    h = np.zeros(state) if h0 is None else h0
     steps = T - 1
     cache = []
     loss = 0.0
     for t in range(steps):
-        xt = x[:, t, :]
-        h_new, acts = gru_cell(W, U, b, h, xt)
-        pred = h_new @ m["Wout"].T + m["bout"]
-        err = pred - x[:, t + 1, :]
-        loss += float((err**2).sum())
+        xt = x[..., t, :]
+        h_new, acts = gru_cell(W, U, b_rows, h, xt)
+        pred = h_new @ mT(w_out) + b_out
+        err = pred - x[..., t + 1, :]
+        loss += (err**2).sum(axis=(-2, -1))
         cache.append((xt, h, acts, h_new, err))
         h = h_new
     scale = 1.0 / (B * steps)
     loss *= scale
 
     gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-    g_out, g_bout = np.zeros_like(m["Wout"]), np.zeros_like(m["bout"])
-    dh = np.zeros((B, H))
+    g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
+    U_cand = U[..., H:, :]  # Ur, which the candidate reuses
+    dh = np.zeros(state)
     for t in reversed(range(steps)):
         xt, h_prev, (zr, rh, cand), h_new, err = cache[t]
-        z, r = zr[:, :H], zr[:, H:]
+        z, r = zr[..., :H], zr[..., H:]
         dpred = 2.0 * scale * err
-        g_out += dpred.T @ h_new
-        g_bout += dpred.sum(axis=0)
-        dh = dh + dpred @ m["Wout"]
+        g_out += mT(dpred) @ h_new
+        g_bout += dpred.sum(axis=-2)
+        dh = dh + dpred @ w_out
         dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
-        drh = dac @ U[H:]
-        dzr = np.concatenate([dh * (cand - h_prev), drh * h_prev], axis=1) * zr * (1.0 - zr)
-        da = np.concatenate([dzr, dac], axis=1)
-        gW += da.T @ xt
-        gb += da.sum(axis=0)
-        gU += dzr.T @ h_prev  # gate-side uses of Uz and Ur
-        gU[H:] += dac.T @ rh  # candidate-side use of Ur
+        drh = dac @ U_cand
+        dzr = np.concatenate([dh * (cand - h_prev), drh * h_prev], axis=-1) * zr * (1.0 - zr)
+        da = np.concatenate([dzr, dac], axis=-1)
+        gW += mT(da) @ xt
+        gb += da.sum(axis=-2)
+        gU += mT(dzr) @ h_prev  # gate-side uses of Uz and Ur
+        gU[..., H:, :] += mT(dac) @ rh  # candidate-side use of Ur
         dh = dh * (1.0 - z) + drh * r + dzr @ U
     grads = {**split_gates("gru", gW, gU, gb), "Wout": g_out, "bout": g_bout}
     return loss, grads, h
 
 
-def _clip_grads(grads, clip):
-    total = np.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-    if clip and total > clip:
-        factor = clip / total
+def _clip_grads(grads, clip, models):
+    """Scale each model's gradients down to a global L2 norm of at most `clip`.
+
+    `models` is the shape of the leading model axes, () for one model.
+    """
+    lead = len(models)
+    total = np.sqrt(sum((g**2).sum(axis=tuple(range(lead, g.ndim))) for g in grads.values()))
+    if clip and np.any(total > clip):
+        factor = clip / np.maximum(total, clip)  # exactly 1.0 for a model under the clip
         for g in grads.values():
-            g *= factor
-    return total
+            g *= factor.reshape(models + (1,) * (g.ndim - lead))
 
 
 def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
+    """Chunked BPTT from one seeded initialisation per model.
+
+    `sequences` is (T, D), (B, T, D), or (M, B, T, D) for M models trained
+    in one pass, model k on sequences[k]; the last returns a list of M
+    bundles, each bit-identical to training that model alone.
+    """
     x = np.asarray(sequences, dtype=np.float64)
+    if x.ndim not in (2, 3, 4):
+        raise TrainingError("sequences must be (T, D), (B, T, D) or (M, B, T, D)")
+    if x.ndim == 4 and len(x) == 1:  # a lone model trains faster without the model axis
+        return [_train_rnn(kind, x[0], hidden, lr, epochs, clip, trunc, seed)]
+    stacked = x.ndim == 4
     if x.ndim == 2:
         x = x[None, :, :]
     if x.size == 0:
         raise TrainingError("empty dataset")
-    B, T, D = x.shape
+    models, (B, T, D) = x.shape[:-3], x.shape[-3:]
     if T < 2:
         raise TrainingError("sequences must have at least two readings")
     m = _init_rnn(kind, hidden, D, seed, scale=0.2)
+    m.tensors = {k: np.broadcast_to(v, models + v.shape).copy() for k, v in m.tensors.items()}
     losses = []
     for _ in range(epochs):
         epoch_loss = 0.0
-        h = np.zeros((B, hidden))
-        c = np.zeros((B, hidden))
+        h = np.zeros(models + (B, hidden))
+        c = np.zeros_like(h)
         # Chunked passes: state carries across chunks, gradients do not.
         for start in range(0, T - 1, trunc):
-            chunk = x[:, start : min(start + trunc + 1, T), :]
-            if chunk.shape[1] < 2:
+            chunk = x[..., start : min(start + trunc + 1, T), :]
+            if chunk.shape[-2] < 2:
                 break
             if kind == "lstm":
                 loss, grads, h, c = lstm_loss_and_grads(m, chunk, h, c)
             else:
                 loss, grads, h = gru_loss_and_grads(m, chunk, h)
             _check_finite(loss, f"{kind} loss")
-            _clip_grads(grads, clip)
+            _clip_grads(grads, clip, models)
             for name, g in grads.items():
                 m.tensors[name] = m.tensors[name] - lr * g
-            epoch_loss += loss * (chunk.shape[1] - 1)
+            epoch_loss += loss * (chunk.shape[-2] - 1)
         losses.append(epoch_loss / (T - 1))
-    m.tensors["epoch_losses"] = np.asarray(losses)
-    return m
+    # (epochs, *models) -> (*models, epochs)
+    m.tensors["epoch_losses"] = np.moveaxis(np.reshape(losses, (epochs,) + models), 0, -1)
+    if not stacked:
+        return m
+    return [ModelBundle(kind, {k: v[i] for k, v in m.tensors.items()}) for i in range(len(x))]
 
 
 def train_lstm(sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=20, seed=0):

@@ -6,6 +6,7 @@ tests can compare the two.
 
 import numpy as np
 
+from sid.fixedpoint import FX_ONE, saturate
 from sid.models import (
     ShapeError, gru_cell, lstm_cell, rnn_hidden_size, stacked_weights, step_gru, step_lstm,
 )
@@ -49,3 +50,13 @@ def stepwise_readout_errors(m, windows) -> np.ndarray:
         pred = h @ m["Wout"].T + m["bout"]
         errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
     return errors
+
+
+def fx_sub(a: int, b: int) -> int:
+    """Saturating Q16.16 difference of two raw values."""
+    return saturate(a - b)
+
+
+def real_array(raw) -> np.ndarray:
+    """Raw Q16.16 values as floats."""
+    return np.asarray(raw, dtype=np.float64) / FX_ONE

@@ -18,7 +18,7 @@ from sid.codegen import (
     write_symbol,
 )
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
-from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul, fx_sub
+from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul
 from sid.isa import CONTROL_OPCODES, Opcode, program_to_bytes
 from sid.machine import MachineConfig, run, step_instruction
 from sid.models import (
@@ -30,7 +30,7 @@ from sid.models import (
 )
 from sid.training import init_gru, init_lstm, init_mlp
 
-from oracles import predict_series
+from oracles import fx_sub, predict_series
 
 CONFIG = MachineConfig()
 TOL = 2**-8

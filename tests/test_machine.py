@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sid.fixedpoint import FX_MAX, FX_ONE, fx_array, fx_from_real, real_array
+from sid.fixedpoint import FX_MAX, FX_ONE, fx_array, fx_from_real
 from sid.isa import MacroInstruction, Opcode, assemble, halt, loop, regaddi, regload, regstore
 from sid import machine
 from sid.machine import (
@@ -21,6 +21,8 @@ from sid.machine import (
     run,
     step_instruction,
 )
+
+from oracles import real_array
 
 
 def vec_op(op, length, x, y, z, **kw):

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sid.data import synth_user_sessions
 from sid import pipeline as pipeline_module
 from sid.detection import ConfusionCounts, Window, ks_reject, ks_statistic, split_by_sequence
-from sid.models import infer_ocsvm
+from sid.models import ShapeError, infer_ocsvm
 from sid.pipeline import (
     PIPELINES,
     IdaasConfig,
@@ -34,6 +36,20 @@ def test_batched_errors_match_predict_series():
         batched = batched_window_errors(m, windows)
         for i in range(3):
             assert predict_series(m, windows[i]) == pytest.approx(batched[i], abs=1e-12)
+
+
+@pytest.mark.parametrize("init", [init_lstm, init_gru])
+@pytest.mark.parametrize("hidden", [3, 16, 33])
+def test_trailing_errors_equal_the_last_columns(init, hidden):
+    rng = np.random.default_rng(hidden)
+    windows = rng.normal(size=(9, 30, 6))
+    m = init(hidden, 6, seed=7)
+    full = batched_window_errors(m, windows)
+    for n in (1, 11, 29):
+        assert np.array_equal(batched_window_errors(m, windows, n), full[:, -n:])
+    for n in (0, 30):
+        with pytest.raises(ShapeError):
+            batched_window_errors(m, windows, n)
 
 
 def exercise_lad(pipeline):
@@ -162,3 +178,28 @@ def test_evaluate_lad_scores_test_windows_in_one_pass(lad_models, pipeline, monk
     assert len(calls) == len(models)  # one forward per owner, over every test window
     test_data = np.stack([w.data for w in test_w])
     assert all(np.array_equal(args[1], test_data) for args in calls)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_run_lad_trains_once_per_shape_group(kind, monkeypatch):
+    # Users 1 and 2 fit on 6 windows each; user 3's shorter sequences give 5.
+    corpus = [
+        s if s.user != 3 else replace(s, readings=s.readings[:520])
+        for s in synth_user_sessions((1.5, 1.9, 2.3), 2, 700, seed=8, noise_std=0.05)
+    ]
+    cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=6, epochs=4)
+    train_w, test_w = split_by_sequence(corpus, cfg.train_fraction, 9, 120, 60)
+    want = []
+    for owner in (1, 2, 3):
+        model = fit_lad_model(owner, [w for w in train_w if w.user == owner], kind, cfg, 9)
+        counts = evaluate_lad(model, test_w, "vote")
+        want.append({"user": owner, "model": kind, "pipeline": "vote", **safe_metrics(counts)})
+    shapes = []
+    real = pipeline_module.train
+    monkeypatch.setattr(
+        pipeline_module, "train",
+        lambda kind, data, *a, **kw: shapes.append(data.shape) or real(kind, data, *a, **kw),
+    )
+    rows, _ = run_lad(corpus, kind, "vote", cfg, seed=9)
+    assert sorted(shapes) == [(1, 5, 120, 6), (2, 6, 120, 6)]
+    assert rows == want

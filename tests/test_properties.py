@@ -22,7 +22,6 @@ from sid.fixedpoint import (
     fx_add,
     fx_array,
     fx_mul,
-    fx_sub,
     saturate,
 )
 from sid.isa import (
@@ -65,7 +64,7 @@ from sid.models import (
 )
 from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
 
-from oracles import predict_series
+from oracles import fx_sub, predict_series
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from sid.models import bundle_to_bytes, infer_krr, infer_lr, infer_ocsvm, infer_svm
+from sid.models import ModelBundle, bundle_to_bytes, infer_krr, infer_lr, infer_ocsvm, infer_svm
 from sid.training import (
     TrainingError,
     gru_loss_and_grads,
+    train_gru,
     init_gru,
     init_lstm,
     init_mlp,
@@ -191,3 +192,59 @@ def test_recurrent_init_draws_are_pinned(init, digest):
     # Pure RNG draws with no BLAS: the bundle bytes pin the gate order and shapes.
     blob = bundle_to_bytes(init(5, 6, seed=2))
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+TRAINERS = {"lstm": train_lstm, "gru": train_gru}
+# Per-model data scales: at clip 1 the smallest never reaches the
+# gradient-norm clip and the largest is clipped every chunk, so one stack
+# mixes both.
+SCALES = (1.0, 0.05, 10.0)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+@pytest.mark.parametrize("hidden", [3, 16, 33])
+@pytest.mark.parametrize("batch", [1, 7, 32])
+def test_stacked_training_matches_one_model_at_a_time(kind, hidden, batch):
+    # T = 45 with trunc 20 makes three chunks, so h (and c) carry across two
+    # chunk boundaries in every epoch.
+    rng = np.random.default_rng(hidden * 100 + batch)
+    stack = np.stack([s * rng.normal(size=(batch, 45, 6)) for s in SCALES])
+    stacked = TRAINERS[kind](stack, hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
+    assert len(stacked) == len(SCALES)
+    for k, together in enumerate(stacked):
+        alone = TRAINERS[kind](stack[k], hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
+        assert list(together.tensors) == list(alone.tensors)
+        for name, want in alone.tensors.items():
+            assert np.array_equal(together[name], want), (k, name)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_stacked_loss_and_grads_match_per_model_calls(kind):
+    rng = np.random.default_rng(23)
+    models = [TRAINERS[kind](rng.normal(size=(4, 12, 6)), hidden=5, epochs=1, seed=s)
+              for s in (1, 2)]
+    stacked = ModelBundle(kind, {name: np.stack([m[name] for m in models])
+                                 for name in models[0].tensors})
+    batch = rng.normal(size=(2, 4, 9, 6))
+    state = rng.normal(size=(2, 2, 4, 5))  # carried-in h and c of each model
+    loss_and_grads = lstm_loss_and_grads if kind == "lstm" else gru_loss_and_grads
+    together = loss_and_grads(stacked, batch, *state[: 2 if kind == "lstm" else 1])
+    for k, m in enumerate(models):
+        alone = loss_and_grads(m, batch[k], *state[: 2 if kind == "lstm" else 1, k])
+        assert together[0][k] == alone[0]
+        for name, g in alone[1].items():
+            assert np.array_equal(together[1][name][k], g), name
+        for got, want in zip(together[2:], alone[2:]):
+            assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("lstm", "5a49278dd73bfa0c2bd56f609f9475051c0979f5456fec385ed444d6477c2b8a"),
+    ("gru", "a6f611539575631aca1c91b5cee6a4f7753c9e64a38802e8fa23e6ab52bb0937"),
+])
+def test_trained_recurrent_bundles_are_pinned(kind, digest):
+    # Pins the trained bytes, epoch losses included, as the one-model trainer
+    # wrote them before it gained a model axis (with this build's BLAS).
+    seqs = np.stack([sinusoid(T=61, freq=f) for f in (1.2, 1.8, 2.4)])
+    m = TRAINERS[kind](seqs, hidden=7, epochs=4, seed=21)
+    assert hashlib.sha256(bundle_to_bytes(m)).hexdigest() == digest
