@@ -22,7 +22,6 @@ DOMAIN_ERRORS = (
     detection.DetectionError,
     detection.MetricError,
     energy.EnergyError,
-    isa.AsmError,
     isa.EncodingError,
     machine.LoadError,
     machine.MachineTrap,

@@ -164,23 +164,32 @@ class KsDecisionConfig:
 def ks_statistic(sample_a, sample_b):
     """Exact sup |F_a - F_b| over the merged sample points.
 
-    sample_b may stack references as rows, (refs, m), for one statistic each.
-    At the last of each run of equal merged points, a's count is a search in
-    sorted a and b's count is the point's rank minus a's.
+    Either sample may stack rows: windows a (W, n) against references
+    b (R, m) give (W, R), one statistic per pair, and two 1-D samples give a
+    float. Each reference takes one pass: one sort merges it into every
+    window, one search in the sorted reference counts its points, and at
+    the last of each run of equal merged points a's count is the point's
+    rank minus b's.
     """
-    a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.asarray(sample_b, dtype=np.float64)
-    n, m = len(a), b.shape[-1]
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.sort(np.asarray(sample_b, dtype=np.float64), axis=-1)
+    n, m = a.shape[-1], b.shape[-1]
     if n == 0 or m == 0:
         raise DetectionError("KS statistic needs non-empty samples")
-    pts = np.empty((*b.shape[:-1], n + m))
-    pts[..., :n] = a
-    pts[..., n:] = b
-    pts.sort()
-    count_a = np.searchsorted(a, pts, side="right")
-    gap = np.abs(count_a / n - (np.arange(1, n + m + 1) - count_a) / m)
-    gap[..., :-1][pts[..., 1:] == pts[..., :-1]] = 0.0  # only a run's last point counts it whole
-    return gap.max(axis=-1) if b.ndim == 2 else float(gap.max())
+    windows, refs = a.reshape(-1, n), b.reshape(-1, m)
+    rank = np.arange(1, n + m + 1)
+    pts = np.empty((len(windows), n + m))
+    d = np.empty((len(windows), len(refs)))
+    for r, ref in enumerate(refs):
+        pts[:, :n] = windows
+        pts[:, n:] = ref
+        pts.sort()
+        count_b = np.searchsorted(ref, pts.ravel(), side="right").reshape(pts.shape)
+        gap = np.abs((rank - count_b) / n - count_b / m)
+        gap[:, :-1][pts[:, 1:] == pts[:, :-1]] = 0.0  # only a run's last point counts it whole
+        d[:, r] = gap.max(axis=1)
+    d = d.reshape(a.shape[:-1] + b.shape[:-1])
+    return float(d) if d.ndim == 0 else d
 
 
 def ks_reject(d, n: int, m: int, cfg: KsDecisionConfig):

@@ -41,14 +41,20 @@ class ModelBundle:
         return float(np.asarray(self[name]).reshape(-1)[0])
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     """Logistic function in the branch-free form 1/2 + tanh(z/2)/2.
 
     Exactly symmetric (sigmoid(-z) = 1 - sigmoid(z)). Its error is absolute
     (about 1e-16), not relative: below z of about -37 it returns 0 where
-    1/(1 + exp(-z)) is still about 1e-17.
+    1/(1 + exp(-z)) is still about 1e-17. The steps run in place on one
+    array: `out`, which may be `z` itself, or a new one.
     """
-    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(z, dtype=np.float64))
+    z = np.asarray(z, dtype=np.float64)
+    s = np.multiply(z, 0.5, out=np.empty_like(z) if out is None else out)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def softmax(z):
@@ -172,7 +178,7 @@ def split_gates(kind: str, W, U, b) -> dict[str, np.ndarray]:
     return out
 
 
-def lstm_cell(W, U, b, h, c, x):
+def lstm_cell(W, U, b, h, c, x, out=None):
     """step_lstm's cell update over gate-stacked weights; h, c, x may be batched.
 
     W and U are used transposed over their last two axes and b broadcasts
@@ -180,33 +186,57 @@ def lstm_cell(W, U, b, h, c, x):
     (M, 4H, D) and b as (M, 1, 4H), step a (M, B, .) batch, model k on row k.
     Returns (h', c', (cand, fio, tanh(c'))), where fio stacks the f, i and o
     activations: what backpropagation through the step needs.
+
+    `out` = (h', c', cand, fio, tanh(c'), gates, scratch) are the arrays the
+    step writes: shaped like h, except fio (..., 3H) and the gate
+    pre-activations and h @ U.T (..., 4H). h' and c' may be h and c
+    themselves, and cand and fio may lie in scratch's memory, which is spent
+    before they are written. Without `out` every array is new, as BPTT needs
+    for the steps it caches.
     """
     hidden = h.shape[-1]
-    a = x @ mT(W)
-    a += h @ mT(U)
+    h_new, c_new, cand, fio, hc, a, scratch = (None,) * 7 if out is None else out
+    a = np.matmul(x, mT(W), out=a)
+    a += np.matmul(h, mT(U), out=scratch)
     a += b
-    cand = np.tanh(a[..., :hidden])
-    fio = sigmoid(a[..., hidden:])
+    cand = np.tanh(a[..., :hidden], out=cand)
+    fio = sigmoid(a[..., hidden:], out=fio)
     f, i, o = fio[..., :hidden], fio[..., hidden : 2 * hidden], fio[..., 2 * hidden :]
-    c_new = f * c + i * cand
-    hc = np.tanh(c_new)
-    return o * hc, c_new, (cand, fio, hc)
+    c_new = np.multiply(f, c, out=c_new)
+    c_new += np.multiply(i, cand, out=hc)  # hc holds i*cand until tanh(c') replaces it
+    hc = np.tanh(c_new, out=hc)
+    return np.multiply(o, hc, out=h_new), c_new, (cand, fio, hc)
 
 
-def gru_cell(W, U, b, h, x):
+def gru_cell(W, U, b, h, x, out=None):
     """step_gru's cell update over gate-stacked weights; h and x may be batched.
 
     Weights may carry a leading model axis, as in lstm_cell.
     Returns (h', (zr, r*h, cand)), where zr stacks the z and r activations:
     what backpropagation through the step needs.
+
+    `out` = (h', zr, r*h, cand, gates, scratch) are the arrays the step
+    writes: shaped like h, except zr and h @ U.T (..., 2H) and the gate
+    pre-activations (..., 3H). h' may be h itself. Without `out` every array
+    is new, as in lstm_cell.
     """
     hidden = h.shape[-1]
-    ax = x @ mT(W)
-    zr = sigmoid(ax[..., : 2 * hidden] + h @ mT(U) + b[..., : 2 * hidden])
+    h_new, zr, rh, cand, a, scratch = (None,) * 6 if out is None else out
+    a = np.matmul(x, mT(W), out=a)
+    scratch = np.matmul(h, mT(U), out=scratch)
+    zr = np.add(a[..., : 2 * hidden], scratch, out=zr)
+    zr += b[..., : 2 * hidden]
+    sigmoid(zr, out=zr)
     z, r = zr[..., :hidden], zr[..., hidden:]
-    rh = r * h
-    cand = sigmoid(ax[..., 2 * hidden :] + rh @ mT(U[..., hidden:, :]) + b[..., 2 * hidden :])
-    return (1.0 - z) * h + z * cand, (zr, rh, cand)
+    rh = np.multiply(r, h, out=rh)
+    cand = np.matmul(rh, mT(U[..., hidden:, :]), out=cand)
+    cand += a[..., 2 * hidden :]  # the same sum as x @ Wh.T + (r*h) @ Ur.T
+    cand += b[..., 2 * hidden :]
+    sigmoid(cand, out=cand)
+    keep, update = scratch.reshape(2, *h.shape)  # h @ U.T is spent: two h-shaped temporaries
+    np.subtract(1.0, z, out=keep)
+    keep *= h
+    return np.add(keep, np.multiply(z, cand, out=update), out=h_new), (zr, rh, cand)
 
 
 def step_lstm(m: ModelBundle, h, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,10 +282,11 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
 
     errors[:, t] = ||Wout h_t + bout - x_{t+1}||^2, where h_t has read
     x_0..x_t, over the trailing n of the T-1 transitions (all of them by
-    default). The step loop runs the recurrence at every step and writes
-    h_t @ Wout.T into row t of one (n, B, D) buffer for the kept steps only;
-    bias, difference, square and sum over D run once over that buffer after
-    the loop.
+    default). The step loop runs the recurrence at every step, writing the
+    state in place and the cell's gates and scratch into arrays allocated
+    once per call, and writes h_t @ Wout.T into row t of one (n, B, D)
+    buffer for the kept steps only; bias, difference, square and sum over D
+    run once over that buffer after the loop.
     """
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
@@ -265,14 +296,22 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
     first = T - 1 - n  # the first kept step
     W, U, b = stacked_weights(m)
     w_out_t = m["Wout"].T
-    h = np.zeros((B, rnn_hidden_size(m)))
-    c = np.zeros_like(h)
+    hidden = rnn_hidden_size(m)
+    h = np.zeros((B, hidden))
+    gates, scratch = np.empty((B, len(W))), np.empty((B, len(U)))
+    if m.kind == "lstm":
+        c = np.zeros_like(h)
+        spent = scratch.reshape(-1)  # cand and fio reuse h @ U.T's memory
+        cand, fio = spent[: h.size].reshape(h.shape), spent[h.size :].reshape(B, 3 * hidden)
+        out = (h, c, cand, fio, np.empty_like(h), gates, scratch)
+    else:
+        out = (h, np.empty((B, 2 * hidden)), np.empty_like(h), np.empty_like(h), gates, scratch)
     pred = np.empty((n, B, D))
     for t in range(T - 1):
         if m.kind == "lstm":
-            h, c = lstm_cell(W, U, b, h, c, x[:, t, :])[:2]
+            lstm_cell(W, U, b, h, c, x[:, t, :], out=out)
         else:
-            h = gru_cell(W, U, b, h, x[:, t, :])[0]
+            gru_cell(W, U, b, h, x[:, t, :], out=out)
         if t >= first:
             np.matmul(h, w_out_t, out=pred[t - first])
     pred += m["bout"]

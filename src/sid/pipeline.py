@@ -151,9 +151,19 @@ class LadModel:
     mean_threshold: float
     cfg: LadConfig
 
+    @classmethod
+    def from_pool(cls, user, bundle: ModelBundle, pool: np.ndarray, cfg: LadConfig,
+                  seed: int) -> "LadModel":
+        """The detector whose references and mean-error threshold come from
+        `pool`, the error samples of the owner's validation windows."""
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(pool), size=min(cfg.ks.refs, len(pool)), replace=False)
+        mean_threshold = float(np.quantile(pool.mean(axis=1), cfg.threshold_quantile))
+        return cls(user, bundle, pool, pool[np.sort(picks)], mean_threshold, cfg)
+
     def ks_features(self, windows: np.ndarray) -> np.ndarray:
         """(windows, refs): each window's KS statistic against each reference sample."""
-        return np.array([ks_statistic(w, self.ref_samples) for w in windows])
+        return ks_statistic(windows, self.ref_samples)
 
     @cached_property
     def ocsvm(self) -> ModelBundle:
@@ -192,8 +202,6 @@ def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int)
     owner alone. Groups are never padded: another batch size can change the
     last bits of the matrix products.
     """
-    if kind not in LAD_KINDS:
-        raise PipelineError("local detection trains an lstm or gru per user")
     groups = defaultdict(dict)  # training-stack shape -> owner -> stack
     for owner, windows in owner_windows.items():
         stack = training_sets(kind, validation_split(windows, cfg)[0], [owner])[owner]
@@ -206,6 +214,13 @@ def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int)
     return bundles
 
 
+def _check_lad_kind(kind: str, bundle: ModelBundle | None) -> None:
+    if kind not in LAD_KINDS:
+        raise PipelineError("local detection trains an lstm or gru per user")
+    if bundle is not None and bundle.kind != kind:
+        raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
+
+
 def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
                   bundle: ModelBundle | None = None) -> LadModel:
     """Train the user's recurrent model and derive references and thresholds.
@@ -213,37 +228,21 @@ def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
     Passing a pre-trained bundle skips training but still derives the
     references and thresholds from this user's windows.
     """
-    if kind not in LAD_KINDS:
-        raise PipelineError("local detection trains an lstm or gru per user")
-    rng = np.random.default_rng(seed)
+    _check_lad_kind(kind, bundle)
     val = np.stack([w.data for w in validation_split(windows, cfg)[1]])
     if bundle is None:
         bundle = train_lad_bundles(kind, {user: windows}, cfg, seed)[user]
-    elif bundle.kind != kind:
-        raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
-    n = cfg.ks.window_errors
-    pool = window_error_samples(bundle, val, n)  # references and threshold share it
-    picks = rng.choice(len(pool), size=min(cfg.ks.refs, len(pool)), replace=False)
-    ref_samples = pool[np.sort(picks)]
-    mean_threshold = float(np.quantile(pool.mean(axis=1), cfg.threshold_quantile))
-    return LadModel(
-        user=user,
-        bundle=bundle,
-        pool=pool,
-        ref_samples=ref_samples,
-        mean_threshold=mean_threshold,
-        cfg=cfg,
-    )
+    pool = window_error_samples(bundle, val, cfg.ks.window_errors)
+    return LadModel.from_pool(user, bundle, pool, cfg, seed)
 
 
-def evaluate_lad(model: LadModel, test_windows, pipeline: str) -> ConfusionCounts:
+def evaluate_lad(model: LadModel, test_windows, errors: np.ndarray,
+                 pipeline: str) -> ConfusionCounts:
     """Owner windows are negatives; every other user's windows are positives.
 
-    One forward pass scores every test window, and one `decide` flags them all.
+    `errors` holds the test windows' error samples under the owner's model,
+    one row per window; one `decide` flags them all.
     """
-    errors = window_error_samples(
-        model.bundle, np.stack([w.data for w in test_windows]), model.cfg.ks.window_errors
-    )
     impostor = [w.user != model.user for w in test_windows]
     return ConfusionCounts.tally(impostor, model.decide(errors, pipeline))
 
@@ -256,9 +255,16 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
     which needs a `user`, is that owner's pre-trained model. Without one,
     owners whose training stacks share a shape train together
     (train_lad_bundles).
+
+    One forward pass per owner scores the owner's validation windows and
+    every test window: the test windows sit once at the tail of one stack,
+    and each owner writes its validation windows just above them. The
+    validation rows give the references and threshold (LadModel.from_pool),
+    exactly as fit_lad_model derives them; the test rows are evaluated.
     """
     if bundle is not None and user is None:
         raise PipelineError("a pre-trained bundle needs the user it belongs to")
+    _check_lad_kind(kind, bundle)
     train_w, test_w = split_by_sequence(
         sequences, cfg.train_fraction, seed, cfg.rnn_window, cfg.rnn_step
     )
@@ -272,11 +278,19 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
         bundles = train_lad_bundles(kind, own, cfg, seed)
     else:
         bundles = {user: bundle}
+    val = {owner: validation_split(own[owner], cfg)[1] for owner in users}
+    top = max(len(v) for v in val.values())  # the first test row
+    stack = np.empty((top + len(test_w), *test_w[0].data.shape))
+    np.stack([w.data for w in test_w], out=stack[top:])
     rows = []
     total = ConfusionCounts()
     for owner in users:
-        model = fit_lad_model(owner, own[owner], kind, cfg, seed, bundle=bundles[owner])
-        counts = evaluate_lad(model, test_w, pipeline)
+        n_val = len(val[owner])
+        owner_rows = stack[top - n_val :]
+        np.stack([w.data for w in val[owner]], out=owner_rows[:n_val])
+        errors = window_error_samples(bundles[owner], owner_rows, cfg.ks.window_errors)
+        model = LadModel.from_pool(owner, bundles[owner], errors[:n_val], cfg, seed)
+        counts = evaluate_lad(model, test_w, errors[n_val:], pipeline)
         total = total + counts
         metrics = safe_metrics(counts)
         rows.append({"user": owner, "model": kind, "pipeline": pipeline, **metrics})

@@ -8,6 +8,8 @@ from sid.cli import main
 from sid.models import save_bundle
 from sid.training import init_lstm
 
+from oracles import assemble
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -394,7 +396,7 @@ def test_sim_profile_counts_every_opcode(tmp_path, capsys):
 
 def test_sim_profile_of_data_dependent_loop(tmp_path, capsys):
     # A data write into the saved loop count makes the loop exit data-dependent.
-    program = isa.assemble("""
+    program = assemble("""
     loop end=3 n=2
     regstore group=loop addr=200
     vadd length=1 x=64 y=65 z=202

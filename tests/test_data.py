@@ -234,3 +234,15 @@ def test_hapt_reader_accepts_blank_lines_and_missing_newline(tmp_path):
     expected = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [-1e-3, 2.5, 0.5]]
     assert seq.readings[:, :3].tolist() == expected
     assert seq.readings.shape == (4, 6)
+
+
+def test_hapt_reader_reads_crlf_files(tmp_path):
+    acc = _sensor_corpus(tmp_path, "")
+    acc.write_bytes(b"1 2 3\r\n\r\n4\t5 6\r\n7 8 9\r\n-1e-3 +2.5 .5\r\n")
+    (tmp_path / "labels.txt").write_bytes(b"1 1 1 1 4\r\n")
+    (seq,) = hapt_load(tmp_path)
+    assert seq.readings[:, :3].tolist() == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [-1e-3, 2.5, 0.5]]
+    acc.write_bytes(b"1 2 3\r\n4 5 6\r\n7 x 9\r\n1 2 3\r\n")
+    with pytest.raises(DataError) as info:
+        hapt_load(tmp_path)
+    assert str(info.value) == f"{acc}: line 3: malformed number"

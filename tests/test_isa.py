@@ -3,10 +3,8 @@ import random
 import pytest
 
 from sid.isa import (
-    AsmError,
     MacroInstruction,
     Opcode,
-    assemble,
     decode,
     disassemble,
     encode,
@@ -18,6 +16,8 @@ from sid.isa import (
     regload,
     regstore,
 )
+
+from oracles import AsmError, assemble
 
 
 def random_instruction(rng: random.Random) -> MacroInstruction:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sid.fixedpoint import FX_MAX, FX_ONE, fx_array, fx_from_real
-from sid.isa import MacroInstruction, Opcode, assemble, halt, loop, regaddi, regload, regstore
+from sid.isa import MacroInstruction, Opcode, halt, loop, regaddi, regload, regstore
 from sid import machine
 from sid.machine import (
     LoadError,
@@ -22,7 +22,7 @@ from sid.machine import (
     step_instruction,
 )
 
-from oracles import real_array
+from oracles import assemble, real_array
 
 
 def vec_op(op, length, x, y, z, **kw):

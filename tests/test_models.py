@@ -232,7 +232,7 @@ def test_predict_series_requires_two_readings():
         predict_series(m, np.zeros((1, 3)))
 
 
-@pytest.mark.parametrize("hidden", [3, 16, 33])
+@pytest.mark.parametrize("hidden", [3, 16, 33, 200])  # 200: the paper's LSTM size
 @pytest.mark.parametrize("init", [init_lstm, init_gru], ids=["lstm", "gru"])
 def test_batched_readout_after_loop_is_exact(init, hidden):
     # Each prediction error sees the same float operations in the same order
@@ -240,6 +240,21 @@ def test_batched_readout_after_loop_is_exact(init, hidden):
     m = init(hidden, 6, seed=hidden)
     windows = np.random.default_rng(hidden).normal(size=(7, 30, 6))
     assert np.array_equal(batched_window_errors(m, windows), stepwise_readout_errors(m, windows))
+
+
+@pytest.mark.parametrize("init", [init_lstm, init_gru], ids=["lstm", "gru"])
+def test_buffered_scorer_calls_do_not_alias(init):
+    # Each call allocates its own state and cell buffers, so a second call
+    # with another batch leaves the first call's result as it was.
+    m = init(5, 6, seed=3)
+    rng = np.random.default_rng(3)
+    first, second = rng.normal(size=(4, 20, 6)), rng.normal(size=(9, 20, 6))
+    errors = batched_window_errors(m, first, 6)
+    kept = errors.copy()
+    other = batched_window_errors(m, second, 6)
+    assert np.array_equal(errors, kept) and not np.shares_memory(errors, other)
+    assert np.array_equal(errors, stepwise_readout_errors(m, first)[:, -6:])
+    assert np.array_equal(other, stepwise_readout_errors(m, second)[:, -6:])
 
 
 def test_ocsvm_examples():

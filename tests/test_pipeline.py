@@ -18,6 +18,8 @@ from sid.pipeline import (
     run_idaas,
     run_lad,
     safe_metrics,
+    validation_split,
+    window_error_samples,
 )
 from sid.training import init_gru, init_lstm, train_ocsvm
 
@@ -164,36 +166,46 @@ def lad_models(request):
     return models, test_w
 
 
+def one_pass_errors(model, test_windows):
+    """Every test window's error samples under the owner's model, in one pass."""
+    test_data = np.stack([w.data for w in test_windows])
+    return window_error_samples(model.bundle, test_data, model.cfg.ks.window_errors)
+
+
 @pytest.mark.parametrize("pipeline", PIPELINES)
-def test_evaluate_lad_scores_test_windows_in_one_pass(lad_models, pipeline, monkeypatch):
+def test_evaluate_lad_scores_test_windows_in_one_pass(lad_models, pipeline):
     models, test_w = lad_models
     want = [separate_group_counts(model, test_w, pipeline) for model in models]
-    calls = []
-    real = pipeline_module.window_error_samples
-    monkeypatch.setattr(
-        pipeline_module, "window_error_samples",
-        lambda *a: calls.append(a) or real(*a),
-    )
-    assert [evaluate_lad(model, test_w, pipeline) for model in models] == want
-    assert len(calls) == len(models)  # one forward per owner, over every test window
-    test_data = np.stack([w.data for w in test_w])
-    assert all(np.array_equal(args[1], test_data) for args in calls)
+    got = [evaluate_lad(model, test_w, one_pass_errors(model, test_w), pipeline) for model in models]
+    assert got == want
+
+
+def three_owner_corpus():
+    """Users 1 and 2 fit on 6 windows and validate on 4; user 3's shorter
+    sequences fit on 5 and validate on 2."""
+    return [
+        s if s.user != 3 else replace(s, readings=s.readings[:520])
+        for s in synth_user_sessions((1.5, 1.9, 2.3), 2, 700, seed=8, noise_std=0.05)
+    ]
+
+
+def per_owner_rows(corpus, kind, pipeline, cfg, seed):
+    """run_lad's rows from fit_lad_model per owner and a separate pass over the test windows."""
+    train_w, test_w = split_by_sequence(corpus, cfg.train_fraction, seed, cfg.rnn_window,
+                                        cfg.rnn_step)
+    rows = []
+    for owner in sorted({w.user for w in train_w}):
+        model = fit_lad_model(owner, [w for w in train_w if w.user == owner], kind, cfg, seed)
+        counts = evaluate_lad(model, test_w, one_pass_errors(model, test_w), pipeline)
+        rows.append({"user": owner, "model": kind, "pipeline": pipeline, **safe_metrics(counts)})
+    return rows
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_run_lad_trains_once_per_shape_group(kind, monkeypatch):
-    # Users 1 and 2 fit on 6 windows each; user 3's shorter sequences give 5.
-    corpus = [
-        s if s.user != 3 else replace(s, readings=s.readings[:520])
-        for s in synth_user_sessions((1.5, 1.9, 2.3), 2, 700, seed=8, noise_std=0.05)
-    ]
+    corpus = three_owner_corpus()
     cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=6, epochs=4)
-    train_w, test_w = split_by_sequence(corpus, cfg.train_fraction, 9, 120, 60)
-    want = []
-    for owner in (1, 2, 3):
-        model = fit_lad_model(owner, [w for w in train_w if w.user == owner], kind, cfg, 9)
-        counts = evaluate_lad(model, test_w, "vote")
-        want.append({"user": owner, "model": kind, "pipeline": "vote", **safe_metrics(counts)})
+    want = per_owner_rows(corpus, kind, "vote", cfg, 9)
     shapes = []
     real = pipeline_module.train
     monkeypatch.setattr(
@@ -203,3 +215,29 @@ def test_run_lad_trains_once_per_shape_group(kind, monkeypatch):
     rows, _ = run_lad(corpus, kind, "vote", cfg, seed=9)
     assert sorted(shapes) == [(1, 5, 120, 6), (2, 6, 120, 6)]
     assert rows == want
+
+
+@pytest.mark.parametrize("hidden", [16, 33])
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_run_lad_scores_each_owner_in_one_pass(kind, hidden, monkeypatch):
+    corpus = three_owner_corpus()
+    cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=hidden, epochs=2)
+    train_w, test_w = split_by_sequence(corpus, cfg.train_fraction, 9, 120, 60)
+    n_test = len(test_w)
+    for pipeline in PIPELINES:
+        want = per_owner_rows(corpus, kind, pipeline, cfg, 9)
+        scored = []
+
+        def recording(m, windows, n):
+            scored.append(windows.copy())  # a copy: the owners share one stack
+            return window_error_samples(m, windows, n)
+
+        monkeypatch.setattr(pipeline_module, "window_error_samples", recording)
+        rows, _ = run_lad(corpus, kind, pipeline, cfg, seed=9)
+        monkeypatch.undo()
+        assert rows == want
+        # One forward per owner: its validation windows, then every test window.
+        assert [len(windows) for windows in scored] == [4 + n_test, 4 + n_test, 2 + n_test]
+        for owner, windows in zip((1, 2, 3), scored):
+            val = validation_split([w for w in train_w if w.user == owner], cfg)[1]
+            assert np.array_equal(windows, np.stack([w.data for w in val + test_w]))

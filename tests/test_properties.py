@@ -32,7 +32,6 @@ from sid.isa import (
     MAX_LEN,
     MacroInstruction,
     Opcode,
-    assemble,
     decode,
     disassemble,
     encode,
@@ -64,7 +63,7 @@ from sid.models import (
 )
 from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
 
-from oracles import fx_sub, predict_series
+from oracles import assemble, fx_sub, predict_series
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -632,3 +631,19 @@ def test_stacked_ks_statistic_matches_per_reference_calls(a, refs):
     for d, r in zip(stacked, refs):  # and the counting definition, bit for bit
         assert d == max(abs(sum(v <= x for v in a) / len(a) - sum(v <= x for v in r) / len(r))
                         for x in a + r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    windows=st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.lists(_ks_values, min_size=n, max_size=n), min_size=1, max_size=6)
+    ),
+    refs=st.integers(1, 30).flatmap(
+        lambda m: st.lists(st.lists(_ks_values, min_size=m, max_size=m), min_size=1, max_size=6)
+    ),
+)
+def test_stacked_ks_statistic_matches_per_window_calls(windows, refs):
+    stacked = ks_statistic(np.array(windows), np.array(refs))
+    assert stacked.shape == (len(windows), len(refs))
+    assert stacked.tolist() == [[ks_statistic(w, r) for r in refs] for w in windows]
+
