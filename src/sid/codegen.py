@@ -33,7 +33,7 @@ from .isa import (
     regstore,
 )
 from .machine import MachineConfig, MachineState, load, run, step_instruction
-from .models import ModelBundle
+from .models import ModelBundle, rnn_hidden_size
 
 
 class CompileError(ValueError):
@@ -310,7 +310,7 @@ STEP_ERRORS = 512  # words of `errors`: one squared error per step
 
 
 def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
-    hidden = len(m["bc"])
+    hidden = rnn_hidden_size(m)
     dim = m["Wc"].shape[1]
     b = _Builder("lstm_step", "lstm")
     gates = {}
@@ -358,7 +358,7 @@ def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram
 
 
 def _compile_gru_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
-    hidden = len(m["bz"])
+    hidden = rnn_hidden_size(m)
     dim = m["Wz"].shape[1]
     b = _Builder("gru_step", "gru")
     gates = {}

@@ -248,7 +248,7 @@ def step_lstm(m: ModelBundle, h, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    hidden = len(m["bc"])
+    hidden = rnn_hidden_size(m)
     if h.shape != (hidden,) or c.shape != (hidden,):
         raise ShapeError(f"lstm state must have shape ({hidden},)")
     h_new, c_new, _ = lstm_cell(*stacked_weights(m), h, c, x)
@@ -265,7 +265,7 @@ def step_gru(m: ModelBundle, h, x) -> tuple[np.ndarray, np.ndarray]:
     """
     h = np.asarray(h, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    hidden = len(m["bz"])
+    hidden = rnn_hidden_size(m)
     if h.shape != (hidden,):
         raise ShapeError(f"gru state must have shape ({hidden},)")
     h_new, _ = gru_cell(*stacked_weights(m), h, x)
@@ -274,7 +274,7 @@ def step_gru(m: ModelBundle, h, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rnn_hidden_size(m: ModelBundle) -> int:
-    return len(m["bc"]) if m.kind == "lstm" else len(m["bz"])
+    return (m["bc"] if m.kind == "lstm" else m["bz"]).shape[-1]
 
 
 def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.ndarray:

@@ -73,10 +73,10 @@ class LadConfig:
     rnn_step: int = 100
     hidden: int = 16
     epochs: int = 40
-    lr: float = 0.05
+    lr: ClassVar[float] = 0.05
     train_fraction: ClassVar[float] = 0.5
     validation_fraction: float = 0.35  # tail of the train windows; references come from it
-    threshold_quantile: float = 0.95
+    threshold_quantile: ClassVar[float] = 0.95
     ks: KsDecisionConfig = field(default_factory=KsDecisionConfig)
 
 
@@ -133,11 +133,12 @@ def train_user_model(kind: str, windows, user, seed: int = 0, epochs: int = LadC
 
 
 def window_error_samples(m: ModelBundle, windows, n_errors: int) -> np.ndarray:
-    """The last n_errors prediction errors of each window, (B, n_errors)."""
-    x = np.asarray(windows, dtype=np.float64)
-    if x.shape[1] - 1 < n_errors:
-        raise PipelineError(f"windows yield {x.shape[1] - 1} errors, need {n_errors}")
-    return batched_window_errors(m, x, n_errors)
+    """The last n_errors prediction errors of each window, (B, n_errors).
+
+    Kept apart from batched_window_errors as the traced boundary that counts
+    the windows local detection scores.
+    """
+    return batched_window_errors(m, windows, n_errors)
 
 
 @dataclass
@@ -194,8 +195,8 @@ def validation_split(windows, cfg: LadConfig) -> tuple[list, list]:
     return windows[: len(windows) - n_val], windows[len(windows) - n_val :]
 
 
-def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int) -> dict:
-    """owner -> recurrent bundle trained on the owner's windows before the validation tail.
+def train_lad_bundles(kind: str, fit_windows: dict, cfg: LadConfig, seed: int) -> dict:
+    """owner -> recurrent bundle trained on the owner's fit windows (validation_split).
 
     Owners whose training stacks share a shape train in one `train` call,
     their models on a leading axis, each bit-identical to training that
@@ -203,8 +204,8 @@ def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int)
     last bits of the matrix products.
     """
     groups = defaultdict(dict)  # training-stack shape -> owner -> stack
-    for owner, windows in owner_windows.items():
-        stack = training_sets(kind, validation_split(windows, cfg)[0], [owner])[owner]
+    for owner, windows in fit_windows.items():
+        stack = training_sets(kind, windows, [owner])[owner]
         groups[stack.shape][owner] = stack
     bundles = {}
     for stacks in groups.values():
@@ -214,26 +215,43 @@ def train_lad_bundles(kind: str, owner_windows: dict, cfg: LadConfig, seed: int)
     return bundles
 
 
-def _check_lad_kind(kind: str, bundle: ModelBundle | None) -> None:
+def _lad_detectors(kind: str, owner_windows: dict, test_w: list, cfg: LadConfig, seed: int,
+                   bundle: ModelBundle | None = None):
+    """Yield (LadModel, test windows' error samples) per owner in `owner_windows`.
+
+    Each owner's windows are split once; the fit windows train every bundle
+    (train_lad_bundles) unless the single owner's `bundle` is given. One
+    forward pass per owner scores its validation tail, whose rows give the
+    references and threshold, and then every test window.
+    """
     if kind not in LAD_KINDS:
         raise PipelineError("local detection trains an lstm or gru per user")
     if bundle is not None and bundle.kind != kind:
         raise PipelineError(f"bundle kind {bundle.kind!r} does not match {kind!r}")
+    n = cfg.ks.window_errors
+    length = len(next(iter(owner_windows.values()))[0].data)
+    if length - 1 < n:
+        raise PipelineError(f"windows yield {length - 1} errors, need {n}")
+    splits = {owner: validation_split(windows, cfg) for owner, windows in owner_windows.items()}
+    if bundle is None:
+        bundles = train_lad_bundles(kind, {o: fit for o, (fit, _) in splits.items()}, cfg, seed)
+    else:
+        bundles = dict.fromkeys(splits, bundle)
+    for owner, (_, val) in splits.items():
+        errors = window_error_samples(bundles[owner], np.stack([w.data for w in val + test_w]), n)
+        model = LadModel.from_pool(owner, bundles[owner], errors[: len(val)], cfg, seed)
+        yield model, errors[len(val) :]
 
 
 def fit_lad_model(user, windows, kind: str, cfg: LadConfig, seed: int,
                   bundle: ModelBundle | None = None) -> LadModel:
-    """Train the user's recurrent model and derive references and thresholds.
+    """The user's detector from their windows alone (_lad_detectors, no test windows).
 
     Passing a pre-trained bundle skips training but still derives the
     references and thresholds from this user's windows.
     """
-    _check_lad_kind(kind, bundle)
-    val = np.stack([w.data for w in validation_split(windows, cfg)[1]])
-    if bundle is None:
-        bundle = train_lad_bundles(kind, {user: windows}, cfg, seed)[user]
-    pool = window_error_samples(bundle, val, cfg.ks.window_errors)
-    return LadModel.from_pool(user, bundle, pool, cfg, seed)
+    model, _ = next(_lad_detectors(kind, {user: windows}, [], cfg, seed, bundle))
+    return model
 
 
 def evaluate_lad(model: LadModel, test_windows, errors: np.ndarray,
@@ -252,19 +270,14 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
     """Per-user one-class evaluation; returns (report rows, aggregate counts).
 
     `user` restricts the evaluation to that owner's detector, and `bundle`,
-    which needs a `user`, is that owner's pre-trained model. Without one,
-    owners whose training stacks share a shape train together
-    (train_lad_bundles).
-
-    One forward pass per owner scores the owner's validation windows and
-    every test window: the test windows sit once at the tail of one stack,
-    and each owner writes its validation windows just above them. The
-    validation rows give the references and threshold (LadModel.from_pool),
-    exactly as fit_lad_model derives them; the test rows are evaluated.
+    which needs a `user`, is that owner's pre-trained model. Each owner is
+    split, fit and scored once (_lad_detectors, the path fit_lad_model
+    takes), and owners whose training stacks share a shape train together.
     """
     if bundle is not None and user is None:
         raise PipelineError("a pre-trained bundle needs the user it belongs to")
-    _check_lad_kind(kind, bundle)
+    if pipeline not in PIPELINES:
+        raise PipelineError(f"unknown pipeline {pipeline!r}")
     train_w, test_w = split_by_sequence(
         sequences, cfg.train_fraction, seed, cfg.rnn_window, cfg.rnn_step
     )
@@ -274,26 +287,13 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
             raise PipelineError(f"user {user!r} not present in the data")
         users = [user]
     own = {owner: [w for w in train_w if w.user == owner] for owner in users}
-    if bundle is None:
-        bundles = train_lad_bundles(kind, own, cfg, seed)
-    else:
-        bundles = {user: bundle}
-    val = {owner: validation_split(own[owner], cfg)[1] for owner in users}
-    top = max(len(v) for v in val.values())  # the first test row
-    stack = np.empty((top + len(test_w), *test_w[0].data.shape))
-    np.stack([w.data for w in test_w], out=stack[top:])
     rows = []
     total = ConfusionCounts()
-    for owner in users:
-        n_val = len(val[owner])
-        owner_rows = stack[top - n_val :]
-        np.stack([w.data for w in val[owner]], out=owner_rows[:n_val])
-        errors = window_error_samples(bundles[owner], owner_rows, cfg.ks.window_errors)
-        model = LadModel.from_pool(owner, bundles[owner], errors[:n_val], cfg, seed)
-        counts = evaluate_lad(model, test_w, errors[n_val:], pipeline)
+    for model, errors in _lad_detectors(kind, own, test_w, cfg, seed, bundle):
+        counts = evaluate_lad(model, test_w, errors, pipeline)
         total = total + counts
-        metrics = safe_metrics(counts)
-        rows.append({"user": owner, "model": kind, "pipeline": pipeline, **metrics})
+        rows.append({"user": model.user, "model": kind, "pipeline": pipeline,
+                     **safe_metrics(counts)})
     return rows, total
 
 

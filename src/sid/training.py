@@ -20,7 +20,7 @@ import numpy as np
 
 from .models import (
     RNN_GATES, ModelBundle, gru_cell, lstm_cell, mT, sigmoid, softmax, split_gates,
-    stacked_weights,
+    rnn_hidden_size, stacked_weights,
 )
 
 
@@ -290,7 +290,7 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     """
     x = np.asarray(batch, dtype=np.float64)
     *_, B, T, D = x.shape
-    H = m["bc"].shape[-1]
+    H = rnn_hidden_size(m)
     W, U, b = stacked_weights(m)
     b_rows = b[..., None, :]  # one bias row per model, broadcast over its batch
     w_out, b_out = m["Wout"], m["bout"][..., None, :]
@@ -337,7 +337,7 @@ def gru_loss_and_grads(m: ModelBundle, batch, h0=None):
     """GRU counterpart of lstm_loss_and_grads; the candidate reuses Ur."""
     x = np.asarray(batch, dtype=np.float64)
     *_, B, T, D = x.shape
-    H = m["bz"].shape[-1]
+    H = rnn_hidden_size(m)
     W, U, b = stacked_weights(m)
     b_rows = b[..., None, :]
     w_out, b_out = m["Wout"], m["bout"][..., None, :]

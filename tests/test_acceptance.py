@@ -537,8 +537,7 @@ def test_criterion_9_ped_vote_beats_threshold():
         noise_std=0.1, session_jitter=0.07,
     )
     cfg = LadConfig(
-        rnn_window=200, rnn_step=50, hidden=16, epochs=80, lr=0.05,
-        threshold_quantile=0.95, validation_fraction=0.4,
+        rnn_window=200, rnn_step=50, hidden=16, epochs=80, validation_fraction=0.4,
     )
     accuracies = {}
     for pipeline_name in ("vote", "threshold"):

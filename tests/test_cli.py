@@ -1,9 +1,11 @@
+import hashlib
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from sid import codegen, detection, isa, machine
+from sid import codegen, detection, isa, machine, pipeline
 from sid.cli import main
 from sid.models import save_bundle
 from sid.training import init_lstm
@@ -184,6 +186,19 @@ def test_detect_window_longer_than_every_sequence_exits_two(tmp_path, capsys):
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error:"), scenario
         assert "2000-reading window" in errors[0], scenario
+
+
+def test_detect_window_too_short_for_the_errors_exits_two_untrained(tmp_path, capsys,
+                                                                    monkeypatch):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    capsys.readouterr()
+    trained = []
+    monkeypatch.setattr(pipeline, "train", lambda *args, **kwargs: trained.append(args))
+    assert run_cli("detect", "--scenario", "lad", "--data", str(datadir), "--window", "30") == 2
+    assert capsys.readouterr().err.splitlines() == ["error: windows yield 29 errors, need 40"]
+    assert trained == []
 
 
 def test_detect_with_pretrained_bundle(tmp_path):
@@ -432,3 +447,49 @@ def test_malformed_sensor_file_exits_two_naming_the_line(tmp_path, capsys):
     assert run_cli("detect", "--scenario", "lad", "--data", str(datadir)) == 2
     errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
     assert errors == [f"error: {acc}: line 7: expected 3 columns"]
+
+
+# sha256 of each `sid detect` CSV on one small corpus, pinned so that a
+# refactor of the detection path cannot change a single output byte unnoticed.
+LAD_SMALL = ("--scenario", "lad", "--window", "120", "--step", "60")
+PINNED_REPORTS = {
+    "lad-lstm-vote": (
+        (*LAD_SMALL, "--pipeline", "vote", "--hidden", "6", "--epochs", "2"),
+        "48e690d11feb8639d4fa6e6dea2d5f408abc0839eab87233f8329e697094958c"),
+    "lad-lstm-threshold": (
+        (*LAD_SMALL, "--pipeline", "threshold", "--hidden", "6", "--epochs", "2"),
+        "4fd027ce31365fd1651e9dc4d5b25e4131ed4bfd640a66b32c40272443699bb0"),
+    "lad-lstm-ocsvm": (
+        (*LAD_SMALL, "--pipeline", "ocsvm", "--hidden", "6", "--epochs", "2"),
+        "4af06a34f213b919a575cbee989fda4a34c4945df27ab2077cee7d57a2d65cfa"),
+    "lad-gru-vote": (
+        (*LAD_SMALL, "--model-kind", "gru", "--hidden", "6", "--epochs", "2"),
+        "4b9a142186889c4ca7dac342d8c6d7060097339d34047b38deb3a6503eddb89d"),
+    "lad-model-ocsvm": (
+        (*LAD_SMALL, "--pipeline", "ocsvm", "--model", "{bundle}", "--user", "1"),
+        "99cd61ab976b1eaeb402fa7c9216a0a71c3f759a75918700f8a06be674fa39b2"),
+    "idaas-mlp": (
+        ("--scenario", "idaas", "--model-kind", "mlp", "--step", "16", "--epochs", "30"),
+        "7c05bd749199104c7165c0a1134e491f29f95a0175591ec228bfe9a803055325"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    assert run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "500",
+                   "--seed", "5", "--out", str(root / "synth")) == 0
+    assert run_cli("train", "--kind", "lstm", "--data", str(root / "synth"), "--user", "1",
+                   "--window", "120", "--step", "60", "--hidden", "6", "--epochs", "2",
+                   "--out", str(root / "lstm.sidb")) == 0
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_detect_reports_match_pinned_digests(pinned_corpus, tmp_path, case):
+    argv, digest = PINNED_REPORTS[case]
+    argv = [a.format(bundle=pinned_corpus / "lstm.sidb") for a in argv]
+    out_csv = tmp_path / "report.csv"
+    assert run_cli("detect", *argv, "--data", str(pinned_corpus / "synth"),
+                   "--out", str(out_csv)) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest

@@ -15,6 +15,7 @@ from sid.models import (
     infer_ocsvm,
     infer_svm,
     mlp_logits,
+    rnn_hidden_size,
     sigmoid,
     step_gru,
     step_lstm,
@@ -216,6 +217,13 @@ def test_gru_matches_loop_oracle_and_reuses_ur():
     h_ref = [(1 - zv) * hv + zv * cv for zv, hv, cv in zip(z, h0, cand)]
     assert h1 == pytest.approx(h_ref, abs=1e-12)
     assert pred == pytest.approx([p + q for p, q in zip(dot(m["Wout"], h_ref), m["bout"])], abs=1e-12)
+
+
+@pytest.mark.parametrize("init", [init_lstm, init_gru])
+def test_hidden_size_reads_the_last_axis(init):
+    m = init(5, 6, seed=1)
+    stacked = ModelBundle(m.kind, {k: np.stack([v] * 3) for k, v in m.tensors.items()})
+    assert rnn_hidden_size(m) == rnn_hidden_size(stacked) == 5
 
 
 def test_predict_series_zero_model_unit_norm():

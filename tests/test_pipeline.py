@@ -229,7 +229,7 @@ def test_run_lad_scores_each_owner_in_one_pass(kind, hidden, monkeypatch):
         scored = []
 
         def recording(m, windows, n):
-            scored.append(windows.copy())  # a copy: the owners share one stack
+            scored.append(windows)
             return window_error_samples(m, windows, n)
 
         monkeypatch.setattr(pipeline_module, "window_error_samples", recording)
@@ -241,3 +241,27 @@ def test_run_lad_scores_each_owner_in_one_pass(kind, hidden, monkeypatch):
         for owner, windows in zip((1, 2, 3), scored):
             val = validation_split([w for w in train_w if w.user == owner], cfg)[1]
             assert np.array_equal(windows, np.stack([w.data for w in val + test_w]))
+
+
+def test_run_lad_splits_each_owner_once(monkeypatch):
+    corpus = three_owner_corpus()
+    cfg = LadConfig(rnn_window=120, rnn_step=60, hidden=4, epochs=1)
+    split = []
+    real = pipeline_module.validation_split
+    monkeypatch.setattr(
+        pipeline_module, "validation_split",
+        lambda windows, cfg: split.append(windows[0].user) or real(windows, cfg),
+    )
+    run_lad(corpus, "lstm", "vote", cfg, seed=9)
+    assert sorted(split) == [1, 2, 3]
+    split.clear()
+    run_lad(corpus, "gru", "ocsvm", cfg, seed=9, bundle=init_gru(4, 6), user=2)
+    assert split == [2]
+
+
+def test_run_lad_rejects_an_unknown_pipeline_before_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(pipeline_module, "train", lambda *args, **kwargs: trained.append(args))
+    with pytest.raises(PipelineError, match="^unknown pipeline 'bogus'$"):
+        run_lad(small_corpus(), "lstm", "bogus", LadConfig(rnn_window=120, rnn_step=60), seed=0)
+    assert trained == []
