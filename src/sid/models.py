@@ -179,7 +179,10 @@ def split_gates(kind: str, W, U, b) -> dict[str, np.ndarray]:
 
 
 def lstm_cell(W, U, b, h, c, x, out=None):
-    """step_lstm's cell update over gate-stacked weights; h, c, x may be batched.
+    """One LSTM update over gate-stacked weights; h, c, x may be batched.
+
+    cand = tanh(Wc x + Uc h + bc); f, i, o = sigmoid gates;
+    c' = f*c + i*cand; h' = o * tanh(c').
 
     W and U are used transposed over their last two axes and b broadcasts
     against the gate pre-activations, so weights with a leading model axis,
@@ -209,11 +212,15 @@ def lstm_cell(W, U, b, h, c, x, out=None):
 
 
 def gru_cell(W, U, b, h, x, out=None):
-    """step_gru's cell update over gate-stacked weights; h and x may be batched.
+    """One GRU update over gate-stacked weights, following the printed equations.
 
-    Weights may carry a leading model axis, as in lstm_cell.
-    Returns (h', (zr, r*h, cand)), where zr stacks the z and r activations:
-    what backpropagation through the step needs.
+    z = sigmoid(Wz x + Uz h + bz); r = sigmoid(Wr x + Ur h + br);
+    h' = (1-z)*h + z*sigmoid(Wh x + Ur (r*h) + bh).
+    Note the candidate reuses Ur and a sigmoid, as printed.
+
+    h and x may be batched and the weights may carry a leading model axis,
+    as in lstm_cell. Returns (h', (zr, r*h, cand)), where zr stacks the z
+    and r activations: what backpropagation through the step needs.
 
     `out` = (h', zr, r*h, cand, gates, scratch) are the arrays the step
     writes: shaped like h, except zr and h @ U.T (..., 2H) and the gate
@@ -239,42 +246,25 @@ def gru_cell(W, U, b, h, x, out=None):
     return np.add(keep, np.multiply(z, cand, out=update), out=h_new), (zr, rh, cand)
 
 
-def step_lstm(m: ModelBundle, h, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One cell update plus the affine readout prediction.
+# kind -> (cell, number of state arrays). A state is the tuple (h, c) for an
+# lstm and (h,) for a gru, h first; `cell(W, U, b, *state, x)` returns
+# (*state', activations).
+RNN_CELLS = {"lstm": (lstm_cell, 2), "gru": (gru_cell, 1)}
 
-    cand = tanh(Wc x + Uc h + bc); f, i, o = sigmoid gates;
-    c' = f*c + i*cand; h' = o * tanh(c'); pred = Wout h' + bout.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+
+def step_rnn(m: ModelBundle, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One cell update plus the affine readout: (state', Wout h' + bout)."""
+    cell, arity = RNN_CELLS[m.kind]
     hidden = rnn_hidden_size(m)
-    if h.shape != (hidden,) or c.shape != (hidden,):
-        raise ShapeError(f"lstm state must have shape ({hidden},)")
-    h_new, c_new, _ = lstm_cell(*stacked_weights(m), h, c, x)
-    pred = m["Wout"] @ h_new + m["bout"]
-    return h_new, c_new, pred
-
-
-def step_gru(m: ModelBundle, h, x) -> tuple[np.ndarray, np.ndarray]:
-    """One update following the printed equations exactly.
-
-    z = sigmoid(Wz x + Uz h + bz); r = sigmoid(Wr x + Ur h + br);
-    h' = (1-z)*h + z*sigmoid(Wh x + Ur (r*h) + bh).
-    Note the candidate reuses Ur and a sigmoid, as printed.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    hidden = rnn_hidden_size(m)
-    if h.shape != (hidden,):
-        raise ShapeError(f"gru state must have shape ({hidden},)")
-    h_new, _ = gru_cell(*stacked_weights(m), h, x)
-    pred = m["Wout"] @ h_new + m["bout"]
-    return h_new, pred
+    state = tuple(np.asarray(s, dtype=np.float64) for s in state)
+    if len(state) != arity or any(s.shape != (hidden,) for s in state):
+        raise ShapeError(f"{m.kind} state must be {arity} array(s) of shape ({hidden},)")
+    *state, _ = cell(*stacked_weights(m), *state, np.asarray(x, dtype=np.float64))
+    return tuple(state), m["Wout"] @ state[0] + m["bout"]
 
 
 def rnn_hidden_size(m: ModelBundle) -> int:
-    return (m["bc"] if m.kind == "lstm" else m["bz"]).shape[-1]
+    return m[f"b{RNN_GATES[m.kind][0][0]}"].shape[-1]
 
 
 def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.ndarray:
@@ -303,15 +293,14 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
         c = np.zeros_like(h)
         spent = scratch.reshape(-1)  # cand and fio reuse h @ U.T's memory
         cand, fio = spent[: h.size].reshape(h.shape), spent[h.size :].reshape(B, 3 * hidden)
-        out = (h, c, cand, fio, np.empty_like(h), gates, scratch)
+        state, out = (h, c), (h, c, cand, fio, np.empty_like(h), gates, scratch)
     else:
+        state = (h,)
         out = (h, np.empty((B, 2 * hidden)), np.empty_like(h), np.empty_like(h), gates, scratch)
+    cell, _ = RNN_CELLS[m.kind]
     pred = np.empty((n, B, D))
     for t in range(T - 1):
-        if m.kind == "lstm":
-            lstm_cell(W, U, b, h, c, x[:, t, :], out=out)
-        else:
-            gru_cell(W, U, b, h, x[:, t, :], out=out)
+        cell(W, U, b, *state, x[:, t, :], out=out)
         if t >= first:
             np.matmul(h, w_out_t, out=pred[t - first])
     pred += m["bout"]

@@ -114,11 +114,17 @@ def training_sets(kind: str, windows, users) -> dict:
 def train_hyper(kind: str, dataset, epochs=None, hidden=None, lr=None) -> dict:
     """The `train` overrides for `kind` from the settings it reads (KIND_SETTINGS).
 
-    A setting left None keeps the trainer's default; mlp turns `hidden` into
-    its layer sizes.
+    A setting left None keeps the trainer's default; an epochs or hidden
+    below 1 or an lr not above 0 is an error. mlp turns `hidden` into its
+    layer sizes.
     """
     given = {"epochs": epochs, "hidden": hidden, "lr": lr}
     hyper = {k: v for k, v in given.items() if k in KIND_SETTINGS[kind] and v is not None}
+    for name in ("epochs", "hidden"):
+        if hyper.get(name, 1) < 1:
+            raise PipelineError(f"{name} must be at least 1, got {hyper[name]}")
+    if not hyper.get("lr", 1.0) > 0:
+        raise PipelineError(f"lr must be above 0, got {hyper['lr']}")
     if kind == "mlp" and "hidden" in hyper:
         feats, _ = dataset
         hyper["sizes"] = [feats.shape[1], hyper.pop("hidden"), 2]

@@ -8,9 +8,10 @@ SVM, and truncated backpropagation-through-time with gradient-norm clipping
 for the recurrent models. Learning rates and epoch counts are defaults tuned
 for the small synthetic workloads in the test suite, nothing more.
 
-The recurrent trainers take an optional leading model axis: weights shaped
-(M, ...) and a batch shaped (M, B, T, D) train M models in one pass, which
-shares numpy's per-call overhead across them. Each model keeps its own loss,
+The recurrent trainer, train_rnn, serves the lstm and gru alike and takes an
+optional leading model axis: weights shaped (M, ...) and a batch shaped
+(M, B, T, D) train M models in one pass, which shares numpy's per-call
+overhead across them. Each model keeps its own loss,
 gradient-norm clip and update, computed with the same float operations in
 the same order as a one-model call, so every bundle is bit-identical to
 training it alone; a one-model call is the same code with no model axis.
@@ -19,8 +20,8 @@ training it alone; a one-model call is the same code with no model axis.
 import numpy as np
 
 from .models import (
-    RNN_GATES, ModelBundle, gru_cell, lstm_cell, mT, sigmoid, softmax, split_gates,
-    rnn_hidden_size, stacked_weights,
+    RNN_CELLS, RNN_GATES, ModelBundle, mT, rnn_hidden_size, sigmoid, split_gates,
+    stacked_weights,
 )
 
 
@@ -277,12 +278,43 @@ def init_gru(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
     return _init_rnn("gru", hidden, dim, seed, scale)
 
 
-def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
+def _lstm_grads(U, gU, state, acts, dstate):
+    """One step back through lstm_cell: (pre-activation gradient, previous
+    (dh, dc)), given (dh, dc) at its output; adds the step's U gradient to gU."""
+    (h, c), (cand, fio, hc), (dh, dc) = state, acts, dstate
+    H = h.shape[-1]
+    f, i, o = fio[..., :H], fio[..., H : 2 * H], fio[..., 2 * H :]
+    dc = dc + dh * o * (1.0 - hc**2)
+    dfio = np.concatenate([dc * c, dc * cand, dh * hc], axis=-1)
+    da = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1)
+    gU += mT(da) @ h
+    return da, (da @ U, dc * f)
+
+
+def _gru_grads(U, gU, state, acts, dstate):
+    """One step back through gru_cell, as _lstm_grads; the candidate reuses Ur."""
+    (h,), (zr, rh, cand), (dh,) = state, acts, dstate
+    H = h.shape[-1]
+    z, r = zr[..., :H], zr[..., H:]
+    dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
+    drh = dac @ U[..., H:, :]
+    dzr = np.concatenate([dh * (cand - h), drh * h], axis=-1) * zr * (1.0 - zr)
+    gU += mT(dzr) @ h  # gate-side uses of Uz and Ur
+    gU[..., H:, :] += mT(dac) @ rh  # candidate-side use of Ur
+    return np.concatenate([dzr, dac], axis=-1), (dh * (1.0 - z) + drh * r + dzr @ U,)
+
+
+_RNN_GRADS = {"lstm": _lstm_grads, "gru": _gru_grads}
+
+
+def rnn_loss_and_grads(m: ModelBundle, batch, state=None):
     """Forward + full backward over a (B, T, D) batch of sequences.
 
     Loss is the mean over (sequence, transition) of the squared L2 next-step
-    error. Returns (loss, grads, final h, final c); gradients do not flow into
-    h0/c0, which is what makes chunked calls a truncated BPTT.
+    error. `state` is the carried-in state tuple, (h, c) for an lstm and (h,)
+    for a gru, zero by default. Returns (loss, grads, final state);
+    gradients do not flow into the carried-in state, which is what makes
+    chunked calls a truncated BPTT.
 
     Leading axes are model axes: tensors shaped (M, ...) with a batch shaped
     (M, B, T, D) give M losses, gradients and states, model k's computed from
@@ -290,95 +322,40 @@ def lstm_loss_and_grads(m: ModelBundle, batch, h0=None, c0=None):
     """
     x = np.asarray(batch, dtype=np.float64)
     *_, B, T, D = x.shape
-    H = rnn_hidden_size(m)
+    cell, arity = RNN_CELLS[m.kind]
     W, U, b = stacked_weights(m)
     b_rows = b[..., None, :]  # one bias row per model, broadcast over its batch
     w_out, b_out = m["Wout"], m["bout"][..., None, :]
-    state = x.shape[:-2] + (H,)
-    h = np.zeros(state) if h0 is None else h0
-    c = np.zeros(state) if c0 is None else c0
+    zeros = (np.zeros(x.shape[:-2] + (rnn_hidden_size(m),)),) * arity  # never written
+    state = zeros if state is None else tuple(state)
     steps = T - 1
     cache = []
     loss = 0.0
     for t in range(steps):
         xt = x[..., t, :]
-        h_new, c_new, acts = lstm_cell(W, U, b_rows, h, c, xt)
-        pred = h_new @ mT(w_out) + b_out
-        err = pred - x[..., t + 1, :]
+        *new, acts = cell(W, U, b_rows, *state, xt)
+        err = new[0] @ mT(w_out) + b_out - x[..., t + 1, :]
         loss += (err**2).sum(axis=(-2, -1))
-        cache.append((xt, h, c, acts, h_new, err))
-        h, c = h_new, c_new
+        cache.append((xt, state, acts, new[0], err))
+        state = tuple(new)
     scale = 1.0 / (B * steps)
     loss *= scale
 
     gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
     g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
-    dh = np.zeros(state)
-    dc = np.zeros(state)
+    step_back = _RNN_GRADS[m.kind]
+    dstate = zeros
     for t in reversed(range(steps)):
-        xt, h_prev, c_prev, (cand, fio, hc), h_new, err = cache[t]
-        f, i, o = fio[..., :H], fio[..., H : 2 * H], fio[..., 2 * H :]
+        xt, prev, acts, h_new, err = cache[t]
         dpred = 2.0 * scale * err
         g_out += mT(dpred) @ h_new
         g_bout += dpred.sum(axis=-2)
-        dh = dh + dpred @ w_out
-        dc = dc + dh * o * (1.0 - hc**2)
-        dfio = np.concatenate([dc * c_prev, dc * cand, dh * hc], axis=-1)
-        dz = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1)
-        gW += mT(dz) @ xt
-        gU += mT(dz) @ h_prev
-        gb += dz.sum(axis=-2)
-        dh, dc = dz @ U, dc * f
-    grads = {**split_gates("lstm", gW, gU, gb), "Wout": g_out, "bout": g_bout}
-    return loss, grads, h, c
-
-
-def gru_loss_and_grads(m: ModelBundle, batch, h0=None):
-    """GRU counterpart of lstm_loss_and_grads; the candidate reuses Ur."""
-    x = np.asarray(batch, dtype=np.float64)
-    *_, B, T, D = x.shape
-    H = rnn_hidden_size(m)
-    W, U, b = stacked_weights(m)
-    b_rows = b[..., None, :]
-    w_out, b_out = m["Wout"], m["bout"][..., None, :]
-    state = x.shape[:-2] + (H,)
-    h = np.zeros(state) if h0 is None else h0
-    steps = T - 1
-    cache = []
-    loss = 0.0
-    for t in range(steps):
-        xt = x[..., t, :]
-        h_new, acts = gru_cell(W, U, b_rows, h, xt)
-        pred = h_new @ mT(w_out) + b_out
-        err = pred - x[..., t + 1, :]
-        loss += (err**2).sum(axis=(-2, -1))
-        cache.append((xt, h, acts, h_new, err))
-        h = h_new
-    scale = 1.0 / (B * steps)
-    loss *= scale
-
-    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-    g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
-    U_cand = U[..., H:, :]  # Ur, which the candidate reuses
-    dh = np.zeros(state)
-    for t in reversed(range(steps)):
-        xt, h_prev, (zr, rh, cand), h_new, err = cache[t]
-        z, r = zr[..., :H], zr[..., H:]
-        dpred = 2.0 * scale * err
-        g_out += mT(dpred) @ h_new
-        g_bout += dpred.sum(axis=-2)
-        dh = dh + dpred @ w_out
-        dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
-        drh = dac @ U_cand
-        dzr = np.concatenate([dh * (cand - h_prev), drh * h_prev], axis=-1) * zr * (1.0 - zr)
-        da = np.concatenate([dzr, dac], axis=-1)
+        dh = dstate[0] + dpred @ w_out
+        da, dstate = step_back(U, gU, prev, acts, (dh, *dstate[1:]))
         gW += mT(da) @ xt
         gb += da.sum(axis=-2)
-        gU += mT(dzr) @ h_prev  # gate-side uses of Uz and Ur
-        gU[..., H:, :] += mT(dac) @ rh  # candidate-side use of Ur
-        dh = dh * (1.0 - z) + drh * r + dzr @ U
-    grads = {**split_gates("gru", gW, gU, gb), "Wout": g_out, "bout": g_bout}
-    return loss, grads, h
+    grads = {**split_gates(m.kind, gW, gU, gb), "Wout": g_out, "bout": g_bout}
+    return loss, grads, state
 
 
 def _clip_grads(grads, clip, models):
@@ -394,8 +371,8 @@ def _clip_grads(grads, clip, models):
             g *= factor.reshape(models + (1,) * (g.ndim - lead))
 
 
-def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
-    """Chunked BPTT from one seeded initialisation per model.
+def train_rnn(kind, sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=20, seed=0):
+    """Chunked BPTT of an lstm or gru from one seeded initialisation per model.
 
     `sequences` is (T, D), (B, T, D), or (M, B, T, D) for M models trained
     in one pass, model k on sequences[k]; the last returns a list of M
@@ -405,31 +382,27 @@ def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
     if x.ndim not in (2, 3, 4):
         raise TrainingError("sequences must be (T, D), (B, T, D) or (M, B, T, D)")
     if x.ndim == 4 and len(x) == 1:  # a lone model trains faster without the model axis
-        return [_train_rnn(kind, x[0], hidden, lr, epochs, clip, trunc, seed)]
+        return [train_rnn(kind, x[0], hidden, lr, epochs, clip, trunc, seed)]
     stacked = x.ndim == 4
     if x.ndim == 2:
         x = x[None, :, :]
     if x.size == 0:
         raise TrainingError("empty dataset")
-    models, (B, T, D) = x.shape[:-3], x.shape[-3:]
+    models, T = x.shape[:-3], x.shape[-2]
     if T < 2:
         raise TrainingError("sequences must have at least two readings")
-    m = _init_rnn(kind, hidden, D, seed, scale=0.2)
+    m = _init_rnn(kind, hidden, x.shape[-1], seed, scale=0.2)
     m.tensors = {k: np.broadcast_to(v, models + v.shape).copy() for k, v in m.tensors.items()}
     losses = []
     for _ in range(epochs):
         epoch_loss = 0.0
-        h = np.zeros(models + (B, hidden))
-        c = np.zeros_like(h)
+        state = None  # zero at the start of every epoch
         # Chunked passes: state carries across chunks, gradients do not.
         for start in range(0, T - 1, trunc):
             chunk = x[..., start : min(start + trunc + 1, T), :]
             if chunk.shape[-2] < 2:
                 break
-            if kind == "lstm":
-                loss, grads, h, c = lstm_loss_and_grads(m, chunk, h, c)
-            else:
-                loss, grads, h = gru_loss_and_grads(m, chunk, h)
+            loss, grads, state = rnn_loss_and_grads(m, chunk, state)
             _check_finite(loss, f"{kind} loss")
             _clip_grads(grads, clip, models)
             for name, g in grads.items():
@@ -441,14 +414,6 @@ def _train_rnn(kind, sequences, hidden, lr, epochs, clip, trunc, seed):
     if not stacked:
         return m
     return [ModelBundle(kind, {k: v[i] for k, v in m.tensors.items()}) for i in range(len(x))]
-
-
-def train_lstm(sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=20, seed=0):
-    return _train_rnn("lstm", sequences, hidden, lr, epochs, clip, trunc, seed)
-
-
-def train_gru(sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=20, seed=0):
-    return _train_rnn("gru", sequences, hidden, lr, epochs, clip, trunc, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +431,9 @@ def train(kind: str, dataset, hyper=None, seed=0) -> ModelBundle:
         "mlp": train_mlp,
         "linear_svm": train_linear_svm,
         "kernel_svm": train_kernel_svm,
-        "lstm": train_lstm,
-        "gru": train_gru,
     }
+    if kind in RNN_CELLS:
+        return train_rnn(kind, dataset, **{"seed": seed, **hyper})
     if kind == "krr":
         return train_krr(dataset, **hyper)
     if kind == "ocsvm":

@@ -12,9 +12,7 @@ from sid.isa import (
     _OFFSET_REG_NAMES, GROUP_LOOP, GROUP_OFFSET, EncodingError, MacroInstruction, Opcode, loop,
     regaddi, regload, regstore,
 )
-from sid.models import (
-    ShapeError, gru_cell, lstm_cell, rnn_hidden_size, stacked_weights, step_gru, step_lstm,
-)
+from sid.models import RNN_CELLS, ShapeError, rnn_hidden_size, stacked_weights, step_rnn
 
 
 def predict_series(m, readings) -> np.ndarray:
@@ -27,13 +25,10 @@ def predict_series(m, readings) -> np.ndarray:
     readings = np.asarray(readings, dtype=np.float64)
     if readings.ndim != 2 or len(readings) < 2:
         raise ShapeError("need at least two readings to score predictions")
-    h = c = np.zeros(rnn_hidden_size(m))
+    state = (np.zeros(rnn_hidden_size(m)),) * RNN_CELLS[m.kind][1]
     errors = []
     for t in range(len(readings) - 1):
-        if m.kind == "lstm":
-            h, c, pred = step_lstm(m, h, c, readings[t])
-        else:
-            h, pred = step_gru(m, h, readings[t])
+        state, pred = step_rnn(m, state, readings[t])
         diff = pred - readings[t + 1]
         errors.append(float(np.dot(diff, diff)))
     return np.array(errors)
@@ -44,15 +39,12 @@ def stepwise_readout_errors(m, windows) -> np.ndarray:
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
     W, U, b = stacked_weights(m)
-    h = np.zeros((B, rnn_hidden_size(m)))
-    c = np.zeros_like(h)
+    cell, arity = RNN_CELLS[m.kind]
+    state = (np.zeros((B, rnn_hidden_size(m))),) * arity
     errors = np.empty((B, T - 1))
     for t in range(T - 1):
-        if m.kind == "lstm":
-            h, c = lstm_cell(W, U, b, h, c, x[:, t, :])[:2]
-        else:
-            h = gru_cell(W, U, b, h, x[:, t, :])[0]
-        pred = h @ m["Wout"].T + m["bout"]
+        *state, _ = cell(W, U, b, *state, x[:, t, :])
+        pred = state[0] @ m["Wout"].T + m["bout"]
         errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
     return errors
 

@@ -37,17 +37,15 @@ from sid.models import (
     infer_svm,
     mlp_logits,
     ocsvm_score,
-    step_gru,
-    step_lstm,
+    step_rnn,
 )
 from sid.pipeline import LadConfig, run_lad, safe_metrics
 from sid.training import (
-    gru_loss_and_grads,
     init_gru,
     init_lstm,
     init_mlp,
-    lstm_loss_and_grads,
     mlp_loss_and_grads,
+    rnn_loss_and_grads,
 )
 
 TOL = 2**-8
@@ -294,9 +292,9 @@ def test_criterion_3_oracle_equivalence(bundles):
             if kind == "lstm":
                 c0 = quantize(rng.uniform(-1, 1, size=200))
                 write_symbol(state, prog, "c", c0)
-                want_h, want_c, want_pred = step_lstm(m, h0, c0, x)
+                (want_h, want_c), want_pred = step_rnn(m, (h0, c0), x)
             else:
-                want_h, want_pred = step_gru(m, h0, x)
+                (want_h,), want_pred = step_rnn(m, (h0,), x)
             run(state)
             check_close(kind, read_symbol(state, prog, "pred"), want_pred)
             check_close(kind + "_h", read_symbol(state, prog, "h"), want_h)
@@ -398,17 +396,12 @@ def test_criterion_5_gradient_checks():
         worst = max(worst, rel_err(grads[name], numeric))
 
         batch = rng.normal(size=(2, 5, 3))
-        lm = init_lstm(4, 3, seed=seed)
-        _, lgrads, _, _ = lstm_loss_and_grads(lm, batch)
-        lname = ["Wc", "Uf", "bi", "Wout", "Uo"][seed]
-        numeric = central_diff(lambda: lstm_loss_and_grads(lm, batch)[0], lm.tensors[lname])
-        worst = max(worst, rel_err(lgrads[lname], numeric))
-
-        gm = init_gru(4, 3, seed=seed)
-        _, ggrads, _ = gru_loss_and_grads(gm, batch)
-        gname = ["Wz", "Ur", "bh", "Wout", "Uz"][seed]
-        numeric = central_diff(lambda: gru_loss_and_grads(gm, batch)[0], gm.tensors[gname])
-        worst = max(worst, rel_err(ggrads[gname], numeric))
+        for init, names in ((init_lstm, ["Wc", "Uf", "bi", "Wout", "Uo"]),
+                            (init_gru, ["Wz", "Ur", "bh", "Wout", "Uz"])):
+            rm, name = init(4, 3, seed=seed), names[seed]
+            _, grads, _ = rnn_loss_and_grads(rm, batch)
+            numeric = central_diff(lambda: rnn_loss_and_grads(rm, batch)[0], rm.tensors[name])
+            worst = max(worst, rel_err(grads[name], numeric))
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 60
     report(5, ok, f"max relative gradient error {worst:.2e} over 5 instances "

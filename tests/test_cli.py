@@ -153,6 +153,29 @@ def test_non_positive_window_or_step_exits_two(tmp_path, capsys):
             assert "must be at least 1" in errors[0], (command, bad)
 
 
+@pytest.mark.parametrize("command, bad, message", [
+    (("train", "--kind", "lstm"), ("--hidden", "0"), "hidden must be at least 1"),
+    (("train", "--kind", "mlp"), ("--hidden", "-2"), "hidden must be at least 1"),
+    (("train", "--kind", "gru"), ("--epochs", "0"), "epochs must be at least 1"),
+    (("train", "--kind", "lstm"), ("--lr", "0"), "lr must be above 0"),
+    (("detect", "--scenario", "lad"), ("--hidden", "0"), "hidden must be at least 1"),
+    (("detect", "--scenario", "lad"), ("--epochs", "0"), "epochs must be at least 1"),
+    (("detect", "--scenario", "idaas"), ("--epochs", "-3"), "epochs must be at least 1"),
+], ids=["train-lstm-hidden", "train-mlp-hidden", "train-gru-epochs", "train-lstm-lr",
+        "lad-hidden", "lad-epochs", "idaas-epochs"])
+def test_non_positive_training_setting_exits_two_writing_nothing(tmp_path, capsys, command,
+                                                                 bad, message):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(*command, *bad, "--data", str(datadir), "--out", str(out)) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {message}, got "), errors
+    assert not out.exists()
+
+
 def test_detect_zero_refs_exits_two(tmp_path, capsys):
     datadir = tmp_path / "synth"
     run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",

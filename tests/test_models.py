@@ -17,8 +17,7 @@ from sid.models import (
     mlp_logits,
     rnn_hidden_size,
     sigmoid,
-    step_gru,
-    step_lstm,
+    step_rnn,
 )
 from sid.training import init_gru, init_lstm
 
@@ -149,7 +148,7 @@ def test_mlp_matches_loop_oracle():
 
 def test_lstm_zero_parameters():
     m = lstm_bundle(4, 6)
-    h, c, pred = step_lstm(m, np.zeros(4), np.zeros(4), np.ones(6))
+    (h, c), pred = step_rnn(m, (np.zeros(4), np.zeros(4)), np.ones(6))
     assert np.all(c == 0) and np.all(h == 0) and np.all(pred == 0)
 
 
@@ -158,7 +157,7 @@ def test_lstm_forget_gate_limit():
     m.tensors["bf"] = np.full(3, 50.0)  # forget gate ~1
     m.tensors["bi"] = np.full(3, -50.0)  # input gate ~0
     c0 = np.array([0.3, -0.2, 0.9])
-    _, c1, _ = step_lstm(m, np.zeros(3), c0, np.ones(2))
+    (_, c1), _ = step_rnn(m, (np.zeros(3), c0), np.ones(2))
     assert c1 == pytest.approx(c0, abs=1e-12)
 
 
@@ -166,7 +165,7 @@ def test_lstm_matches_loop_oracle():
     rng = np.random.default_rng(3)
     m = lstm_bundle(5, 4, rng, scale=0.6)
     h0, c0, x = rng.normal(size=5), rng.normal(size=5), rng.normal(size=4)
-    h1, c1, pred = step_lstm(m, h0, c0, x)
+    (h1, c1), pred = step_rnn(m, (h0, c0), x)
 
     def dot(w, a):
         return [sum(w[r][k] * a[k] for k in range(len(a))) for r in range(len(w))]
@@ -186,7 +185,7 @@ def test_lstm_matches_loop_oracle():
 
 def test_gru_zero_parameters():
     m = gru_bundle(4, 6)
-    h1, _ = step_gru(m, np.zeros(4), np.ones(6))
+    (h1,), _ = step_rnn(m, (np.zeros(4),), np.ones(6))
     # z = r = 1/2, candidate = sigmoid(0) = 1/2, so h' = 1/4 everywhere.
     assert h1 == pytest.approx(np.full(4, 0.25))
 
@@ -196,7 +195,7 @@ def test_gru_update_gate_off():
     m = gru_bundle(3, 2, rng, scale=0.5)
     m.tensors["bz"] = np.full(3, -60.0)  # z ~ 0 keeps the old state
     h0 = rng.normal(size=3)
-    h1, _ = step_gru(m, h0, rng.normal(size=2))
+    (h1,), _ = step_rnn(m, (h0,), rng.normal(size=2))
     assert h1 == pytest.approx(h0, abs=1e-10)
 
 
@@ -204,7 +203,7 @@ def test_gru_matches_loop_oracle_and_reuses_ur():
     rng = np.random.default_rng(5)
     m = gru_bundle(4, 3, rng, scale=0.7)
     h0, x = rng.normal(size=4), rng.normal(size=3)
-    h1, pred = step_gru(m, h0, x)
+    (h1,), pred = step_rnn(m, (h0,), x)
 
     def dot(w, a):
         return [sum(w[r][k] * a[k] for k in range(len(a))) for r in range(len(w))]
@@ -300,6 +299,12 @@ def test_shape_errors():
     m = ModelBundle("kernel_svm", {"coef": [1.0, 2.0], "sv": [[1.0]], "b": 0.0, "gamma": 1.0})
     with pytest.raises(ShapeError):
         infer_svm(m, [1.0])
+    m = lstm_bundle(3, 2)
+    for state in ((np.zeros(3),), (np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(3))):
+        with pytest.raises(ShapeError):
+            step_rnn(m, state, np.zeros(2))
+    with pytest.raises(ShapeError):
+        step_rnn(gru_bundle(3, 2), (np.zeros(3), np.zeros(3)), np.zeros(2))
 
 
 def test_bundle_roundtrip():

@@ -6,17 +6,15 @@ import pytest
 from sid.models import ModelBundle, bundle_to_bytes, infer_krr, infer_lr, infer_ocsvm, infer_svm
 from sid.training import (
     TrainingError,
-    gru_loss_and_grads,
-    train_gru,
     init_gru,
     init_lstm,
     init_mlp,
-    lstm_loss_and_grads,
     mlp_loss_and_grads,
+    rnn_loss_and_grads,
     train,
     train_krr,
-    train_lstm,
     train_ocsvm,
+    train_rnn,
 )
 
 
@@ -129,30 +127,16 @@ def test_ocsvm_alpha_constraints():
     assert coef.max() <= 1.0 / (0.25 * 40) + 1e-9
 
 
-def test_lstm_gradients_match_finite_differences():
-    rng = np.random.default_rng(15)
-    m = init_lstm(4, 3, seed=16)
+@pytest.mark.parametrize("init, seeds", [(init_lstm, (15, 16)), (init_gru, (17, 18))],
+                         ids=["lstm", "gru"])
+def test_rnn_gradients_match_finite_differences(init, seeds):
+    rng = np.random.default_rng(seeds[0])
+    m = init(4, 3, seed=seeds[1])
     batch = rng.normal(size=(2, 5, 3))
-    _, grads, _, _ = lstm_loss_and_grads(m, batch)
+    _, grads, _ = rnn_loss_and_grads(m, batch)
     assert list(grads) == list(m.tensors)
-    for name in ("Wc", "Uc", "bc", "Wf", "Uf", "bf", "Wi", "Ui", "bi", "Wo", "Uo", "bo",
-                 "Wout", "bout"):
-        numeric = central_difference(
-            lambda: lstm_loss_and_grads(m, batch)[0], m.tensors, name
-        )
-        assert max_rel_error(grads[name], numeric) < 1e-4
-
-
-def test_gru_gradients_match_finite_differences():
-    rng = np.random.default_rng(17)
-    m = init_gru(4, 3, seed=18)
-    batch = rng.normal(size=(2, 5, 3))
-    _, grads, _ = gru_loss_and_grads(m, batch)
-    assert list(grads) == list(m.tensors)
-    for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "bh", "Wout", "bout"):
-        numeric = central_difference(
-            lambda: gru_loss_and_grads(m, batch)[0], m.tensors, name
-        )
+    for name in grads:  # every gate tensor, Wout and bout
+        numeric = central_difference(lambda: rnn_loss_and_grads(m, batch)[0], m.tensors, name)
         assert max_rel_error(grads[name], numeric) < 1e-4
 
 
@@ -164,15 +148,15 @@ def sinusoid(T=160, dim=6, freq=1.8, rate=50.0):
 
 def test_lstm_learns_sinusoid():
     seq = sinusoid()
-    m = train_lstm(seq, hidden=16, lr=0.05, epochs=150, seed=19)
+    m = train_rnn("lstm", seq, hidden=16, lr=0.05, epochs=150, seed=19)
     losses = m["epoch_losses"]
     assert losses[-1] < losses[0] / 10
 
 
 def test_rnn_training_deterministic():
     seq = sinusoid(T=60)
-    m1 = train_lstm(seq, hidden=8, epochs=10, seed=20)
-    m2 = train_lstm(seq, hidden=8, epochs=10, seed=20)
+    m1 = train_rnn("lstm", seq, hidden=8, epochs=10, seed=20)
+    m2 = train_rnn("lstm", seq, hidden=8, epochs=10, seed=20)
     for name in m1.tensors:
         assert np.array_equal(m1.tensors[name], m2.tensors[name])
 
@@ -194,7 +178,6 @@ def test_recurrent_init_draws_are_pinned(init, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-TRAINERS = {"lstm": train_lstm, "gru": train_gru}
 # Per-model data scales: at clip 1 the smallest never reaches the
 # gradient-norm clip and the largest is clipped every chunk, so one stack
 # mixes both.
@@ -209,10 +192,10 @@ def test_stacked_training_matches_one_model_at_a_time(kind, hidden, batch):
     # chunk boundaries in every epoch.
     rng = np.random.default_rng(hidden * 100 + batch)
     stack = np.stack([s * rng.normal(size=(batch, 45, 6)) for s in SCALES])
-    stacked = TRAINERS[kind](stack, hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
+    stacked = train_rnn(kind, stack, hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
     assert len(stacked) == len(SCALES)
     for k, together in enumerate(stacked):
-        alone = TRAINERS[kind](stack[k], hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
+        alone = train_rnn(kind, stack[k], hidden=hidden, epochs=3, clip=1.0, trunc=20, seed=22)
         assert list(together.tensors) == list(alone.tensors)
         for name, want in alone.tensors.items():
             assert np.array_equal(together[name], want), (k, name)
@@ -221,20 +204,20 @@ def test_stacked_training_matches_one_model_at_a_time(kind, hidden, batch):
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
 def test_stacked_loss_and_grads_match_per_model_calls(kind):
     rng = np.random.default_rng(23)
-    models = [TRAINERS[kind](rng.normal(size=(4, 12, 6)), hidden=5, epochs=1, seed=s)
+    models = [train_rnn(kind, rng.normal(size=(4, 12, 6)), hidden=5, epochs=1, seed=s)
               for s in (1, 2)]
     stacked = ModelBundle(kind, {name: np.stack([m[name] for m in models])
                                  for name in models[0].tensors})
     batch = rng.normal(size=(2, 4, 9, 6))
-    state = rng.normal(size=(2, 2, 4, 5))  # carried-in h and c of each model
-    loss_and_grads = lstm_loss_and_grads if kind == "lstm" else gru_loss_and_grads
-    together = loss_and_grads(stacked, batch, *state[: 2 if kind == "lstm" else 1])
+    state = tuple(rng.normal(size=(2, 2, 4, 5))[: 2 if kind == "lstm" else 1])  # carried in
+    together = rnn_loss_and_grads(stacked, batch, state)
     for k, m in enumerate(models):
-        alone = loss_and_grads(m, batch[k], *state[: 2 if kind == "lstm" else 1, k])
+        alone = rnn_loss_and_grads(m, batch[k], tuple(s[k] for s in state))
         assert together[0][k] == alone[0]
         for name, g in alone[1].items():
             assert np.array_equal(together[1][name][k], g), name
-        for got, want in zip(together[2:], alone[2:]):
+        assert len(together[2]) == len(alone[2]) == len(state)
+        for got, want in zip(together[2], alone[2]):
             assert np.array_equal(got[k], want)
 
 
@@ -246,5 +229,42 @@ def test_trained_recurrent_bundles_are_pinned(kind, digest):
     # Pins the trained bytes, epoch losses included, as the one-model trainer
     # wrote them before it gained a model axis (with this build's BLAS).
     seqs = np.stack([sinusoid(T=61, freq=f) for f in (1.2, 1.8, 2.4)])
-    m = TRAINERS[kind](seqs, hidden=7, epochs=4, seed=21)
+    m = train_rnn(kind, seqs, hidden=7, epochs=4, seed=21)
     assert hashlib.sha256(bundle_to_bytes(m)).hexdigest() == digest
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("lstm", "6a076479be32bdd6fc66e2691915baa00247e07454d879b16550543555d1fd7c"),
+    ("gru", "54fb24e323dd1d7100ce9efe8894b4b69f98566f6eecedca0a8bf62b88d07ae6"),
+])
+def test_stacked_clipped_chunked_training_is_pinned(kind, digest):
+    # Three models at the SCALES above, clip 1 and T = 45 over chunks of 20:
+    # clipping engages on some models only, and the state crosses two chunk
+    # boundaries per epoch. The digest pins every last bit of the bundles.
+    rng = np.random.default_rng(25)
+    stack = np.stack([s * rng.normal(size=(4, 45, 6)) for s in SCALES])
+    hyper = {"hidden": 5, "epochs": 3, "clip": 1.0, "trunc": 20}
+    bundles = train(kind, stack, hyper, seed=26)
+    blob = b"".join(bundle_to_bytes(m) for m in bundles)
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("lstm", "eacbef36dae20b5ce7d819b3a0db0cf036ac88d4ee8b29f5f44ab7a1ff6b1237"),
+    ("gru", "d9361ae9588f41b7f7e3de917e8733ad4773cfa8cb98f6e00dccd3961d039df7"),
+])
+def test_loss_and_grads_with_carried_state_are_pinned(kind, digest):
+    rng = np.random.default_rng(27)
+    m = (init_lstm if kind == "lstm" else init_gru)(5, 6, seed=28, scale=0.8)
+    batch = rng.normal(size=(4, 9, 6))
+    state = tuple(rng.normal(size=(2, 4, 5))[: 2 if kind == "lstm" else 1])  # carried in
+    loss, grads, final = rnn_loss_and_grads(m, batch, state)
+    arrays = [loss, *(grads[name] for name in sorted(grads)), *final]
+    assert _sha256(arrays) == digest
