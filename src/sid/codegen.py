@@ -9,7 +9,10 @@ Layout conventions shared by every generated program:
     recurrent step programs instead copy the bias in before accumulating so a
     step can run repeatedly);
   * programs end in Halt and are one-shot per load unless noted otherwise;
-  * an unrolled form is never written: `_unroll` derives it from the looped one.
+  * an unrolled form is never written: `_unroll` derives it from the looped one;
+  * the LSTM and GRU step programs share one frame, `_compile_rnn_step`, and
+    differ only in their `_STEP_CELLS` row (tensors, state, constants, cell);
+  * a recurrent or kernel-machine bundle whose tensor shapes disagree is a CompileError.
 """
 
 import math
@@ -33,7 +36,7 @@ from .isa import (
     regstore,
 )
 from .machine import MachineConfig, MachineState, load, run, step_instruction
-from .models import ModelBundle, rnn_hidden_size
+from .models import RNN_GATES, ModelBundle
 
 
 class CompileError(ValueError):
@@ -134,23 +137,11 @@ class _Builder:
         )
 
 
-def _row_blocks(rows: int, n_local: int):
-    """(first_row, block_rows) pairs covering `rows` in blocks of <= n_local."""
-    out = []
-    r = 0
-    while r < rows:
-        blk = min(n_local, rows - r)
-        out.append((r, blk))
-        r += blk
-    return out
-
-
 def _emit_matvec(b: _Builder, config, w_addr, rows, cols, y_addr, z_addr):
-    """Row-split Mvmul group accumulating W @ y into z."""
-    for r0, blk in _row_blocks(rows, config.n_local):
-        b.op(
-            Opcode.MVMUL, cols, w_addr + r0 * cols, y_addr, z_addr + r0, width=blk
-        )
+    """Row-split Mvmul group accumulating W @ y into z, blocks of <= n_local rows."""
+    for r0 in range(0, rows, config.n_local):
+        blk = min(config.n_local, rows - r0)
+        b.op(Opcode.MVMUL, cols, w_addr + r0 * cols, y_addr, z_addr + r0, width=blk)
 
 
 def _check_strategy(strategy: str) -> None:
@@ -233,12 +224,13 @@ def _compile_kernel_machine(m: ModelBundle) -> CompiledProgram:
     acc += coef_i * kv. The loop walks v_i through off_y (stride D) and coef_i
     through off_x (stride 1).
     """
-    is_ocsvm = m.kind == "ocsvm"
-    sv = np.asarray(m["sv"], dtype=np.float64)
-    coef = np.asarray(m["coef"], dtype=np.float64)
+    sv, coef = m["sv"], m["coef"]
+    if sv.ndim != 2 or len(sv) < 1 or coef.shape != (len(sv),):
+        raise CompileError(f"{m.kind} bundle: sv {sv.shape} and coef {coef.shape} need at least "
+                           "one support vector and one coefficient per support vector")
     n_sv, dim = sv.shape
     gamma = m.scalar("gamma")
-    offset = -m.scalar("rho") if is_ocsvm else m.scalar("b")
+    offset = -m.scalar("rho") if m.kind == "ocsvm" else m.scalar("b")
 
     b = _Builder(m.kind, m.kind)
     zeros3 = b.alloc("zeros3", 3)
@@ -309,102 +301,86 @@ def _compile_mlp(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
 STEP_ERRORS = 512  # words of `errors`: one squared error per step
 
 
-def _compile_lstm_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
-    hidden = rnn_hidden_size(m)
-    dim = m["Wc"].shape[1]
-    b = _Builder("lstm_step", "lstm")
-    gates = {}
-    for g in "cfio":
-        wcat = np.concatenate([np.asarray(m[f"W{g}"]), np.asarray(m[f"U{g}"])], axis=1)
-        gates[g] = (b.tensor(f"Wcat_{g}", wcat), b.tensor(f"b{g}", m[f"b{g}"]))
-    wout = b.tensor("Wout", m["Wout"])
-    bout = b.tensor("bout", m["bout"])
+def _lstm_cell(b: _Builder, at, hidden: int, config: MachineConfig) -> None:
+    cand, f, i, o, c, h, t1, t2, t3 = map(at, "gate_c gate_f gate_i gate_o c h t1 t2 t3".split())
+    b.op(Opcode.VTANH, hidden, cand, 0, cand)
+    for gate in (f, i, o):
+        b.op(Opcode.VSIG, hidden, gate, 0, gate)
+    b.op(Opcode.VMUL, hidden, f, c, t1)
+    b.op(Opcode.VMUL, hidden, i, cand, t2)
+    b.op(Opcode.VADD, hidden, t1, t2, c)
+    b.op(Opcode.VTANH, hidden, c, 0, t3)
+    b.op(Opcode.VMUL, hidden, o, t3, h)
+
+
+def _gru_cell(b: _Builder, at, hidden: int, config: MachineConfig) -> None:
+    z, r, cand, h, t1, t2, t3 = map(at, "gate_z gate_r cand h t1 t2 t3".split())
+    b.op(Opcode.VSIG, hidden, z, 0, z)
+    b.op(Opcode.VSIG, hidden, r, 0, r)
+    b.op(Opcode.VMUL, hidden, r, h, t1)  # r * h
+    b.op(Opcode.VADD, hidden, at("bh"), at("zerovec"), cand)
+    _emit_matvec(b, config, at("Wh"), hidden, b.symbols["input"][1], at("input"), cand)
+    _emit_matvec(b, config, at("Ur_cand"), hidden, hidden, t1, cand)  # candidate reuses Ur
+    b.op(Opcode.VSIG, hidden, cand, 0, cand)
+    b.op(Opcode.VSUB, hidden, at("ones"), z, t2)  # 1 - z
+    b.op(Opcode.VMUL, hidden, t2, h, t3)
+    b.op(Opcode.VMUL, hidden, z, cand, t2)
+    b.op(Opcode.VADD, hidden, t3, t2, h)
+
+
+# Per kind: cell-only tensors (symbol, bundle tensor), hidden-long state symbols after h,
+# hidden-long constants (symbol, value) and the cell; U gate g accumulates into `gate_<g>`.
+_STEP_CELLS = {
+    "lstm": ((), ("c", "gate_c", "gate_f", "gate_i", "gate_o"), (), _lstm_cell),
+    "gru": ((("Wh", "Wh"), ("bh", "bh"), ("Ur_cand", "Ur")), ("gate_z", "gate_r", "cand"),
+            (("ones", 1.0),), _gru_cell),
+}
+
+
+def _compile_rnn_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
+    """Error prelude, bias in and mat-vec per U gate, the kind's cell, readout.
+    A tensor that does not match (hidden, D) would be read as the wrong words."""
+    tensors, state, constants, cell = _STEP_CELLS[m.kind]
+    w_gates, gates = RNN_GATES[m.kind]
+    hidden, dim = m[f"b{w_gates[0]}"].size, m["bout"].size
+    want = {f"W{g}": (hidden, dim) for g in w_gates}
+    want.update({f"U{g}": (hidden, hidden) for g in gates})
+    want.update({f"b{g}": (hidden,) for g in w_gates}, Wout=(dim, hidden), bout=(dim,))
+    for name, shape in want.items():
+        if m[name].shape != shape:
+            raise CompileError(f"{m.kind} bundle: {name} has shape {m[name].shape}, expected "
+                               f"{shape} (hidden {hidden} from b{w_gates[0]}, D {dim} from bout)")
+    b = _Builder(f"{m.kind}_step", m.kind)
+    # Each wcat is freed a gate later: freeing it at once raised the peak RSS of an
+    # LSTM-200 compile and run by 1.7-2.9 MB, through glibc's dynamic mmap threshold.
+    for g in gates:
+        wcat = np.concatenate([m[f"W{g}"], m[f"U{g}"]], axis=1)
+        b.tensor(f"Wcat_{g}", wcat)
+        b.tensor(f"b{g}", m[f"b{g}"])
+    for name, source in tensors + (("Wout", "Wout"), ("bout", "bout")):
+        b.tensor(name, m[source])
     xh = b.alloc("input", dim)  # x and h are contiguous: one gate operand
-    h = b.alloc("h", hidden)
-    assert h == xh + dim
-    c = b.alloc("c", hidden)
-    gate_regions = {g: b.alloc(f"gate_{g}", hidden) for g in "cfio"}
-    t1 = b.alloc("t1", hidden)
-    t2 = b.alloc("t2", hidden)
-    t3 = b.alloc("t3", hidden)
+    for name in ("h", *state, "t1", "t2", "t3"):
+        b.alloc(name, hidden)
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
     errs = b.alloc("errors", STEP_ERRORS)
     zerovec = b.alloc("zerovec", max(hidden, dim))  # also zeroes the dim-long pred bias add
+    for name, value in constants:
+        b.tensor(name, np.full(hidden, value))
+    at = lambda name: b.symbols[name][0]
 
     # Error of the previous prediction against the newly arrived reading; the
     # write pointer lives in off_z and survives across runs of this program.
     b.op(Opcode.VSUB, dim, pred, xh, ed)
     b.op(Opcode.VSQNORM, dim, ed, 0, errs, offz=True)
     b.emit(regaddi(2, 1))
-    for g in "cfio":
-        waddr, baddr = gates[g]
-        region = gate_regions[g]
-        b.op(Opcode.VADD, hidden, baddr, zerovec, region)  # bias in, repeat-safe
-        _emit_matvec(b, config, waddr, hidden, dim + hidden, xh, region)
-    b.op(Opcode.VTANH, hidden, gate_regions["c"], 0, gate_regions["c"])
-    b.op(Opcode.VSIG, hidden, gate_regions["f"], 0, gate_regions["f"])
-    b.op(Opcode.VSIG, hidden, gate_regions["i"], 0, gate_regions["i"])
-    b.op(Opcode.VSIG, hidden, gate_regions["o"], 0, gate_regions["o"])
-    b.op(Opcode.VMUL, hidden, gate_regions["f"], c, t1)
-    b.op(Opcode.VMUL, hidden, gate_regions["i"], gate_regions["c"], t2)
-    b.op(Opcode.VADD, hidden, t1, t2, c)
-    b.op(Opcode.VTANH, hidden, c, 0, t3)
-    b.op(Opcode.VMUL, hidden, gate_regions["o"], t3, h)
-    b.op(Opcode.VADD, dim, bout, zerovec, pred)
-    _emit_matvec(b, config, wout, dim, hidden, h, pred)
-    b.emit(halt())
-    return b.finish()
-
-
-def _compile_gru_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
-    hidden = rnn_hidden_size(m)
-    dim = m["Wz"].shape[1]
-    b = _Builder("gru_step", "gru")
-    gates = {}
-    for g in "zr":
-        wcat = np.concatenate([np.asarray(m[f"W{g}"]), np.asarray(m[f"U{g}"])], axis=1)
-        gates[g] = (b.tensor(f"Wcat_{g}", wcat), b.tensor(f"b{g}", m[f"b{g}"]))
-    wh = b.tensor("Wh", m["Wh"])
-    bh = b.tensor("bh", m["bh"])
-    ur = b.tensor("Ur_cand", m["Ur"])
-    wout = b.tensor("Wout", m["Wout"])
-    bout = b.tensor("bout", m["bout"])
-    xh = b.alloc("input", dim)
-    h = b.alloc("h", hidden)
-    assert h == xh + dim
-    gate_z = b.alloc("gate_z", hidden)
-    gate_r = b.alloc("gate_r", hidden)
-    cand = b.alloc("cand", hidden)
-    t1 = b.alloc("t1", hidden)
-    t2 = b.alloc("t2", hidden)
-    t3 = b.alloc("t3", hidden)
-    pred = b.alloc("pred", dim)
-    ed = b.alloc("ed", dim)
-    errs = b.alloc("errors", STEP_ERRORS)
-    zerovec = b.alloc("zerovec", max(hidden, dim))  # also zeroes the dim-long pred bias add
-    ones = b.tensor("ones", np.ones(hidden))
-
-    b.op(Opcode.VSUB, dim, pred, xh, ed)
-    b.op(Opcode.VSQNORM, dim, ed, 0, errs, offz=True)
-    b.emit(regaddi(2, 1))
-    for g, region in (("z", gate_z), ("r", gate_r)):
-        waddr, baddr = gates[g]
-        b.op(Opcode.VADD, hidden, baddr, zerovec, region)
-        _emit_matvec(b, config, waddr, hidden, dim + hidden, xh, region)
-    b.op(Opcode.VSIG, hidden, gate_z, 0, gate_z)
-    b.op(Opcode.VSIG, hidden, gate_r, 0, gate_r)
-    b.op(Opcode.VMUL, hidden, gate_r, h, t1)  # r * h
-    b.op(Opcode.VADD, hidden, bh, zerovec, cand)
-    _emit_matvec(b, config, wh, hidden, dim, xh, cand)
-    _emit_matvec(b, config, ur, hidden, hidden, t1, cand)  # candidate reuses Ur
-    b.op(Opcode.VSIG, hidden, cand, 0, cand)
-    b.op(Opcode.VSUB, hidden, ones, gate_z, t2)  # 1 - z
-    b.op(Opcode.VMUL, hidden, t2, h, t3)
-    b.op(Opcode.VMUL, hidden, gate_z, cand, t2)
-    b.op(Opcode.VADD, hidden, t3, t2, h)
-    b.op(Opcode.VADD, dim, bout, zerovec, pred)
-    _emit_matvec(b, config, wout, dim, hidden, h, pred)
+    for g in gates:
+        b.op(Opcode.VADD, hidden, at(f"b{g}"), zerovec, at(f"gate_{g}"))  # bias in, repeat-safe
+        _emit_matvec(b, config, at(f"Wcat_{g}"), hidden, dim + hidden, xh, at(f"gate_{g}"))
+    cell(b, at, hidden, config)
+    b.op(Opcode.VADD, dim, at("bout"), zerovec, pred)
+    _emit_matvec(b, config, at("Wout"), dim, hidden, at("h"), pred)
     b.emit(halt())
     return b.finish()
 
@@ -539,10 +515,8 @@ def compile_model(m: ModelBundle, config: MachineConfig, strategy: str = "looped
         return _compile_linear_svm(m)
     if m.kind == "mlp":
         return _compile_mlp(m, config)
-    if m.kind == "lstm":
-        return _compile_lstm_step(m, config)
-    if m.kind == "gru":
-        return _compile_gru_step(m, config)
+    if m.kind in _STEP_CELLS:
+        return _compile_rnn_step(m, config)
     raise CompileError(f"unsupported model kind {m.kind!r}")
 
 

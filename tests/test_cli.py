@@ -7,7 +7,7 @@ import pytest
 
 from sid import codegen, detection, isa, machine, pipeline
 from sid.cli import main
-from sid.models import save_bundle
+from sid.models import ModelBundle, save_bundle
 from sid.training import init_lstm
 
 from oracles import assemble
@@ -377,6 +377,21 @@ def test_truncated_files_exit_two(tmp_path, capsys):
         assert run_cli("sim", "--program", f"{prefix}.prog.bin", "--image", str(image)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error:") for line in err)
+
+
+@pytest.mark.parametrize("bundle, named", [
+    (ModelBundle("lstm", {**init_lstm(8, 6).tensors, "bout": np.zeros(5)}), "Wc"),
+    (ModelBundle("kernel_svm", {"sv": np.zeros((5, 6)), "coef": np.zeros(3), "b": 0.0,
+                                "gamma": 0.5}), "coefficient"),
+], ids=["lstm-short-bout", "kernel-svm-short-coef"])
+def test_compile_mis_shaped_bundle_exits_two(tmp_path, capsys, bundle, named):
+    path = tmp_path / "m.sidb"
+    save_bundle(path, bundle)
+    prefix = tmp_path / "m"
+    assert run_cli("compile", "--model", str(path), "--out-prefix", str(prefix)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert sorted(tmp_path.iterdir()) == [path]  # nothing written
 
 
 def test_config_rejects_keys_the_command_does_not_take(tmp_path, capsys):

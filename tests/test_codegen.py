@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -20,7 +21,7 @@ from sid.codegen import (
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
 from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul
 from sid.isa import CONTROL_OPCODES, Opcode, program_to_bytes
-from sid.machine import MachineConfig, run, step_instruction
+from sid.machine import MachineConfig, image_to_bytes, run, step_instruction
 from sid.models import (
     ModelBundle,
     infer_lr,
@@ -178,6 +179,39 @@ def test_unrolled_form_only_for_kernel_machines(m):
         compile_model(m, CONFIG, "unrolled")
 
 
+def reshaped(m, **tensors):
+    return ModelBundle(m.kind, {**m.tensors, **tensors})
+
+
+@pytest.mark.parametrize("kind, name, shape, message", [
+    # D comes from bout, so a short bout shows as the first W gate's columns.
+    ("lstm", "bout", (5,), "Wc has shape (8, 6), expected (8, 5) (hidden 8 from bc, D 5 from bout)"),
+    ("lstm", "Wf", (8, 5), "Wf has shape (8, 5), expected (8, 6)"),
+    ("lstm", "Uc", (8, 7), "Uc has shape (8, 7), expected (8, 8)"),
+    ("lstm", "bo", (9,), "bo has shape (9,), expected (8,)"),
+    ("lstm", "Wout", (7, 8), "Wout has shape (7, 8), expected (6, 8)"),
+    ("gru", "bout", (5,), "Wz has shape (8, 6), expected (8, 5) (hidden 8 from bz, D 5 from bout)"),
+    ("gru", "Wh", (8, 5), "Wh has shape (8, 5), expected (8, 6)"),
+    ("gru", "Ur", (8, 7), "Ur has shape (8, 7), expected (8, 8)"),
+    ("gru", "bh", (9,), "bh has shape (9,), expected (8,)"),
+    ("gru", "Wout", (7, 8), "Wout has shape (7, 8), expected (6, 8)"),
+])
+def test_mis_shaped_recurrent_bundle_is_rejected(kind, name, shape, message):
+    m = (init_lstm if kind == "lstm" else init_gru)(8, 6, seed=0)
+    with pytest.raises(CompileError, match=re.escape(f"{kind} bundle: {message}")):
+        compile_model(reshaped(m, **{name: np.zeros(shape)}), CONFIG)
+
+
+@pytest.mark.parametrize("strategy", ["looped", "unrolled"])
+@pytest.mark.parametrize("kind, offset", [("kernel_svm", "b"), ("ocsvm", "rho")])
+@pytest.mark.parametrize("sv, coef", [((0, 6), (0,)), ((5, 6), (3,)), ((5,), (5,))],
+                         ids=["no-sv", "short-coef", "flat-sv"])
+def test_kernel_machine_needs_one_coefficient_per_support_vector(strategy, kind, offset, sv, coef):
+    m = ModelBundle(kind, {"sv": np.zeros(sv), "coef": np.zeros(coef), "gamma": 0.5, offset: 0.0})
+    with pytest.raises(CompileError, match="one coefficient per support vector"):
+        compile_model(m, CONFIG, strategy)
+
+
 def test_clamp_warning():
     m = ModelBundle("lr", {"w": [1e6, 1.0], "b": 0.0})
     with pytest.warns(RuntimeWarning, match="clamped"):
@@ -272,14 +306,19 @@ def test_mlp_matches_oracle():
             assert bool(out["decision"][0]) == (want[1] >= want[0])
 
 
-@pytest.mark.parametrize("kind", ["lstm", "gru"])
-def test_rnn_step_matches_oracle(kind):
+@pytest.mark.parametrize("kind, hidden, config", [
+    # One row block per gate, then each gate split into blocks of 7, 7 and 2 rows.
+    *(pytest.param(kind, 8, CONFIG, id=kind) for kind in ("lstm", "gru")),
+    *(pytest.param(kind, 16, MachineConfig(n_local=7), id=f"{kind}-split-blocks")
+      for kind in ("lstm", "gru")),
+])
+def test_rnn_step_matches_oracle(kind, hidden, config):
     rng = np.random.default_rng(12)
     init = init_lstm if kind == "lstm" else init_gru
-    m = init(8, 6, seed=13)
-    prog = compile_model(m, CONFIG)
+    m = init(hidden, 6, seed=13)
+    prog = compile_model(m, config)
     readings = quantize(rng.uniform(-1.5, 1.5, size=(12, 6)))
-    runner = StepRunner(prog, CONFIG)
+    runner = StepRunner(prog, config)
     for reading in readings:
         runner.step(reading)
     got = runner.errors()
@@ -504,6 +543,27 @@ def test_unrolled_programs_are_pinned():
         for name, prog in programs.items()
     }
     assert digests == UNROLLED_DIGESTS
+
+
+# sha256 of program, image and symbol table of init_lstm/init_gru(hidden, 6,
+# seed=0) step programs as the per-kind lowerings emitted them.
+STEP_DIGESTS = {
+    ("lstm", 16, 64): "52dd398c2d9e04dbb3e47e0b07581ce0a9f6be1b19f019a1556f4351f40235cd",
+    ("lstm", 200, 64): "37e5cd02b69573e4628ca8415f30f1d7aa60e699f1d95387720f8a50c3982830",
+    ("lstm", 33, 7): "19f3502d0ceb6b0cf0a09c1ff6735cb292c8e61e6b140078dc07910a28696a00",
+    ("gru", 16, 64): "8e68dea24a4810e2809cf1d64c84c75b59d49a950114e93372c9ad61d28f0441",
+    ("gru", 200, 64): "0130fada3995172229f89b85f38966fab78f0461084df54e08a426471283c68b",
+    ("gru", 33, 7): "8ec63ea68adc7abe0195053222120cb432749eec010aa61be2215ae9f6c07cff",
+}
+
+
+@pytest.mark.parametrize("kind, hidden, n_local", list(STEP_DIGESTS))
+def test_step_programs_are_pinned(kind, hidden, n_local):
+    init = init_lstm if kind == "lstm" else init_gru
+    prog = compile_model(init(hidden, 6, seed=0), MachineConfig(n_local=n_local))
+    blob = (program_to_bytes(prog.instructions) + image_to_bytes(prog.image)
+            + prog.symbol_table_text().encode())
+    assert hashlib.sha256(blob).hexdigest() == STEP_DIGESTS[kind, hidden, n_local]
 
 
 def test_gru_instruction_count_formula():
