@@ -12,7 +12,7 @@ Layout conventions shared by every generated program:
   * an unrolled form is never written: `_unroll` derives it from the looped one;
   * the LSTM and GRU step programs share one frame, `_compile_rnn_step`, and
     differ only in their `_STEP_CELLS` row (tensors, state, constants, cell);
-  * a recurrent or kernel-machine bundle whose tensor shapes disagree is a CompileError.
+  * a bundle whose tensor shapes disagree is a CompileError.
 """
 
 import math
@@ -267,9 +267,20 @@ def _compile_kernel_machine(m: ModelBundle) -> CompiledProgram:
 
 
 def _compile_mlp(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
+    """Mat-vec, bias and sigmoid per layer. Each layer's width comes from its
+    bias; a weight that does not map the layer below onto it would be read
+    as the wrong words."""
     n_layers = int(m.scalar("n_layers"))
+    w0 = m["W0"]
+    sizes = [w0.shape[-1] if w0.ndim else 0] + [m[f"b{i}"].size for i in range(n_layers)]
+    for i in range(n_layers):
+        source = f"b{i - 1}" if i else "W0"
+        for name, shape in ((f"W{i}", (sizes[i + 1], sizes[i])), (f"b{i}", (sizes[i + 1],))):
+            if m[name].shape != shape:
+                raise CompileError(f"mlp bundle: layer {i} {name} has shape {m[name].shape}, "
+                                   f"expected {shape} (input {sizes[i]} from {source}, "
+                                   f"output {sizes[i + 1]} from b{i})")
     b = _Builder("mlp", "mlp")
-    sizes = [m["W0"].shape[1]] + [len(m[f"b{i}"]) for i in range(n_layers)]
     weights = []
     for i in range(n_layers):
         weights.append(

@@ -24,8 +24,10 @@ same partial memory.
 As it records, the trace joins each run of Mvmul row blocks that read one Y
 range through contiguous X ranges into contiguous Z ranges, clear of that X
 and Y, into one Mvmul kernel call. When operand extrema show that no row can
-saturate, the kernel takes the plain sum; otherwise every row gets the prefix
-check and only rows that leave the range run the per-element loop.
+saturate, the kernel takes the plain sum: in int32 with no widening when
+max|X| * max|Y| also fits the range (then every product does), else over
+int64 products. Otherwise every row gets the prefix check and only rows that
+leave the range run the per-element loop.
 
 The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
@@ -226,7 +228,9 @@ def _register_value(name: str, word: int) -> int:
 # ---------------------------------------------------------------------------
 # Kernels: kernel(state, inst, x, y, z) over resolved word ranges. Operands
 # are int32 views of memory; arithmetic widens to int64 inside the ufunc and
-# saturates in place. Each reads all of its operands before it writes Z.
+# saturates in place, except Mvmul's int32 path, taken only when operand
+# extrema bound every product and partial sum within the range. Each reads
+# all of its operands before it writes Z.
 # ---------------------------------------------------------------------------
 
 _HI = np.int64(FX_MAX)
@@ -339,12 +343,22 @@ def _mvmul(s, inst, x, y, z):
         return
     mem = s.memory
     xv, yv, zv = mem[x].reshape(rows, cols), mem[y], mem[z]
-    products = np.multiply(xv, yv, dtype=np.int64)
-    products >>= 16  # unsaturated; the running sum saturates where it must
-    # |floor(a * b / 2**16)| <= (max|X| * max|Y| >> 16) + 1 for every product.
-    cap = _max_abs(zv) + cols * (((_max_abs(xv) * _max_abs(yv)) >> 16) + 1)
-    # Partial sums start from the prior Z contents.
-    result = _saturating_running_sum(zv.astype(np.int64), products, cap)
+    # |a * b| <= peak, so |floor(a * b / 2**16)| <= (peak >> 16) + 1 for every
+    # product, and cap bounds every row's |Z| plus its partial sums.
+    peak = _max_abs(xv) * _max_abs(yv)
+    cap = _max_abs(zv) + cols * ((peak >> 16) + 1)
+    if peak <= FX_MAX and cap <= FX_MAX:
+        # Every product, partial sum and total fits int32, and a sum that
+        # cannot overflow is the same in any order: no widening is needed.
+        products = xv * yv
+        products >>= 16  # arithmetic shift: floors, as on the int64 path
+        result = products.sum(axis=1, dtype=np.int32)
+        result += zv
+    else:
+        products = np.multiply(xv, yv, dtype=np.int64)
+        products >>= 16  # unsaturated; the running sum saturates where it must
+        # Partial sums start from the prior Z contents.
+        result = _saturating_running_sum(zv.astype(np.int64), products, cap)
     mem[z] = result
     first = 0
     for block in inst if type(inst) is tuple else (inst,):

@@ -8,7 +8,7 @@ import pytest
 from sid import codegen, detection, isa, machine, pipeline
 from sid.cli import main
 from sid.models import ModelBundle, save_bundle
-from sid.training import init_lstm
+from sid.training import init_lstm, init_mlp
 
 from oracles import assemble
 
@@ -383,7 +383,11 @@ def test_truncated_files_exit_two(tmp_path, capsys):
     (ModelBundle("lstm", {**init_lstm(8, 6).tensors, "bout": np.zeros(5)}), "Wc"),
     (ModelBundle("kernel_svm", {"sv": np.zeros((5, 6)), "coef": np.zeros(3), "b": 0.0,
                                 "gamma": 0.5}), "coefficient"),
-], ids=["lstm-short-bout", "kernel-svm-short-coef"])
+    (ModelBundle("mlp", {**init_mlp([3, 4, 2]).tensors, "W1": np.zeros((2, 3))}),
+     "layer 1 W1 has shape (2, 3), expected (2, 4)"),
+    (ModelBundle("mlp", {**init_mlp([3, 4, 2]).tensors, "b0": np.zeros(5)}),
+     "layer 0 W0 has shape (4, 3), expected (5, 3) (input 3 from W0, output 5 from b0)"),
+], ids=["lstm-short-bout", "kernel-svm-short-coef", "mlp-swapped-w1", "mlp-long-b0"])
 def test_compile_mis_shaped_bundle_exits_two(tmp_path, capsys, bundle, named):
     path = tmp_path / "m.sidb"
     save_bundle(path, bundle)

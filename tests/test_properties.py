@@ -1,9 +1,9 @@
-"""Property tests: the VM against a per-element scalar reference, trace replay
-against one-instruction stepping on looped programs and on runs of Mvmul row
-blocks, compiled random bundles against the float oracle, ISA text and binary
-round trips, truncated or corrupted binary inputs, the exact capped-simplex
-projection against bisection, and the stacked KS statistic against
-per-reference calls."""
+"""Property tests: the VM against a per-element scalar reference (Mvmul also
+at the edges of its int32 path), trace replay against one-instruction
+stepping on looped programs and on runs of Mvmul row blocks, compiled random
+bundles against the float oracle, ISA text and binary round trips, truncated
+or corrupted binary inputs, the exact capped-simplex projection against
+bisection, and the stacked KS statistic against per-reference calls."""
 
 import numpy as np
 import pytest
@@ -145,26 +145,64 @@ def _image(pairs):
     return image
 
 
-# Rows built to reach each accumulation path of the MVMUL handler. With
+# Rows built to reach each accumulation path of the MVMUL kernel. With
 # v = [50, -60] raw and unit weights the products are 50 and -60. The prior
 # FX_MAX - 100 of rows 1 and 2 puts the operand extrema over the range, so the
-# first Mvmul misses the extrema fast path and every row gets the prefix check:
+# first Mvmul takes neither plain sum and every row gets the prefix check:
 #   rows 0 (prior 0) and 1 (prior FX_MAX - 100): every prefix stays in range,
 #     so the check passes and the result is the plain sum;
 #   row 2, prior FX_MAX - 100 and products 200, -60: the first prefix leaves
 #     the range, so the per-element loop saturates it and then subtracts.
 # The second Mvmul's two products saturate on their own before they are added.
-# Small operands take the extrema fast path, with no prefix check.
+# The third has small operands: the int32 plain sum, whose products
+# (FX_ONE + 1) * -3 and 7 * -1 floor to -4 and -1 where truncation gives -3
+# and 0. The fourth's products are 2**31, past int32, but their sum fits:
+# the int64 plain sum.
 MVMUL_PATHS = (
-    [_mvmul(3, 2, 0, 8, 16), _mvmul(1, 2, 32, 40, 48)],
+    [_mvmul(3, 2, 0, 8, 16), _mvmul(1, 2, 32, 40, 48), _mvmul(2, 2, 56, 60, 62),
+     _mvmul(1, 2, 64, 66, 68)],
     _image([
         (0, [FX_ONE, FX_ONE, FX_ONE, FX_ONE, 4 * FX_ONE, FX_ONE]),
         (8, [50, -60]),
         (16, [0, FX_MAX - 100, FX_MAX - 100]),
         (32, [FX_MAX, FX_MAX]),
         (40, [FX_MAX, FX_MIN]),
+        (56, [FX_ONE + 1, 7, -FX_ONE, 3 * FX_ONE]),
+        (60, [-3, -1]),
+        (62, [10, -20]),
+        (64, [FX_ONE, FX_ONE]),
+        (66, [2**15, 2**15]),
     ]),
 )
+
+
+def _edge(x, y, z):
+    """One Mvmul of len(z) rows of len(y) words, X at 0, Y at 48, Z at 64."""
+    return [_mvmul(len(z), len(y), 0, 48, 64)], _image([(0, x), (48, y), (64, z)])
+
+
+# Mvmuls at the edges of the int32 path, and the path each takes:
+# peak = max|X| * max|Y| and cap = max|Z| + cols * ((peak >> 16) + 1).
+HALF = 2**15
+MVMUL_EDGES = {
+    "peak == FX_MAX": ("int32 plain sum", _edge([1, -1], [FX_MAX, FX_MAX], [5])),
+    "peak == FX_MAX + 1": ("int64 plain sum",
+                           _edge([FX_ONE, FX_ONE, -FX_ONE, 1], [HALF, HALF], [0, 7])),
+    "cap == FX_MAX": ("int32 plain sum", _edge([HALF, HALF, -HALF, -HALF], [HALF, HALF],
+                                              [FX_MAX - 32_770, 32_770 - FX_MAX])),
+    "cap == FX_MAX + 1": ("prefix check", _edge([HALF, HALF, -HALF, -HALF], [HALF, HALF],
+                                               [FX_MAX - 32_769, 32_769 - FX_MAX])),
+    "floor, not truncation": ("int32 plain sum", _edge([FX_ONE + 1, 7], [-3, -1], [0])),
+}
+
+
+def _assert_matches_reference(program, image):
+    want = reference_run(program, image)
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, data_mem_words=WORDS)
+        state = load(config, program + [halt()], image)
+        run(state)
+        assert state.memory.tolist() == want, f"n_track={n_track}"
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,20 +212,75 @@ MVMUL_PATHS = (
 )
 @example(program=MVMUL_PATHS[0], image=MVMUL_PATHS[1])
 def test_vm_matches_scalar_reference(program, image):
-    want = reference_run(program, image)
-    for n_track in (1, 2, 4, 8):
-        config = MachineConfig(n_track=n_track, data_mem_words=WORDS)
-        state = load(config, program + [halt()], image)
-        run(state)
-        assert state.memory.tolist() == want, f"n_track={n_track}"
+    _assert_matches_reference(program, image)
 
 
-def test_mvmul_accumulation_paths():
-    program, image = MVMUL_PATHS
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from((1, -1)), magnitudes).map(lambda t: t[0] * t[1])
+
+
+def _up_to(bound):
+    return st.one_of(st.sampled_from((bound, -bound)), _signed(st.integers(0, bound)))
+
+
+@st.composite
+def edge_mvmuls(draw):
+    """One Mvmul whose X and Y magnitudes reach a bound of 2**15 to 2**16.5
+    each, so peak falls on either side of FX_MAX, and whose Z words are as
+    small or near +-FX_MAX, so cap does too."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    x_max, y_max = draw(st.integers(2**15, 92_682)), draw(st.integers(2**15, 92_682))
+    prior = st.one_of(_signed(st.integers(0, 92_682)),
+                      _signed(st.integers(FX_MAX - 2**18, FX_MAX)))
+    return _edge(*(draw(st.lists(w, min_size=n, max_size=n)) for w, n in (
+        (_up_to(x_max), rows * cols),
+        (_up_to(y_max), cols),
+        (prior, rows),
+    )))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=edge_mvmuls())
+@example(case=MVMUL_EDGES["peak == FX_MAX"][1])
+@example(case=MVMUL_EDGES["peak == FX_MAX + 1"][1])
+@example(case=MVMUL_EDGES["cap == FX_MAX"][1])
+@example(case=MVMUL_EDGES["cap == FX_MAX + 1"][1])
+@example(case=MVMUL_EDGES["floor, not truncation"][1])
+def test_mvmul_edges_match_scalar_reference(case):
+    _assert_matches_reference(*case)
+
+
+def _mvmul_paths(monkeypatch, program, image) -> tuple[list[str], np.ndarray]:
+    """Step `program`, naming the accumulation path each Mvmul takes: the
+    int32 plain sum makes no `_saturating_running_sum` call; that call
+    takes the int64 plain sum when its cap fits the range."""
+    running_sum, paths = machine._saturating_running_sum, []
+
+    def spy(start, products, cap):
+        paths[-1] = "int64 plain sum" if cap <= FX_MAX else "prefix check"
+        return running_sum(start, products, cap)
+
+    monkeypatch.setattr(machine, "_saturating_running_sum", spy)
     state = load(MachineConfig(data_mem_words=WORDS), program + [halt()], image)
-    run(state)
-    assert state.memory[16:19].tolist() == [-10, FX_MAX - 110, FX_MAX - 60]
-    assert state.memory[48] == -1  # saturated FX_MAX, then saturated FX_MIN
+    for _ in program:
+        paths.append("int32 plain sum")
+        step_instruction(state)
+    return paths, state.memory
+
+
+def test_mvmul_accumulation_paths(monkeypatch):
+    paths, memory = _mvmul_paths(monkeypatch, *MVMUL_PATHS)
+    assert paths == ["prefix check", "prefix check", "int32 plain sum", "int64 plain sum"]
+    assert memory[16:19].tolist() == [-10, FX_MAX - 110, FX_MAX - 60]
+    assert memory[48] == -1  # saturated FX_MAX, then saturated FX_MIN
+    assert memory[62:64].tolist() == [10 - 4 - 1, -20 + 3 - 3]
+    assert memory[68] == 2 * HALF  # 2**31 >> 16, twice
+
+
+@pytest.mark.parametrize("name", sorted(MVMUL_EDGES))
+def test_mvmul_edges_take_their_path(monkeypatch, name):
+    path, (program, image) = MVMUL_EDGES[name]
+    assert _mvmul_paths(monkeypatch, program, image)[0] == [path]
 
 
 # Looped programs: loops nested through a loop-group spill per depth, offset
@@ -360,8 +453,8 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
 # Runs of Mvmul row blocks as `codegen` cuts a tall mat-vec: one length and Y
 # range, X and Z contiguous, widths 0 to n_local, Z clear of X and Y; or not
 # quite, with gaps in X or Z, another Y, or Z over X or Y, which replay must not
-# fuse. Small words take the extrema fast path; full-range words reach the
-# prefix check and the per-element loop.
+# fuse. Words under 2**15 take the int32 plain sum, small words mostly the
+# int64 one; full-range words reach the prefix check and the per-element loop.
 FUSED_WORDS = 160
 FUSED_CONFIG = dict(n_local=4, data_mem_words=FUSED_WORDS)
 
@@ -396,7 +489,7 @@ small_words = st.integers(-4 * FX_ONE, 4 * FX_ONE)
 @given(
     blocks=mvmul_runs(),
     image=st.one_of(*(st.lists(w, min_size=FUSED_WORDS, max_size=FUSED_WORDS)
-                      for w in (small_words, words))),
+                      for w in (st.integers(-2**15, 2**15), small_words, words))),
 )
 @example(  # MVMUL_PATHS's first Mvmul cut in two blocks: one call, both slow-path outcomes
     blocks=([_mvmul(1, 2, 0, 8, 16), _mvmul(2, 2, 2, 8, 17), halt()], True),
