@@ -256,7 +256,8 @@ class ConfusionCounts:
 
 
 def confusion_metrics(c: ConfusionCounts) -> dict[str, Fraction]:
-    """TNR, TPR, accuracy, recall, precision and F1 as exact fractions."""
+    """TNR, TPR, accuracy, recall, precision and F1 as exact fractions. A
+    detector that catches no impostor (tp == 0) scores precision and F1 0."""
     if c.tn + c.fp < 1:
         raise MetricError("TNR undefined: no negative (owner) samples")
     if c.tp + c.fn < 1:
@@ -265,12 +266,8 @@ def confusion_metrics(c: ConfusionCounts) -> dict[str, Fraction]:
     tpr = Fraction(c.tp, c.tp + c.fn)
     accuracy = Fraction(c.tn + c.tp, c.tn + c.fp + c.tp + c.fn)
     recall = tpr
-    if c.tp + c.fp < 1:
-        raise MetricError("precision undefined: no positive predictions")
-    precision = Fraction(c.tp, c.tp + c.fp)
-    if recall + precision == 0:
-        raise MetricError("F1 undefined: recall and precision are both zero")
-    f1 = 2 * recall * precision / (recall + precision)
+    precision = Fraction(c.tp, c.tp + c.fp) if c.tp else Fraction(0)
+    f1 = 2 * recall * precision / (recall + precision) if c.tp else Fraction(0)
     return {
         "tnr": tnr,
         "tpr": tpr,

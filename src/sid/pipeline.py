@@ -10,7 +10,6 @@ over the KS feature vector.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar
 
@@ -19,7 +18,6 @@ import numpy as np
 from .detection import (
     ConfusionCounts,
     KsDecisionConfig,
-    MetricError,
     confusion_metrics,
     ks_reject,
     ks_statistic,
@@ -53,18 +51,8 @@ class PipelineError(ValueError):
     pass
 
 
-def safe_metrics(counts: ConfusionCounts) -> dict[str, Fraction]:
-    """confusion_metrics, but a detector that never fires scores 0 precision/F1
-    instead of failing the whole evaluation."""
-    try:
-        return confusion_metrics(counts)
-    except MetricError:
-        if counts.tn + counts.fp < 1 or counts.tp + counts.fn < 1:
-            raise
-        zero = Fraction(0)  # only precision or F1 failed, so tp == 0
-        return {"tnr": Fraction(counts.tn, counts.tn + counts.fp), "tpr": zero,
-                "accuracy": Fraction(counts.tn, counts.tn + counts.fp + counts.fn),
-                "recall": zero, "precision": zero, "f1": zero}
+# `bench/workloads.py` still reads the old name.
+safe_metrics = confusion_metrics
 
 
 @dataclass(frozen=True)
@@ -299,7 +287,7 @@ def run_lad(sequences, kind: str, pipeline: str, cfg: LadConfig, seed: int,
         counts = evaluate_lad(model, test_w, errors, pipeline)
         total = total + counts
         rows.append({"user": model.user, "model": kind, "pipeline": pipeline,
-                     **safe_metrics(counts)})
+                     **confusion_metrics(counts)})
     return rows, total
 
 
@@ -345,5 +333,5 @@ def run_idaas(sequences, kind: str, cfg: IdaasConfig, seed: int):
         predicted = _idaas_predict(kind, bundle, feats_test)
         counts = ConfusionCounts.tally([w.user != user for w in test_w], predicted)
         total = total + counts
-        rows.append({"user": user, "model": kind, "pipeline": "idaas", **safe_metrics(counts)})
+        rows.append({"user": user, "model": kind, "pipeline": "idaas", **confusion_metrics(counts)})
     return rows, total

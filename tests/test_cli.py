@@ -1,12 +1,15 @@
 import hashlib
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sid import codegen, detection, isa, machine, pipeline
-from sid.cli import main
+import sid
+from sid import cli, codegen, detection, isa, machine, pipeline
+from sid.cli import UsageError, main
 from sid.models import ModelBundle, save_bundle
 from sid.training import init_lstm, init_mlp
 
@@ -346,7 +349,7 @@ def test_energy_with_profile_file(tmp_path, capsys):
 
 def test_report_command(tmp_path):
     out = tmp_path / "sizes.txt"
-    assert run_cli("report", "--seed", "1", "--out", str(out)) == 0
+    assert run_cli("report", "--out", str(out)) == 0
     text = out.read_text()
     assert "mlp_50" in text and "lstm_200" in text and "ks_40_20refs" in text
     lstm_line = [l for l in text.splitlines() if l.startswith("lstm_200")][0]
@@ -417,6 +420,137 @@ def test_config_file_defaults(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("--config", str(cfg), "energy", "--period", "0.02") == 0
     assert "period_s=0.02" in capsys.readouterr().out
+
+
+def _small_sim(tmp_path):
+    program = assemble("""
+    vadd length=1 x=64 y=65 z=66
+    halt
+    """)
+    return _save(tmp_path / "p", program, np.zeros(256, dtype=np.int32))
+
+
+# Each value is one argparse would refuse as a flag; from a config file it
+# must fail the same way, before anything is read or written.
+CONFIG_REFUSALS = {
+    "detect-epochs": (("detect", "--scenario", "lad", "--data", "{data}", "--out", "{out}"),
+                      "epochs=2.5", "--epochs"),
+    "train-hidden": (("train", "--kind", "lstm", "--data", "{data}", "--out", "{out}"),
+                     "hidden=2.5", "--hidden"),
+    "gen-data-length": (("gen-data", "--out", "{out}"), "length=300.5", "--length"),
+    "gen-data-seed": (("gen-data", "--out", "{out}"), "seed=1.5", "--seed"),
+    "sim-n-track": (("sim",), "n_track=1.5", "--n-track"),
+    "detect-pipeline": (("detect", "--scenario", "lad", "--data", "{data}", "--out", "{out}"),
+                        "pipeline=bogus", "--pipeline"),
+    "compile-strategy": (("compile", "--model", "{bundle}", "--out-prefix", "{out}"),
+                         "strategy=bogus", "--strategy"),
+    "sim-profile": (("sim",), "profile=2", "--profile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSALS))
+def test_config_values_are_checked_as_flags(pinned_corpus, tmp_path, capsys, case):
+    argv, line, flag = CONFIG_REFUSALS[case]
+    sim = _small_sim(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    before = sorted(tmp_path.iterdir())
+    fields = {"data": pinned_corpus / "synth", "bundle": pinned_corpus / "lstm.sidb",
+              "out": tmp_path / "out"}
+    argv = sim if argv == ("sim",) else [a.format(**fields) for a in argv]
+    assert run_cli("--config", str(cfg), *argv) == 1
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and flag in errors[0], errors
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
+
+
+def test_config_data_satisfies_required_flag(pinned_corpus, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data={pinned_corpus / 'synth'}\n")
+    train = ("train", "--kind", "lr", "--window", "64", "--step", "32", "--epochs", "3")
+    assert run_cli(*train, "--data", str(pinned_corpus / "synth"),
+                   "--out", str(tmp_path / "flag.sidb")) == 0
+    assert run_cli("--config", str(cfg), *train, "--out", str(tmp_path / "cfg.sidb")) == 0
+    assert (tmp_path / "cfg.sidb").read_bytes() == (tmp_path / "flag.sidb").read_bytes()
+
+
+def test_config_profile_takes_one_or_zero(tmp_path, capsys):
+    sim = _small_sim(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    outputs = {}
+    for argv in ((), ("--profile",)):
+        assert run_cli(*sim, *argv) == 0
+        outputs[argv] = capsys.readouterr().out
+    assert outputs[()] != outputs[("--profile",)]
+    for value, argv in (("1", ("--profile",)), ("0", ())):
+        cfg.write_text(f"profile={value}\n")
+        assert run_cli("--config", str(cfg), *sim) == 0
+        assert capsys.readouterr().out == outputs[argv], value
+
+
+def test_config_seed_loses_to_the_flag(pinned_corpus, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n")
+    out = tmp_path / "krr.csv"
+    assert run_cli("--config", str(cfg), "detect", "--scenario", "idaas", "--model-kind", "krr",
+                   "--step", "32", "--data", str(pinned_corpus / "synth"), "--seed", "3",
+                   "--out", str(out)) == 0
+    assert "\nseed=3\n" in out.read_text()
+
+
+def _sid_errors():
+    """Every exception class a `sid` module defines, but the usage error."""
+    found = []
+    for info in pkgutil.iter_modules(sid.__path__):
+        module = importlib.import_module(f"sid.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__ and obj is not UsageError]
+    return found
+
+
+def test_sid_errors_are_found():
+    names = {error.__name__ for error in _sid_errors()}
+    assert {"MachineTrap", "TrainingError", "LoadError", "DataError"} <= names
+
+
+@pytest.mark.parametrize("error", _sid_errors(), ids=lambda e: f"{e.__module__}.{e.__name__}")
+def test_every_sid_error_exits_two(monkeypatch, capsys, error):
+    exc = error(7, "boom") if error is machine.MachineTrap else error("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_energy", fail)
+    assert run_cli("energy") == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc}"]
+
+
+def test_programming_errors_propagate(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_energy", lambda args: {}["boom"])
+    with pytest.raises(KeyError):
+        run_cli("energy")
+
+
+@pytest.mark.parametrize("argv", [
+    ("no-such-command",),
+    ("compile", "--model", "m", "--out-prefix", "p", "--strategy", "bogus"),
+    ("detect", "--scenario", "lad"),
+    ("energy", "--bogus", "1"),
+    ("report", "--seed", "1"),
+], ids=["unknown-command", "invalid-choice", "missing-required", "unrecognised", "report-seed"])
+def test_usage_errors_print_one_line(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:") and captured.out == "", errors
+
+
+def test_help_exits_zero(capsys):
+    for argv in (("--help",), ("detect", "--help")):
+        assert run_cli(*argv) == 0, argv
+        assert capsys.readouterr().out.startswith("usage: sid"), argv
 
 
 def _save(prefix: Path, instructions, image):

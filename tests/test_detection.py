@@ -270,6 +270,14 @@ def test_metrics_errors_name_metric():
         confusion_metrics(ConfusionCounts(tn=1, fp=1))
 
 
+@pytest.mark.parametrize("fp", [0, 3])
+def test_no_impostor_caught_scores_zero_precision_and_f1(fp):
+    m = confusion_metrics(ConfusionCounts(tp=0, fp=fp, tn=5, fn=4))
+    assert m["precision"] == m["f1"] == m["tpr"] == 0
+    assert m["tnr"] == Fraction(5, 5 + fp)
+    assert m["accuracy"] == Fraction(5, 9 + fp)
+
+
 def test_combined_score_single_model():
     assert combined_score([(0.1, 0.2, 3.0, 4.0)]) == [pytest.approx(1.0)]
 
