@@ -562,6 +562,8 @@ def write_symbol(state: MachineState, prog: CompiledProgram, name: str, values) 
 def read_symbol(state: MachineState, prog: CompiledProgram, name: str, count=None) -> np.ndarray:
     addr, length = prog.symbols[name]
     count = length if count is None else count
+    if not 0 <= count <= length:
+        raise CompileError(f"symbol {name!r} holds {length} words, cannot read {count}")
     return state.memory[addr : addr + count].astype(np.float64) / FX_ONE
 
 

@@ -112,24 +112,36 @@ class LutTable:
         return int(self.k[idx]), int(self.b[idx])
 
     @functools.cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """int64 slopes and intercepts with one entry added at each end: the
-        pair for inputs below lo first, the pair for inputs at or above hi last."""
+    def _vector(self) -> tuple:
+        """What `eval_array` derives once: `lookup`'s index plus 1 as (x*scale -
+        base) // width, the fraction reduced (scale 1 for whole-word segments);
+        slopes and intercepts padded with the x < lo and x >= hi pairs; and
+        whether k*x + b can leave the range (k is 0 outside [lo, hi))."""
+        span = self.hi_raw - self.lo_raw
+        g = math.gcd(self.segments, span)
+        scale, width = self.segments // g, span // g
         k = np.concatenate(([0], self.k, [0])).astype(np.int64)
         b = np.concatenate(([self.sat_lo], self.b, [self.sat_hi])).astype(np.int64)
-        return k, b
+        reach = int(abs(k).max()) * max(abs(self.lo_raw), abs(self.hi_raw))
+        clamp = (reach >> FRAC_BITS) + 1 + int(abs(b).max()) > FX_MAX
+        return scale, self.lo_raw * scale - width, width, k, b, clamp
 
-    def lookup_array(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`lookup` over an array, as int64 slopes and intercepts."""
-        # Floor division sends every x < lo below segment 0 and every x >= hi
-        # to segment `segments` or above, so clipping onto the padded tables
+    def eval_array(self, x_raw: np.ndarray) -> np.ndarray:
+        """`eval` over an array of raw inputs, as int64."""
+        # Floor division sends every x < lo below index 1 and every x >= hi to
+        # index `segments` + 1 or above, so clipping onto the padded tables
         # picks the saturation pairs.
-        pos = np.subtract(x_raw, self.lo_raw, dtype=np.int64)
-        pos *= self.segments
-        pos //= self.hi_raw - self.lo_raw
-        pos += 1
-        k, b = self._padded
-        return k.take(pos, mode="clip"), b.take(pos, mode="clip")
+        scale, base, width, k, b, clamp = self._vector
+        pos = (np.subtract(x_raw, base, dtype=np.int64) if scale == 1
+               else np.multiply(x_raw, scale, dtype=np.int64) - base)
+        pos //= width
+        out = k.take(pos, mode="clip")
+        out *= x_raw
+        out >>= FRAC_BITS
+        if clamp:
+            np.clip(out, FX_MIN, FX_MAX, out=out)
+        out += b.take(pos, mode="clip")
+        return np.clip(out, FX_MIN, FX_MAX, out=out) if clamp else out
 
     def eval(self, x_raw: int) -> int:
         """k*x + b through the fixed-point multiply/add path."""

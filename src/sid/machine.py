@@ -21,11 +21,14 @@ restores the registers and counters just before that regload and the
 interpreter goes on from there, so a trap is raised at the same pc with the
 same partial memory.
 
-As it records, the trace joins each run of Mvmul row blocks that read one Y
-range through contiguous X ranges into contiguous Z ranges, clear of that X
-and Y, into one Mvmul kernel call. When operand extrema show that no row can
-saturate, the kernel takes the plain sum: in int32 with no widening when
-max|X| * max|Y| also fits the range (then every product does), else over
+As it records, the trace joins into one call consecutive fixed blocks of one
+kernel that continue each other's ranges and read no Z of the blocks before:
+Mvmul row blocks over one Y range (a tall mat-vec), and adjacent VADD,
+VSUB, VMUL, VSGT or same-table LUT blocks (the LSTM's gate sigmoids). A LUT
+kernel is one `LutTable.eval_array` call, which clamps only if its table's
+extrema let k*x + b leave the range. When operand extrema show that no Mvmul
+row can saturate, the kernel takes the plain sum: in int32 with no widening
+when max|X| * max|Y| also fits the range (then every product does), else over
 int64 products. Otherwise every row gets the prefix check and only rows that
 leave the range run the per-element loop.
 
@@ -228,9 +231,11 @@ def _register_value(name: str, word: int) -> int:
 # ---------------------------------------------------------------------------
 # Kernels: kernel(state, inst, x, y, z) over resolved word ranges. Operands
 # are int32 views of memory; arithmetic widens to int64 inside the ufunc and
-# saturates in place, except Mvmul's int32 path, taken only when operand
-# extrema bound every product and partial sum within the range. Each reads
-# all of its operands before it writes Z.
+# saturates in place, except where extrema bound every result within the
+# range (Mvmul's int32 path, a LUT's clamp-free path). Each reads all of its
+# operands before it writes Z, so a trace may join blocks that read no Z
+# written before them. Extrema are rescanned on every call, never cached: the
+# host may write any word between runs, so a cached max|X| could be stale.
 # ---------------------------------------------------------------------------
 
 _HI = np.int64(FX_MAX)
@@ -312,13 +317,11 @@ def _vssgt(s, inst, x, y, z):
     out *= FX_ONE
 
 
-def _vlut(s, inst, x, y, z):
-    mem = s.memory
-    xv = mem[x]
-    k, b = _LUTS[_LUT_NAMES[inst.mode]].lookup_array(xv)
-    result = _fx_mul(k, xv)
-    result += b
-    mem[z] = _saturate(result)
+def _lut(table):
+    """The kernel of one LUT opcode, so each such opcode has its own."""
+    def _vlut(s, inst, x, y, z):
+        s.memory[z] = table.eval_array(s.memory[x])
+    return _vlut
 
 
 def _vmaxabs(s, inst, x, y, z):
@@ -377,14 +380,15 @@ _KERNELS = {
     Opcode.VSUB: _vsub,
     Opcode.VMUL: _vmul,
     Opcode.VSGT: _vsgt,
-    Opcode.VSIG: _vlut,
-    Opcode.VTANH: _vlut,
-    Opcode.VEXP: _vlut,
+    **{op: _lut(_LUTS[name]) for op, name in _LUT_NAMES.items()},
     Opcode.MVMUL: _mvmul,
     Opcode.VSSGT: _vssgt,
     Opcode.VMAXABS: _vmaxabs,
     Opcode.VSQNORM: _vsqnorm,
 }
+# Kernels whose consecutive blocks a trace may join: not VSSGT, whose Y is one
+# scalar word, nor VMAXABS or VSQNORM, which write one Z word and the scratchpad.
+_JOINABLE = frozenset(_KERNELS.values()) - {_vssgt, _vmaxabs, _vsqnorm}
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +534,8 @@ _TRACE_CAP = 1 << 16  # runs one trace may hold
 class Trace:
     """What replay must redo of one interpreted run: its `runs` in order
     (data kernels, regstores and regload guards, operands resolved) and its
-    `end` point. `add` joins a run of Mvmul row blocks into one kernel call
-    whose `inst` is the tuple of blocks.
+    `end` point. `add` joins consecutive blocks of one kernel into one call
+    (see `_join`); a fixed run of such a kernel holds its blocks' tuple.
 
     A point is the loop registers and pc, the offsets, and the counters
     relative to the run's start. An offset is (register, delta): delta plus
@@ -572,8 +576,8 @@ class Trace:
             moves = (inst.off_x, inst.off_y, inst.off_z)
         if self.relative and any(moves):
             self.moving.append((len(self.runs), *moves))
-        elif kernel is _mvmul:
-            if self._join(inst, x, y, z):
+        elif kernel in _JOINABLE:
+            if self._join(kernel, inst, x, y, z):
                 return self
             inst = (inst,)
         self.runs.append((kernel, inst, x, y, z))
@@ -581,20 +585,25 @@ class Trace:
             self.relative = False
         return self if len(self.runs) < _TRACE_CAP else None
 
-    def _join(self, inst: MacroInstruction, x: slice, y: slice, z: slice) -> bool:
-        """Join a fixed Mvmul block onto the last run if that is a fixed
-        Mvmul run over the same Y range (so one length) whose X and Z ranges
-        this block continues, with the joined Z clear of the joined X and Y."""
+    def _join(self, kernel, inst: MacroInstruction, x: slice, y: slice, z: slice) -> bool:
+        """Join a fixed block onto the last run if that is a fixed run of the
+        same kernel (so one opcode) whose X and Z ranges this block continues,
+        and its Y range too (an Mvmul row block reads the same Y), with this
+        block's X and Y clear of the Z joined so far. Then one kernel call,
+        which reads every operand before it writes Z, leaves what the blocks
+        one by one leave."""
         if not self.runs:
             return False
-        kernel, blocks, x0, y0, z0 = self.runs[-1]
-        if kernel is not _mvmul or type(blocks) is not tuple or y != y0:
+        kernel0, blocks, x0, y0, z0 = self.runs[-1]
+        if kernel0 is not kernel or type(blocks) is not tuple:
+            return False
+        want_y, ys = (y0, y0) if kernel is _mvmul else (
+            slice(y0.stop, y.stop), slice(y0.start, y.stop))
+        if (x.start, z.start, y) != (x0.stop, z0.stop, want_y) or not all(
+                z0.stop <= r.start or r.stop <= z0.start for r in (x, y)):
             return False
         xs, zs = slice(x0.start, x.stop), slice(z0.start, z.stop)
-        if (x.start, z.start) != (x0.stop, z0.stop) or not all(
-                zs.stop <= r.start or r.stop <= zs.start for r in (xs, y)):
-            return False
-        self.runs[-1] = (kernel, (*blocks, inst), xs, y, zs)
+        self.runs[-1] = (kernel, (*blocks, inst), xs, ys, zs)
         return True
 
     def bind(self, state: MachineState) -> list | None:

@@ -326,13 +326,14 @@ def test_rnn_step_matches_oracle(kind, hidden, config):
     assert np.abs(got - want).max() <= TOL
 
 
-def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
-    # Each gate's 200x206 mat-vec is four row blocks (64, 64, 64, 8) over one
-    # Y range; replay runs them as one kernel call, the output mat-vec as one.
+def _replayed_step_trace(monkeypatch, prog):
+    """Run three readings through `prog`, recorded then replayed, and check
+    that each leaves the memory and scratchpad that stepping leaves; return
+    the step program's trace."""
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
-    prog = compile_model(init_lstm(200, 6, seed=0), CONFIG)
     runner, stepped = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
-    for reading in quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, 6))):
+    dim = prog.length("input")
+    for reading in quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, dim))):
         runner.step(reading)  # records the trace, then replays it
         write_symbol(stepped, prog, "input", reading)
         stepped.pc, stepped.halted = 0, False
@@ -341,10 +342,37 @@ def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
         assert runner.state.memory.tolist() == stepped.memory.tolist()
         assert runner.state.scratchpad.tolist() == stepped.scratchpad.tolist()
     (trace,) = machine._TRACES.values()
+    return trace
+
+
+def _runs_of(trace, mode):
+    """(first word, words) of the X range of each run of `mode`'s kernel."""
+    kernel = machine._KERNELS[mode]
+    return [(x.start, x.stop - x.start) for k, _, x, _, _ in trace.runs if k is kernel]
+
+
+def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
+    # Each gate's 200x206 mat-vec is four row blocks (64, 64, 64, 8) over one
+    # Y range; replay runs them as one kernel call, the output mat-vec as one.
+    # The f, i and o sigmoids over adjacent gates are one call, as are the
+    # products f*c and i*cand: 18 runs where the program has 21 data blocks.
+    prog = compile_model(init_lstm(200, 6, seed=0), CONFIG)
+    trace = _replayed_step_trace(monkeypatch, prog)
     fused = [blocks for kernel, blocks, *_ in trace.runs if kernel is machine._mvmul]
     assert [[inst.width for inst in blocks] for blocks in fused] == [[64, 64, 64, 8]] * 4 + [[6]]
     mvmuls = [inst for inst in prog.instructions if inst.mode is Opcode.MVMUL]
     assert len(mvmuls) == 17 and [inst for blocks in fused for inst in blocks] == mvmuls
+    assert len(trace.runs) == 18
+    assert _runs_of(trace, Opcode.VSIG) == [(prog.addr("gate_f"), 600)]
+    assert prog.addr("gate_o") + 200 == prog.addr("gate_f") + 600
+    assert _runs_of(trace, Opcode.VMUL) == [(prog.addr("gate_f"), 400), (prog.addr("gate_o"), 200)]
+
+
+def test_gru_step_replays_z_and_r_as_one_sigmoid(monkeypatch):
+    prog = compile_model(init_gru(33, 6, seed=0), CONFIG)
+    trace = _replayed_step_trace(monkeypatch, prog)
+    assert _runs_of(trace, Opcode.VSIG) == [(prog.addr("gate_z"), 66), (prog.addr("cand"), 33)]
+    assert len(trace.runs) == 18
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -361,6 +389,18 @@ def test_step_runner_stops_at_error_capacity(kind):
         runner.step([0.5, -0.25])
     assert runner.steps == capacity
     assert not read_symbol(runner.state, prog, "zerovec").any()
+
+
+def test_read_symbol_rejects_counts_outside_the_symbol():
+    # A count past the symbol would read the next symbol's words.
+    prog = compile_model(init_lstm(2, 2, seed=3), CONFIG)
+    state = fresh_state(prog, CONFIG)
+    length = prog.length("errors")
+    assert len(read_symbol(state, prog, "errors", count=length)) == length
+    assert len(read_symbol(state, prog, "errors", count=0)) == 0
+    for count in (length + 1, -1):
+        with pytest.raises(CompileError, match=f"'errors' holds {length} words, cannot read {count}"):
+            read_symbol(state, prog, "errors", count=count)
 
 
 def test_strategy_equivalence_kernel_svm():

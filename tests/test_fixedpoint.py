@@ -117,13 +117,33 @@ def test_lut_build_rejects_bad_args():
         lut_build("sinh", 128, -8, 8)
 
 
-def test_lookup_array_matches_scalar():
-    t = default_luts()["sigmoid"]
+# The ROM tables, then tables whose span does not split into whole-word
+# segments (the index scales x) or whose k*x + b can leave the range (clamps).
+EVAL_TABLES = [
+    *default_luts().values(),
+    lut_build("tanh", 7, -3.0, 3.0),
+    lut_build("exp-neg", 8, 0.0, 12.0),
+    lut_build("exp-neg", 7, 0.0, 12.0),
+]
+
+
+@pytest.mark.parametrize("t", EVAL_TABLES, ids=lambda t: f"{t.name}-{t.segments}-{t.hi:g}")
+def test_eval_array_matches_scalar(t):
     rng = np.random.default_rng(6)
-    xs = rng.integers(t.lo_raw - 3 * FX_ONE, t.hi_raw + 3 * FX_ONE, size=500)
-    karr, barr = t.lookup_array(xs.astype(np.int64))
-    for x, k, b in zip(xs, karr, barr):
-        assert (int(k), int(b)) == t.lookup(int(x))
+    edges = t.lo_raw + (t.hi_raw - t.lo_raw) * np.arange(t.segments + 1) // t.segments
+    xs = np.concatenate((
+        rng.integers(t.lo_raw - 3 * FX_ONE, t.hi_raw + 3 * FX_ONE, size=500),
+        edges - 1, edges, [FX_MIN, FX_MIN + 1, FX_MAX - 1, FX_MAX],
+    )).astype(np.int32)
+    assert t.eval_array(xs).tolist() == [t.eval(int(x)) for x in xs]
+
+
+def test_rom_tables_take_the_clamp_free_path():
+    # max|k| * max(|lo|, |hi|) >> 16, plus 1, plus max|b| fits the range for
+    # every ROM table, so `eval_array` skips both clamps; a table past 32767
+    # does not.
+    assert [t._vector[-1] for t in default_luts().values()] == [False] * 3
+    assert lut_build("exp-neg", 8, 0.0, 12.0)._vector[-1]
 
 
 def test_fx_array_matches_scalar():

@@ -1,6 +1,7 @@
 """Property tests: the VM against a per-element scalar reference (Mvmul also
 at the edges of its int32 path), trace replay against one-instruction
-stepping on looped programs and on runs of Mvmul row blocks, compiled random
+stepping on looped programs and on runs of Mvmul row blocks and of
+element-wise blocks, compiled random
 bundles against the float oracle, ISA text and binary round trips, truncated
 or corrupted binary inputs, the exact capped-simplex projection against
 bisection, and the stacked KS statistic against per-reference calls."""
@@ -504,6 +505,88 @@ def test_fused_mvmul_replay_matches_stepping(blocks, image):
         want = _outcome(_stepped, load(config, program, image), None)
         for _ in range(2):
             assert _outcome(run, load(config, program, image), None) == want, f"n_track={n_track}"
+        if exact:
+            trace = next(reversed(machine._TRACES.values()))
+            assert len(trace.runs) == 1 and len(trace.runs[0][1]) == len(program) - 1
+
+
+# Runs of element-wise blocks as `codegen` emits the LSTM's gate sigmoids and
+# gate products: one opcode, X, Y and Z each continuing the block before (an
+# unread Y stays put, as codegen leaves it at 0), X and Y clear of the Z before;
+# in place or not. Or not quite, with a gap in X, Y or Z, another opcode, Z
+# reaching the next block's X or Y, or a block addressed through the offset
+# registers, which replay must not join. Full-range words saturate some sums.
+JOINABLE_OPS = sorted([*ELEMENTWISE, *LUT_NAMES])
+
+
+@st.composite
+def elementwise_runs(draw):
+    """Element-wise blocks then halt, the start offsets, and whether the
+    blocks continue exactly (so replay must join them into one call)."""
+    mode = draw(st.sampled_from(JOINABLE_OPS))
+    lengths = draw(st.lists(st.integers(0, 6), min_size=2, max_size=4))
+    change = draw(st.sampled_from(("none", "in place", "gap X", "gap Y", "gap Z", "other op",
+                                   "X over Z", "Y over Z", "offset")))
+    x, y = draw(st.integers(0, 4)), draw(st.integers(40, 44))
+    z = {"in place": x,
+         "X over Z": max(0, x + lengths[0] + draw(st.integers(-2, 2))),
+         "Y over Z": y + lengths[0] + draw(st.integers(-2, 2))}.get(
+        change, draw(st.integers(100, 104)))
+    moved = None if change in ("none", "in place", "X over Z", "Y over Z") else draw(
+        st.integers(1, len(lengths) - 1))
+    other = draw(st.sampled_from([op for op in VECTOR_OPS if op not in (mode, Opcode.MVMUL)]))
+    offsets = tuple(draw(st.integers(1, 3)) for _ in range(3)) if change == "offset" else (0, 0, 0)
+    program = []
+    for i, n in enumerate(lengths):
+        step = draw(st.integers(1, 2)) if i == moved else 0
+        x, y, z = x + step * (change == "gap X"), y + step * (change == "gap Y"), z + step * (
+            change == "gap Z")
+        shift = offsets if i == moved else (0, 0, 0)
+        program.append(MacroInstruction(
+            mode=other if i == moved and change == "other op" else mode, length=n,
+            addr_x=x - shift[0], addr_y=y - shift[1], addr_z=z - shift[2],
+            off_x=any(shift), off_y=any(shift), off_z=any(shift)))
+        x, y, z = x + n, y + n * (mode not in LUT_NAMES), z + n
+    return program + [halt()], offsets, change in ("none", "in place")
+
+
+def _block(mode, n, x, y, z):
+    return MacroInstruction(mode=mode, length=n, addr_x=x, addr_y=y, addr_z=z)
+
+
+RAMP = [i * FX_ONE // 4 - 20 * FX_ONE for i in range(FUSED_WORDS)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks=elementwise_runs(),
+       image=st.lists(words, min_size=FUSED_WORDS, max_size=FUSED_WORDS))
+@example(  # the LSTM's gate sigmoids: three in-place blocks, one call
+    blocks=([_block(Opcode.VSIG, 4, x, 0, x) for x in (8, 12, 16)] + [halt()], (0, 0, 0), True),
+    image=RAMP)
+@example(  # a gap in Y: two calls
+    blocks=([_block(Opcode.VADD, 3, 0, 40, 100), _block(Opcode.VADD, 3, 3, 44, 103), halt()],
+            (0, 0, 0), False),
+    image=RAMP)
+@example(  # the second block reads what the first wrote: two calls
+    blocks=([_block(Opcode.VSIG, 3, 0, 0, 3), _block(Opcode.VSIG, 3, 3, 0, 6), halt()],
+            (0, 0, 0), False),
+    image=RAMP)
+def test_joined_elementwise_replay_matches_stepping(blocks, image):
+    """`run` records a run of element-wise blocks, then replays it, joined
+    into one kernel call where it may be; both leave exactly what stepping
+    leaves."""
+    program, offsets, exact = blocks
+
+    def fresh(config):
+        state = load(config, program, image)
+        state.off_x, state.off_y, state.off_z = offsets
+        return state
+
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, **FUSED_CONFIG)
+        want = _outcome(_stepped, fresh(config), None)
+        for _ in range(2):
+            assert _outcome(run, fresh(config), None) == want, f"n_track={n_track}"
         if exact:
             trace = next(reversed(machine._TRACES.values()))
             assert len(trace.runs) == 1 and len(trace.runs[0][1]) == len(program) - 1
