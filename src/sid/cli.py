@@ -70,6 +70,23 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     return argv[:cut] + tokens + argv[cut:]
 
 
+def _numbers(text: str) -> list[float]:
+    """--freqs: comma-separated numbers."""
+    try:
+        return [float(f) for f in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _platform(text: str) -> tuple[str, float]:
+    """--platform-a/-b: name:active_seconds; a name alone means 0 s."""
+    name, _, seconds = text.partition(":")
+    try:
+        return name, float(seconds or 0.0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected name:active_seconds, got {text!r}") from None
+
+
 def _given(args, **fields) -> dict:
     """field -> flag value for each flag that was set; the rest keep the
     defaults of the config the fields belong to."""
@@ -100,7 +117,7 @@ def cmd_gen_data(args) -> int:
     if args.freqs is None:
         freqs = [1.6, 2.2] if args.users == 2 else list(np.linspace(1.5, 2.3, args.users))
     else:
-        freqs = [float(f) for f in args.freqs.split(",")]
+        freqs = args.freqs
         if len(freqs) != args.users:
             raise UsageError(f"--freqs gives {len(freqs)} frequencies for {args.users} users")
     sequences = data.synth_user_sessions(
@@ -227,13 +244,12 @@ def cmd_energy(args) -> int:
     else:
         profiles = {"gpu": energy.GPU_PROFILE, "sid": energy.SID_PROFILE}
     platforms = []
-    for spec in (args.platform_a, args.platform_b):
-        name, _, seconds = spec.partition(":")
+    for name, seconds in (args.platform_a, args.platform_b):
         if name not in profiles:
             raise energy.EnergyError(
                 f"unknown profile {name!r} (known: {', '.join(sorted(profiles))})"
             )
-        platforms.append([(profiles[name], float(seconds or 0.0))])
+        platforms.append([(profiles[name], seconds)])
     sys.stdout.write(energy.format_energy_report(*platforms, args.period))
     return 0
 
@@ -293,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=2)
     p.add_argument("--seqs", type=int, default=4)
     p.add_argument("--length", type=int, default=1400)
-    p.add_argument("--freqs", help="per-user step frequencies, one per user "
+    p.add_argument("--freqs", type=_numbers, help="per-user step frequencies, one per user "
                    "(default 1.6,2.2 for two users, else evenly spaced over 1.5-2.3)")
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--jitter", type=float, default=0.07)
@@ -346,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="deployment energy comparison")
     p.add_argument("--profiles", help="device profile table")
-    p.add_argument("--platform-a", default="gpu:0.001", help="name:active_seconds")
-    p.add_argument("--platform-b", default="sid:0.0016")
+    p.add_argument("--platform-a", type=_platform, default="gpu:0.001",
+                   help="name:active_seconds")
+    p.add_argument("--platform-b", type=_platform, default="sid:0.0016")
     p.add_argument("--period", type=float, default=0.02)
     p.set_defaults(fn=cmd_energy)
 

@@ -7,6 +7,7 @@ active time is a small fraction of T, the idle term dominates and the energy
 ratio of two platforms approaches their idle-power ratio.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -23,8 +24,11 @@ class DeviceProfile:
     e_sleep: float = 0.0  # joules
 
     def __post_init__(self):
-        if min(self.p_running, self.p_idle, self.e_wakeup, self.e_sleep) < 0:
-            raise EnergyError("power/energy values must be non-negative")
+        values = (self.p_running, self.p_idle, self.e_wakeup, self.e_sleep)
+        if not all(math.isfinite(v) for v in values):
+            raise EnergyError(f"{self.name}: power/energy values must be finite")
+        if min(values) < 0:
+            raise EnergyError(f"{self.name}: power/energy values must be non-negative")
         if self.p_running < self.p_idle:
             raise EnergyError("running power must be at least idle power")
 
@@ -36,6 +40,8 @@ SID_PROFILE = DeviceProfile("sid", p_running=0.62, p_idle=0.12)
 
 def energy_sod(devices, period: float) -> float:
     """Energy of a set of devices over one period; devices = [(profile, t_active)]."""
+    if not (math.isfinite(period) and period > 0):
+        raise EnergyError(f"period must be finite and above 0, got {period}")
     total = 0.0
     for profile, t in devices:
         if not 0 <= t <= period:

@@ -14,7 +14,6 @@ import enum
 import struct
 from dataclasses import dataclass
 
-MODE_BITS = 4
 LEN_BITS = 14
 ADDR_BITS = 31
 MAX_LEN = (1 << LEN_BITS) - 1

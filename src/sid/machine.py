@@ -8,9 +8,11 @@ sequential order so results are bit-identical for every n_track.
 
 A data instruction runs in two parts: operand resolution (the word ranges,
 every one bounds-checked before anything is written, and the memory traffic)
-and a kernel over the resolved ranges. The interpreter (`step_instruction`,
-and `run`'s loop) resolves each instruction from the live registers and runs
-its kernel.
+and a kernel over the resolved ranges. One step (`_step`) fetches the
+instruction at pc, resolves it from the live registers, runs it, charges its
+cycles and moves pc on; `step_instruction` and `run`'s interpreter take it.
+Opcodes that differ only in an operator (VADD, VSUB), in the scalar they
+reduce X to (VMAXABS, VSQNORM) or in a table (the LUTs) share a kernel body.
 
 Control flow depends on data only through what `regload` reads: loop counts
 and `regaddi` steps are immediates. So the first `run` of a program records,
@@ -27,15 +29,15 @@ Mvmul row blocks over one Y range (a tall mat-vec), and adjacent VADD,
 VSUB, VMUL, VSGT or same-table LUT blocks (the LSTM's gate sigmoids). A LUT
 kernel is one `LutTable.eval_array` call, which clamps only if its table's
 extrema let k*x + b leave the range. When operand extrema show that no Mvmul
-row can saturate, the kernel takes the plain sum: in int32 with no widening
-when max|X| * max|Y| also fits the range (then every product does), else over
-int64 products. Otherwise every row gets the prefix check and only rows that
-leave the range run the per-element loop.
+row can saturate, the kernel takes the plain sum (in int32 when every product
+fits too); otherwise only rows whose prefix sums leave the range run the
+per-element loop.
 
 The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
 """
 
+import operator
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -284,18 +286,13 @@ def _saturating_running_sum(start: np.ndarray, products: np.ndarray, cap: int) -
     return result
 
 
-def _vadd(s, inst, x, y, z):
-    mem = s.memory
-    total = mem[x].astype(np.int64)
-    total += mem[y]
-    mem[z] = _saturate(total)
-
-
-def _vsub(s, inst, x, y, z):
-    mem = s.memory
-    total = mem[x].astype(np.int64)
-    total -= mem[y]
-    mem[z] = _saturate(total)
+def _saturated(op):
+    """The kernel of VADD (`op` is `operator.iadd`) or VSUB (`isub`): X op Y
+    in int64, saturated into Z."""
+    def _vsum(s, inst, x, y, z):
+        mem = s.memory
+        mem[z] = _saturate(op(mem[x].astype(np.int64), mem[y]))
+    return _vsum
 
 
 def _vmul(s, inst, x, y, z):
@@ -324,17 +321,12 @@ def _lut(table):
     return _vlut
 
 
-def _vmaxabs(s, inst, x, y, z):
-    best = min(_max_abs(s.memory[x]), FX_MAX)
-    s.scratchpad[0] = best
-    s.memory[z] = best
-
-
-def _vsqnorm(s, inst, x, y, z):
-    xv = s.memory[x]
-    total = min(int(_fx_mul(xv, xv).sum()), FX_MAX)  # non-negative terms: monotone prefix
-    s.scratchpad[0] = total
-    s.memory[z] = total
+def _scalar(reduce):
+    """The kernel of VMAXABS or VSQNORM: the scalar `reduce` makes of X,
+    capped at FX_MAX, into scratchpad word 0 and Z."""
+    def _vscalar(s, inst, x, y, z):
+        s.scratchpad[0] = s.memory[z] = min(reduce(s.memory[x]), FX_MAX)
+    return _vscalar
 
 
 def _mvmul(s, inst, x, y, z):
@@ -376,19 +368,20 @@ def _put_registers(s, inst, x, y, z):
 
 
 _KERNELS = {
-    Opcode.VADD: _vadd,
-    Opcode.VSUB: _vsub,
+    Opcode.VADD: _saturated(operator.iadd),
+    Opcode.VSUB: _saturated(operator.isub),
     Opcode.VMUL: _vmul,
     Opcode.VSGT: _vsgt,
     **{op: _lut(_LUTS[name]) for op, name in _LUT_NAMES.items()},
     Opcode.MVMUL: _mvmul,
     Opcode.VSSGT: _vssgt,
-    Opcode.VMAXABS: _vmaxabs,
-    Opcode.VSQNORM: _vsqnorm,
+    Opcode.VMAXABS: _scalar(_max_abs),
+    # Non-negative terms: the capped sum is the saturating running sum.
+    Opcode.VSQNORM: _scalar(lambda words: int(_fx_mul(words, words).sum())),
 }
 # Kernels whose consecutive blocks a trace may join: not VSSGT, whose Y is one
 # scalar word, nor VMAXABS or VSQNORM, which write one Z word and the scratchpad.
-_JOINABLE = frozenset(_KERNELS.values()) - {_vssgt, _vmaxabs, _vsqnorm}
+_JOINABLE = frozenset(k for op, k in _KERNELS.items() if op not in {_VSSGT, *_Z_SCALAR})
 
 
 # ---------------------------------------------------------------------------
@@ -464,28 +457,30 @@ _HANDLERS = {
 }
 
 
-def _advance(s) -> None:
-    """Next pc after an instruction: stay when halted, else loop back or step."""
-    if s.halted:
-        return
-    if s.pc == s.loop_end and s.loop_n != 0:
-        s.loop_n -= 1
-        s.pc = s.loop_begin
-    else:
-        s.pc += 1
+def _step(s):
+    """Execute the instruction at pc, charge its cycles and move pc on: loop
+    back, step, or stay once halted. Returns the step a replay must redo, or
+    None; past the last instruction it only stops, cleanly, and returns False."""
+    if s.pc >= len(s.program):
+        s.halted = True
+        return False
+    inst = s.program[s.pc]
+    step = _HANDLERS[inst.mode](s, inst)
+    s.cycles += instruction_cycles(inst, s.config)
+    if not s.halted:
+        if s.pc == s.loop_end and s.loop_n != 0:
+            s.loop_n -= 1
+            s.pc = s.loop_begin
+        else:
+            s.pc += 1
+    return step
 
 
 def step_instruction(state: MachineState) -> MachineState:
     """Execute one macro instruction to completion, including loop back-jumps."""
     if state.halted:
         raise MachineTrap(state.pc, "machine is halted")
-    if state.pc >= len(state.program):
-        state.halted = True  # running off the end is a clean stop
-        return state
-    inst = state.program[state.pc]
-    _HANDLERS[inst.mode](state, inst)
-    state.cycles += instruction_cycles(inst, state.config)
-    _advance(state)
+    _step(state)
     return state
 
 
@@ -502,23 +497,14 @@ def profile(state: MachineState) -> dict:
 
 
 def _interpret(state: MachineState, max_cycles: int | None, trace=None):
-    """Run to Halt one instruction at a time from the live registers, adding
-    each step to `trace`; returns it, or None once it grew too long."""
-    decoded = [
-        (_HANDLERS[inst.mode], inst, instruction_cycles(inst, state.config))
-        for inst in state.program
-    ]
-    end = len(decoded)
+    """Run to Halt one `_step` at a time from the live registers, adding each
+    step to `trace`; returns it, or None once it grew too long."""
     while not state.halted:
-        if state.pc >= end:
-            state.halted = True  # running off the end is a clean stop
-            break
-        handler, inst, cycles = decoded[state.pc]
-        step = handler(state, inst)
+        step = _step(state)
+        if step is False:
+            break  # nothing ran, so nothing is charged against the budget
         if step is not None and trace is not None:
             trace = trace.add(state, step)
-        state.cycles += cycles
-        _advance(state)
         if max_cycles is not None and state.cycles > max_cycles:
             raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
     return trace
@@ -694,12 +680,7 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
             _TRACES.move_to_end(key)
             if not _replay(state, trace, max_cycles):
                 _interpret(state, max_cycles)
-    return RunReport(
-        cycles=state.cycles,
-        reads=state.reads,
-        writes=state.writes,
-        wall_time_s=state.cycles / state.config.clock_hz,
-    )
+    return RunReport(state.cycles, state.reads, state.writes, state.cycles / state.config.clock_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -252,17 +252,6 @@ def gru_cell(W, U, b, h, x, out=None):
 RNN_CELLS = {"lstm": (lstm_cell, 2), "gru": (gru_cell, 1)}
 
 
-def step_rnn(m: ModelBundle, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """One cell update plus the affine readout: (state', Wout h' + bout)."""
-    cell, arity = RNN_CELLS[m.kind]
-    hidden = rnn_hidden_size(m)
-    state = tuple(np.asarray(s, dtype=np.float64) for s in state)
-    if len(state) != arity or any(s.shape != (hidden,) for s in state):
-        raise ShapeError(f"{m.kind} state must be {arity} array(s) of shape ({hidden},)")
-    *state, _ = cell(*stacked_weights(m), *state, np.asarray(x, dtype=np.float64))
-    return tuple(state), m["Wout"] @ state[0] + m["bout"]
-
-
 def rnn_hidden_size(m: ModelBundle) -> int:
     return m[f"b{RNN_GATES[m.kind][0][0]}"].shape[-1]
 
@@ -353,6 +342,8 @@ def bundle_from_bytes(blob: bytes) -> ModelBundle:
         (rank,) = struct.unpack("<H", take(2, f"tensor {name!r}"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"tensor {name!r}"))
         data = np.frombuffer(take(8 * math.prod(shape), f"tensor {name!r}"), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise ValueError(f"tensor {name!r} holds a non-finite value")
         tensors[name] = data.reshape(shape).astype(np.float64)
     if pos != len(blob):
         raise ValueError(f"bundle has {len(blob) - pos} bytes after its last tensor")

@@ -12,7 +12,31 @@ from sid.isa import (
     _OFFSET_REG_NAMES, GROUP_LOOP, GROUP_OFFSET, EncodingError, MacroInstruction, Opcode, loop,
     regaddi, regload, regstore,
 )
-from sid.models import RNN_CELLS, ShapeError, rnn_hidden_size, stacked_weights, step_rnn
+from sid.machine import MachineTrap, step_instruction
+from sid.models import RNN_CELLS, ShapeError, rnn_hidden_size, stacked_weights
+
+
+def step_rnn(m, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One cell update plus the affine readout: (state', Wout h' + bout)."""
+    cell, arity = RNN_CELLS[m.kind]
+    hidden = rnn_hidden_size(m)
+    state = tuple(np.asarray(s, dtype=np.float64) for s in state)
+    if len(state) != arity or any(s.shape != (hidden,) for s in state):
+        raise ShapeError(f"{m.kind} state must be {arity} array(s) of shape ({hidden},)")
+    *state, _ = cell(*stacked_weights(m), *state, np.asarray(x, dtype=np.float64))
+    return tuple(state), m["Wout"] @ state[0] + m["bout"]
+
+
+def stepped(state, max_cycles=None):
+    """`sid.machine.run` one `step_instruction` at a time, with its cycle
+    budget: checked after each instruction, not after the stop past the last
+    one, which executes nothing."""
+    while not state.halted:
+        executes = state.pc < len(state.program)
+        step_instruction(state)
+        if executes and max_cycles is not None and state.cycles > max_cycles:
+            raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
+    return state
 
 
 def predict_series(m, readings) -> np.ndarray:

@@ -37,7 +37,6 @@ from sid.models import (
     infer_svm,
     mlp_logits,
     ocsvm_score,
-    step_rnn,
 )
 from sid.pipeline import LadConfig, run_lad, safe_metrics
 from sid.training import (
@@ -47,6 +46,8 @@ from sid.training import (
     mlp_loss_and_grads,
     rnn_loss_and_grads,
 )
+
+from oracles import step_rnn
 
 TOL = 2**-8
 

@@ -347,6 +347,49 @@ def test_energy_with_profile_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown profile 'foo' (known: gpu, sid)\n"
 
 
+def test_energy_rejects_non_finite_profiles_and_bad_periods(tmp_path, capsys):
+    profile = tmp_path / "profiles.txt"
+    for row in ("cpu nan 10 0 0", "cpu 30 inf 0 0", "cpu 30 10 -inf 0", "cpu 30 10 0 nan"):
+        profile.write_text(f"{row}\nacc 1 0.2 0 0\n")
+        assert run_cli("energy", "--profiles", str(profile),
+                       "--platform-a", "cpu:0.002", "--platform-b", "acc:0.001") == 2, row
+        assert capsys.readouterr().err == "error: cpu: power/energy values must be finite\n"
+    for period in ("0", "-1", "inf"):
+        assert run_cli("energy", "--period", period) == 2, period
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [f"error: period must be finite and above 0, got {float(period)}"]
+
+
+def test_malformed_freqs_and_platform_values_exit_one(tmp_path, capsys):
+    for argv in (("gen-data", "--freqs", "1.6,abc", "--out", str(tmp_path / "d")),
+                 ("energy", "--platform-a", "gpu:abc"),
+                 ("energy", "--platform-b", "sid:1e")):
+        assert run_cli(*argv) == 1, argv
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: argument {argv[1]}:"), argv
+    assert not (tmp_path / "d").exists()
+    assert run_cli("energy", "--platform-a", "gpu") == 0  # no :seconds means 0 s
+    assert "energy_a_j=0.16\n" in capsys.readouterr().out  # idle watts x period
+
+
+def test_non_finite_bundle_exits_two(tmp_path, capsys):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--seed", "5", "--out", str(datadir))
+    bundle = tmp_path / "lstm.sidb"
+    for value in (np.nan, np.inf, -np.inf):
+        m = init_lstm(4, 6)
+        m.tensors["Wc"][1, 2] = value
+        save_bundle(bundle, m)
+        capsys.readouterr()
+        for argv in (("detect", "--scenario", "lad", "--model", str(bundle), "--data", str(datadir),
+                      "--window", "120", "--step", "60"),
+                     ("compile", "--model", str(bundle), "--out-prefix", str(tmp_path / "m"))):
+            assert run_cli(*argv) == 2, (value, argv[0])
+            errors = capsys.readouterr().err.splitlines()
+            assert errors == ["error: tensor 'Wc' holds a non-finite value"], (value, argv[0])
+
+
 def test_report_command(tmp_path):
     out = tmp_path / "sizes.txt"
     assert run_cli("report", "--out", str(out)) == 0

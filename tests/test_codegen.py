@@ -31,7 +31,7 @@ from sid.models import (
 )
 from sid.training import init_gru, init_lstm, init_mlp
 
-from oracles import fx_sub, predict_series
+from oracles import fx_sub, predict_series, stepped
 
 CONFIG = MachineConfig()
 TOL = 2**-8
@@ -331,16 +331,15 @@ def _replayed_step_trace(monkeypatch, prog):
     that each leaves the memory and scratchpad that stepping leaves; return
     the step program's trace."""
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
-    runner, stepped = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
+    runner, reference = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
     dim = prog.length("input")
     for reading in quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, dim))):
         runner.step(reading)  # records the trace, then replays it
-        write_symbol(stepped, prog, "input", reading)
-        stepped.pc, stepped.halted = 0, False
-        while not stepped.halted:
-            step_instruction(stepped)
-        assert runner.state.memory.tolist() == stepped.memory.tolist()
-        assert runner.state.scratchpad.tolist() == stepped.scratchpad.tolist()
+        write_symbol(reference, prog, "input", reading)
+        reference.pc, reference.halted = 0, False
+        stepped(reference)
+        assert runner.state.memory.tolist() == reference.memory.tolist()
+        assert runner.state.scratchpad.tolist() == reference.scratchpad.tolist()
     (trace,) = machine._TRACES.values()
     return trace
 

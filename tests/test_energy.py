@@ -92,6 +92,21 @@ def test_profile_validation():
         DeviceProfile("bad", -1.0, -2.0)
 
 
+def test_profile_reader_rejects_non_finite_values():
+    for column in range(1, 5):
+        for value in ("nan", "inf", "-inf"):
+            row = ["cpu", "30", "10", "0", "0"]
+            row[column] = value
+            with pytest.raises(EnergyError, match="cpu: power/energy values must be finite"):
+                parse_profiles(" ".join(row))
+
+
+def test_period_must_be_finite_and_positive():
+    for period in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(EnergyError, match="period must be finite and above 0"):
+            energy_sod([(GPU_PROFILE, 0.0)], period)
+
+
 def test_report_format():
     text = format_energy_report([(GPU_PROFILE, 0.001)], [(SID_PROFILE, 0.0016)], 0.02)
     assert "energy_ratio=" in text and "idle_ratio=66.67" in text

@@ -19,10 +19,9 @@ from sid.machine import (
     image_from_bytes,
     image_to_bytes,
     run,
-    step_instruction,
 )
 
-from oracles import assemble, real_array
+from oracles import assemble, real_array, stepped
 
 
 def vec_op(op, length, x, y, z, **kw):
@@ -325,20 +324,6 @@ def snapshot(state):
             state.off_z, state.cycles, state.reads, state.writes)
 
 
-def stepped(state):
-    while not state.halted:
-        step_instruction(state)
-    return state
-
-
-def stepped_within(state, max_cycles):
-    """`stepped` with `run`'s cycle budget."""
-    while not state.halted:
-        step_instruction(state)
-        if state.cycles > max_cycles:
-            raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
-
-
 NESTED = """
 loop end=8 n=2
 regstore group=loop addr=200
@@ -390,7 +375,7 @@ def test_invalid_trace_falls_back_to_interpreter(monkeypatch):
     # A count of 1 stored each pass never runs out: the regload's guard reads
     # other words than the recorded run, and the interpreter hits the budget.
     outcomes = []
-    for execute in (run, stepped_within):
+    for execute in (run, stepped):
         state = fresh(program)
         state.memory[65] = 1
         with pytest.raises(MachineTrap) as trap:

@@ -17,11 +17,10 @@ from sid.models import (
     mlp_logits,
     rnn_hidden_size,
     sigmoid,
-    step_rnn,
 )
 from sid.training import init_gru, init_lstm
 
-from oracles import predict_series, stepwise_readout_errors
+from oracles import predict_series, step_rnn, stepwise_readout_errors
 
 
 def lstm_bundle(hidden, dim, rng=None, scale=0.0):

@@ -64,7 +64,7 @@ from sid.models import (
 )
 from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
 
-from oracles import assemble, fx_sub, predict_series
+from oracles import assemble, fx_sub, predict_series, stepped
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -350,15 +350,6 @@ def looped_programs(draw):
     return program
 
 
-def _stepped(state, max_cycles):
-    """`run` one `step_instruction` at a time, with its cycle budget."""
-    while not state.halted:
-        executes = state.pc < len(state.program)
-        step_instruction(state)
-        if executes and max_cycles is not None and state.cycles > max_cycles:
-            raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
-
-
 def _outcome(execute, state, max_cycles):
     """Trap message (or None) and every observable part of the state after."""
     try:
@@ -444,7 +435,7 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
                 state.off_x, state.off_y, state.off_z = offsets
             for _ in range(2):
                 got = _outcome(run, states[0], max_cycles)
-                assert got == _outcome(_stepped, states[1], max_cycles), f"n_track={n_track}"
+                assert got == _outcome(stepped, states[1], max_cycles), f"n_track={n_track}"
                 if got[0] is not None:
                     break
                 for state in states:
@@ -502,7 +493,7 @@ def test_fused_mvmul_replay_matches_stepping(blocks, image):
     program, exact = blocks
     for n_track in (1, 2, 4, 8):
         config = MachineConfig(n_track=n_track, **FUSED_CONFIG)
-        want = _outcome(_stepped, load(config, program, image), None)
+        want = _outcome(stepped, load(config, program, image), None)
         for _ in range(2):
             assert _outcome(run, load(config, program, image), None) == want, f"n_track={n_track}"
         if exact:
@@ -584,7 +575,7 @@ def test_joined_elementwise_replay_matches_stepping(blocks, image):
 
     for n_track in (1, 2, 4, 8):
         config = MachineConfig(n_track=n_track, **FUSED_CONFIG)
-        want = _outcome(_stepped, fresh(config), None)
+        want = _outcome(stepped, fresh(config), None)
         for _ in range(2):
             assert _outcome(run, fresh(config), None) == want, f"n_track={n_track}"
         if exact:
