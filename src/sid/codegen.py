@@ -2,12 +2,18 @@
 
 Layout conventions shared by every generated program:
   * parameters are quantized to Q16.16 and placed in the memory image with a
-    symbol table (name -> (word address, length));
+    symbol table (name -> (word address, length)); every parameter symbol is
+    read-only (`CompiledProgram.readonly`): `fresh_state` loads it as a
+    read-only range and `write_symbol` refuses it;
   * matrix-vector products split into row blocks of at most n_local rows and
     accumulate into their destination, which the image zero-initializes;
   * biases are added with an explicit Vadd after the matrix blocks (the
     recurrent step programs instead copy the bias in before accumulating so a
     step can run repeatedly);
+  * a recurrent step program stacks its gate matrices `Wcat_<g>`, then its
+    gate biases `b<g>`, and emits every bias-in Vadd (each over its own slice
+    of `zerovec`) before all the gate mat-vecs, so a replay runs the bias-ins
+    as one Vadd and the mat-vecs as one tall Mvmul;
   * programs end in Halt and are one-shot per load unless noted otherwise;
   * an unrolled form is never written: `_unroll` derives it from the looped one;
   * the LSTM and GRU step programs share one frame, `_compile_rnn_step`, and
@@ -52,6 +58,7 @@ class CompiledProgram:
     symbols: dict[str, tuple[int, int]]
     stages: dict[str, int] = field(default_factory=dict)
     clamped: list[str] = field(default_factory=list)
+    readonly: frozenset[str] = frozenset()  # symbols no instruction or host may write
 
     @property
     def code_bytes(self) -> int:
@@ -77,6 +84,7 @@ class _Builder:
         self.chunks: list[tuple[int, np.ndarray]] = []
         self.instructions: list[MacroInstruction] = []
         self.clamped: list[str] = []
+        self.readonly: set[str] = set()
 
     def alloc(self, name: str, length: int, values=None) -> int:
         if name in self.symbols:
@@ -94,8 +102,11 @@ class _Builder:
         return addr
 
     def tensor(self, name: str, values) -> int:
+        """A read-only symbol holding `values`: a weight or a constant."""
         values = np.asarray(values, dtype=np.float64)
-        return self.alloc(name, values.size, values)
+        addr = self.alloc(name, values.size, values)
+        self.readonly.add(name)
+        return addr
 
     def emit(self, inst: MacroInstruction) -> int:
         self.instructions.append(inst)
@@ -134,6 +145,7 @@ class _Builder:
             image=image,
             symbols=self.symbols,
             clamped=self.clamped,
+            readonly=frozenset(self.readonly),
         )
 
 
@@ -349,8 +361,9 @@ _STEP_CELLS = {
 
 
 def _compile_rnn_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
-    """Error prelude, bias in and mat-vec per U gate, the kind's cell, readout.
-    A tensor that does not match (hidden, D) would be read as the wrong words."""
+    """Error prelude, every U gate's bias in then every U gate's mat-vec, the
+    kind's cell, readout. A tensor that does not match (hidden, D) would be
+    read as the wrong words."""
     tensors, state, constants, cell = _STEP_CELLS[m.kind]
     w_gates, gates = RNN_GATES[m.kind]
     hidden, dim = m[f"b{w_gates[0]}"].size, m["bout"].size
@@ -367,6 +380,7 @@ def _compile_rnn_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     for g in gates:
         wcat = np.concatenate([m[f"W{g}"], m[f"U{g}"]], axis=1)
         b.tensor(f"Wcat_{g}", wcat)
+    for g in gates:
         b.tensor(f"b{g}", m[f"b{g}"])
     for name, source in tensors + (("Wout", "Wout"), ("bout", "bout")):
         b.tensor(name, m[source])
@@ -376,7 +390,8 @@ def _compile_rnn_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     pred = b.alloc("pred", dim)
     ed = b.alloc("ed", dim)
     errs = b.alloc("errors", STEP_ERRORS)
-    zerovec = b.alloc("zerovec", max(hidden, dim))  # also zeroes the dim-long pred bias add
+    # One slice per gate bias-in; also zeroes the dim-long pred bias add.
+    zerovec = b.alloc("zerovec", max(len(gates) * hidden, dim))
     for name, value in constants:
         b.tensor(name, np.full(hidden, value))
     at = lambda name: b.symbols[name][0]
@@ -386,8 +401,9 @@ def _compile_rnn_step(m: ModelBundle, config: MachineConfig) -> CompiledProgram:
     b.op(Opcode.VSUB, dim, pred, xh, ed)
     b.op(Opcode.VSQNORM, dim, ed, 0, errs, offz=True)
     b.emit(regaddi(2, 1))
+    for k, g in enumerate(gates):  # bias in, repeat-safe
+        b.op(Opcode.VADD, hidden, at(f"b{g}"), zerovec + k * hidden, at(f"gate_{g}"))
     for g in gates:
-        b.op(Opcode.VADD, hidden, at(f"b{g}"), zerovec, at(f"gate_{g}"))  # bias in, repeat-safe
         _emit_matvec(b, config, at(f"Wcat_{g}"), hidden, dim + hidden, xh, at(f"gate_{g}"))
     cell(b, at, hidden, config)
     b.op(Opcode.VADD, dim, at("bout"), zerovec, pred)
@@ -548,15 +564,19 @@ def code_size_report(rows) -> str:
 # ---------------------------------------------------------------------------
 
 def fresh_state(prog: CompiledProgram, config: MachineConfig) -> MachineState:
-    return load(config, prog.instructions, prog.image)
+    """A loaded state of `prog` whose read-only symbols are read-only ranges."""
+    ranges = [(addr, addr + length) for addr, length in map(prog.symbols.get, prog.readonly)]
+    return load(config, prog.instructions, prog.image, ranges)
 
 
 def write_symbol(state: MachineState, prog: CompiledProgram, name: str, values) -> None:
     addr, length = prog.symbols[name]
+    if name in prog.readonly:
+        raise CompileError(f"symbol {name!r} is read-only")
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(values) > length:
         raise CompileError(f"symbol {name!r} holds {length} words, got {len(values)}")
-    state.memory[addr : addr + len(values)] = fx_array(values)
+    state.words[addr : addr + len(values)] = fx_array(values)
 
 
 def read_symbol(state: MachineState, prog: CompiledProgram, name: str, count=None) -> np.ndarray:

@@ -30,7 +30,7 @@ class DeviceProfile:
         if min(values) < 0:
             raise EnergyError(f"{self.name}: power/energy values must be non-negative")
         if self.p_running < self.p_idle:
-            raise EnergyError("running power must be at least idle power")
+            raise EnergyError(f"{self.name}: running power must be at least idle power")
 
 
 # Measured idle/running watts for the comparison platforms.
@@ -93,7 +93,10 @@ def parse_profiles(text: str) -> dict[str, DeviceProfile]:
             values = [float(v) for v in parts[1:]]
         except ValueError:
             raise EnergyError(f"line {line_no}: bad number in {line!r}") from None
-        profiles[parts[0]] = DeviceProfile(parts[0], *values)
+        try:
+            profiles[parts[0]] = DeviceProfile(parts[0], *values)
+        except EnergyError as exc:
+            raise EnergyError(f"line {line_no}: {exc}") from None
     return profiles
 
 

@@ -25,13 +25,23 @@ same partial memory.
 
 As it records, the trace joins into one call consecutive fixed blocks of one
 kernel that continue each other's ranges and read no Z of the blocks before:
-Mvmul row blocks over one Y range (a tall mat-vec), and adjacent VADD,
-VSUB, VMUL, VSGT or same-table LUT blocks (the LSTM's gate sigmoids). A LUT
-kernel is one `LutTable.eval_array` call, which clamps only if its table's
-extrema let k*x + b leave the range. When operand extrema show that no Mvmul
-row can saturate, the kernel takes the plain sum (in int32 when every product
-fits too); otherwise only rows whose prefix sums leave the range run the
+Mvmul row blocks over one Y range (a tall mat-vec, such as the four gate
+mat-vecs of an LSTM step), and adjacent VADD, VSUB, VMUL, VSGT or same-table
+LUT blocks (the step's bias-ins, its gate sigmoids). A LUT kernel is one
+`LutTable.eval_array` call, which clamps only if its table's extrema let
+k*x + b leave the range. When operand extrema show that no Mvmul row can
+saturate, the kernel takes the plain sum (in int32 when every product fits
+too); otherwise only rows whose prefix sums leave the range run the
 per-element loop.
+
+A state may hold read-only word ranges, fixed at `load` (a compiled
+program's weights and constants). A data Z range or a regstore slot that
+meets one traps, naming the range, before anything is written; replay hands
+a run whose shifted Z meets one to the interpreter, which raises that trap
+at the same pc. `state.memory` is a read-only view, and the kernels and
+`codegen.write_symbol` write through its base, `state.words`. Since no
+instruction can change a read-only range, each state caches max|X| of the
+Mvmul X ranges inside one, so a gate matrix is scanned once per state.
 
 The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
@@ -105,13 +115,23 @@ class RunReport:
 
 
 class MachineState:
-    """Mutable machine state; one execution context owns it at a time."""
+    """Mutable machine state; one execution context owns it at a time.
 
-    def __init__(self, config: MachineConfig, program, memory: np.ndarray):
+    `words` is the int32 data memory and `memory` a read-only view of it.
+    `readonly` holds sorted, disjoint (start, stop) word ranges no write may
+    meet, and `x_peaks` max|X| of each Mvmul X range inside one, by (start,
+    stop). A host that writes a read-only range through `words` must drop
+    `x_peaks`."""
+
+    def __init__(self, config: MachineConfig, program, memory: np.ndarray, readonly=()):
         self.config = config
         self.program = list(program)
         self.program_hash = hash(tuple(self.program))  # a trace key; checked on use
-        self.memory = memory  # int32, data_mem_words long
+        self.words = memory
+        self.memory = memory.view()
+        self.memory.flags.writeable = False
+        self.readonly = tuple(readonly)
+        self.x_peaks = {}
         self.scratchpad = np.zeros(config.n_local, dtype=np.int32)
         self.pc = 0
         self.loop_begin = 0
@@ -126,7 +146,20 @@ class MachineState:
         self.halted = False
 
 
-def load(config: MachineConfig, program, image) -> MachineState:
+def _merged(ranges) -> tuple:
+    """Nonempty (start, stop) ranges sorted, adjacent or overlapping ones merged."""
+    merged = []
+    for start, stop in sorted(r for r in ranges if r[1] > r[0]):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
+        else:
+            merged.append((start, stop))
+    return tuple(merged)
+
+
+def load(config: MachineConfig, program, image, readonly=()) -> MachineState:
+    """A state running `program` over `image`, zero-extended to data memory;
+    `readonly` lists (start, stop) word ranges no write may meet."""
     program = list(program)
     if len(program) > INST_MEM_SLOTS:
         raise LoadError(
@@ -139,7 +172,7 @@ def load(config: MachineConfig, program, image) -> MachineState:
         )
     memory = np.zeros(config.data_mem_words, dtype=np.int32)
     memory[: len(image)] = image
-    return MachineState(config, program, memory)
+    return MachineState(config, program, memory, _merged(readonly))
 
 
 def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
@@ -167,6 +200,22 @@ def _check_range(pc: int, start: int, count: int, words: int) -> None:
         raise MachineTrap(pc, f"address range [{start}, {start + count}) out of bounds")
 
 
+def _read_only_met(readonly: tuple, z: slice):
+    """The read-only range that the nonempty word range `z` meets, or None."""
+    if z.start < z.stop:
+        for start, stop in readonly:
+            if z.start < stop and start < z.stop:
+                return start, stop
+    return None
+
+
+def _check_writable(s, z: slice) -> None:
+    met = _read_only_met(s.readonly, z)
+    if met:
+        raise MachineTrap(
+            s.pc, f"write to [{z.start}, {z.stop}) meets read-only range [{met[0]}, {met[1]})")
+
+
 _Y_UNREAD = frozenset({*_LUT_NAMES, Opcode.VMAXABS, Opcode.VSQNORM})
 _Z_SCALAR = frozenset({Opcode.VMAXABS, Opcode.VSQNORM})
 _MVMUL, _VSSGT = Opcode.MVMUL, Opcode.VSSGT
@@ -186,8 +235,9 @@ def _footprint(inst: MacroInstruction):
 
 
 def _operands(s, inst: MacroInstruction) -> tuple[slice, slice, slice]:
-    """Bounds-check X, Y and Z in that order before anything is written,
-    count the traffic and return the three word ranges."""
+    """Bounds-check X, Y and Z in that order, then Z against the read-only
+    ranges, before anything is written; count the traffic and return the
+    three word ranges."""
     nx, ny, nz, reads, writes = _footprint(inst)
     if inst.mode is _MVMUL and inst.width > s.config.n_local:
         raise MachineTrap(s.pc, f"Mvmul width {inst.width} exceeds scratchpad {s.config.n_local}")
@@ -198,9 +248,12 @@ def _operands(s, inst: MacroInstruction) -> tuple[slice, slice, slice]:
     _check_range(pc, x, nx, words)
     _check_range(pc, y, ny, words)
     _check_range(pc, z, nz, words)
+    zs = slice(z, z + nz)
+    if s.readonly:
+        _check_writable(s, zs)
     s.reads += reads
     s.writes += writes
-    return slice(x, x + nx), slice(y, y + ny), slice(z, z + nz)
+    return slice(x, x + nx), slice(y, y + ny), zs
 
 
 _REG_GROUPS = {
@@ -235,9 +288,10 @@ def _register_value(name: str, word: int) -> int:
 # are int32 views of memory; arithmetic widens to int64 inside the ufunc and
 # saturates in place, except where extrema bound every result within the
 # range (Mvmul's int32 path, a LUT's clamp-free path). Each reads all of its
-# operands before it writes Z, so a trace may join blocks that read no Z
-# written before them. Extrema are rescanned on every call, never cached: the
-# host may write any word between runs, so a cached max|X| could be stale.
+# operands before it writes Z, through `state.words`, so a trace may join
+# blocks that read no Z written before them. Extrema of writeable words are
+# rescanned on every call, since the host may write them between runs; max|X|
+# of an Mvmul X range inside a read-only range is cached in the state.
 # ---------------------------------------------------------------------------
 
 _HI = np.int64(FX_MAX)
@@ -290,25 +344,25 @@ def _saturated(op):
     """The kernel of VADD (`op` is `operator.iadd`) or VSUB (`isub`): X op Y
     in int64, saturated into Z."""
     def _vsum(s, inst, x, y, z):
-        mem = s.memory
+        mem = s.words
         mem[z] = _saturate(op(mem[x].astype(np.int64), mem[y]))
     return _vsum
 
 
 def _vmul(s, inst, x, y, z):
-    mem = s.memory
+    mem = s.words
     mem[z] = _fx_mul(mem[x], mem[y])
 
 
 def _vsgt(s, inst, x, y, z):
-    mem = s.memory
+    mem = s.words
     out = mem[z]
     out[...] = mem[x] >= mem[y]
     out *= FX_ONE
 
 
 def _vssgt(s, inst, x, y, z):
-    mem = s.memory
+    mem = s.words
     out = mem[z]
     out[...] = mem[x] > mem[y.start]  # one scalar Y word against every X word
     out *= FX_ONE
@@ -317,7 +371,7 @@ def _vssgt(s, inst, x, y, z):
 def _lut(table):
     """The kernel of one LUT opcode, so each such opcode has its own."""
     def _vlut(s, inst, x, y, z):
-        s.memory[z] = table.eval_array(s.memory[x])
+        s.words[z] = table.eval_array(s.words[x])
     return _vlut
 
 
@@ -325,7 +379,7 @@ def _scalar(reduce):
     """The kernel of VMAXABS or VSQNORM: the scalar `reduce` makes of X,
     capped at FX_MAX, into scratchpad word 0 and Z."""
     def _vscalar(s, inst, x, y, z):
-        s.scratchpad[0] = s.memory[z] = min(reduce(s.memory[x]), FX_MAX)
+        s.scratchpad[0] = s.words[z] = min(reduce(s.words[x]), FX_MAX)
     return _vscalar
 
 
@@ -336,11 +390,16 @@ def _mvmul(s, inst, x, y, z):
     rows, cols = z.stop - z.start, y.stop - y.start
     if rows == 0:
         return
-    mem = s.memory
+    mem = s.words
     xv, yv, zv = mem[x].reshape(rows, cols), mem[y], mem[z]
+    x_peak = s.x_peaks.get((x.start, x.stop))
+    if x_peak is None:
+        x_peak = _max_abs(xv)
+        if any(start <= x.start and x.stop <= stop for start, stop in s.readonly):
+            s.x_peaks[x.start, x.stop] = x_peak  # no instruction can change these words
     # |a * b| <= peak, so |floor(a * b / 2**16)| <= (peak >> 16) + 1 for every
     # product, and cap bounds every row's |Z| plus its partial sums.
-    peak = _max_abs(xv) * _max_abs(yv)
+    peak = x_peak * _max_abs(yv)
     cap = _max_abs(zv) + cols * ((peak >> 16) + 1)
     if peak <= FX_MAX and cap <= FX_MAX:
         # Every product, partial sum and total fits int32, and a sum that
@@ -364,7 +423,7 @@ def _mvmul(s, inst, x, y, z):
 def _put_registers(s, inst, x, y, z):
     """Memory effect of regstore: `y` holds one (register, delta) pair per
     word, stored as delta plus that register of `s` (None: plus 0)."""
-    s.memory[z] = [_signed32(delta + (getattr(s, reg) if reg else 0)) for reg, delta in y]
+    s.words[z] = [_signed32(delta + (getattr(s, reg) if reg else 0)) for reg, delta in y]
 
 
 _KERNELS = {
@@ -411,6 +470,7 @@ def _regaddi(s, inst):
 
 def _regstore(s, inst):
     names, z = _reg_slot(s, inst)
+    _check_writable(s, z)
     pairs = [(name, 0) for name in names]
     _put_registers(s, inst, None, pairs, z)
     s.writes += 3
@@ -594,7 +654,8 @@ class Trace:
 
     def bind(self, state: MachineState) -> list | None:
         """`runs` with the moving ranges shifted to `state`'s start offsets;
-        None if a shifted range leaves memory."""
+        None if a shifted range leaves memory or a shifted write meets a
+        read-only range."""
         shift = [getattr(state, name) - start for name, start in self.starts.items()]
         if not self.moving or not any(shift):
             return self.runs
@@ -606,6 +667,8 @@ class Trace:
                     r = ranges[j] = slice(ranges[j].start + shift[j], ranges[j].stop + shift[j])
                     if r.stop > r.start and (r.start < 0 or r.stop > words):
                         return None
+            if moves[2] and kernel is not _guard and _read_only_met(state.readonly, ranges[2]):
+                return None
             steps[i] = (kernel, inst, *ranges)
         return steps
 
@@ -645,7 +708,7 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
 # Traces `run` has recorded, keyed by program (its hash; a trace of another
 # program under that hash is recorded over), memory size, lane count and
 # scratchpad size, pc and loop registers: what fixes the control flow up
-# to the first regload. Shared by every state, so a fresh state of a
+# to the first regload; and the read-only ranges, which decide its traps. Shared by every state, so a fresh state of a
 # compiled program finds its trace; bounded, oldest dropped first.
 _TRACES: OrderedDict = OrderedDict()
 _TRACE_KEYS = 32
@@ -671,7 +734,7 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
         config = state.config
         key = (
             state.program_hash, len(state.memory), config.n_track, config.n_local,
-            state.pc, state.loop_begin, state.loop_end, state.loop_n,
+            state.pc, state.loop_begin, state.loop_end, state.loop_n, state.readonly,
         )
         trace = _TRACES.get(key)
         if trace is None or trace.program != state.program:

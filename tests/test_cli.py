@@ -353,11 +353,21 @@ def test_energy_rejects_non_finite_profiles_and_bad_periods(tmp_path, capsys):
         profile.write_text(f"{row}\nacc 1 0.2 0 0\n")
         assert run_cli("energy", "--profiles", str(profile),
                        "--platform-a", "cpu:0.002", "--platform-b", "acc:0.001") == 2, row
-        assert capsys.readouterr().err == "error: cpu: power/energy values must be finite\n"
+        assert capsys.readouterr().err == "error: line 1: cpu: power/energy values must be finite\n"
     for period in ("0", "-1", "inf"):
         assert run_cli("energy", "--period", period) == 2, period
         errors = capsys.readouterr().err.splitlines()
         assert errors == [f"error: period must be finite and above 0, got {float(period)}"]
+
+
+def test_rejected_profile_row_names_its_line_and_device(tmp_path, capsys):
+    profile = tmp_path / "profiles.txt"
+    for row, reason in (("cpu 1 2 0 0", "running power must be at least idle power"),
+                        ("cpu 30 -1 0 0", "power/energy values must be non-negative")):
+        profile.write_text(f"# name P_run P_idle E_wake E_sleep\nacc 1 0.2 0 0\n{row}\n")
+        assert run_cli("energy", "--profiles", str(profile),
+                       "--platform-a", "cpu:0.002", "--platform-b", "acc:0.001") == 2, row
+        assert capsys.readouterr().err.splitlines() == [f"error: line 3: cpu: {reason}"]
 
 
 def test_malformed_freqs_and_platform_values_exit_one(tmp_path, capsys):

@@ -350,28 +350,64 @@ def _runs_of(trace, mode):
     return [(x.start, x.stop - x.start) for k, _, x, _, _ in trace.runs if k is kernel]
 
 
-def test_lstm200_step_replays_each_gate_as_one_mvmul(monkeypatch):
-    # Each gate's 200x206 mat-vec is four row blocks (64, 64, 64, 8) over one
-    # Y range; replay runs them as one kernel call, the output mat-vec as one.
-    # The f, i and o sigmoids over adjacent gates are one call, as are the
-    # products f*c and i*cand: 18 runs where the program has 21 data blocks.
+def test_lstm200_step_replays_its_gates_as_one_mvmul(monkeypatch):
+    # Wcat_c..Wcat_o, b_c..b_o and gate_c..gate_o are each stacked, and every
+    # bias-in comes before every gate mat-vec. So replay runs the four bias-ins
+    # as one 800-word VADD and the four 200x206 mat-vecs, 16 row blocks (64,
+    # 64, 64, 8 per gate) over one Y range, as one kernel call; the output
+    # mat-vec is one more. The f, i and o sigmoids over adjacent gates are one
+    # call, as are the products f*c and i*cand: 12 runs for 21 data blocks.
     prog = compile_model(init_lstm(200, 6, seed=0), CONFIG)
     trace = _replayed_step_trace(monkeypatch, prog)
     fused = [blocks for kernel, blocks, *_ in trace.runs if kernel is machine._mvmul]
-    assert [[inst.width for inst in blocks] for blocks in fused] == [[64, 64, 64, 8]] * 4 + [[6]]
+    assert [[inst.width for inst in blocks] for blocks in fused] == [[64, 64, 64, 8] * 4, [6]]
     mvmuls = [inst for inst in prog.instructions if inst.mode is Opcode.MVMUL]
     assert len(mvmuls) == 17 and [inst for blocks in fused for inst in blocks] == mvmuls
-    assert len(trace.runs) == 18
+    assert _runs_of(trace, Opcode.MVMUL) == [(prog.addr("Wcat_c"), 800 * 206),
+                                             (prog.addr("Wout"), 6 * 200)]
+    assert len(trace.runs) == 12
+    assert _runs_of(trace, Opcode.VADD) == [(prog.addr("bc"), 800), (prog.addr("t1"), 200),
+                                            (prog.addr("bout"), 6)]
+    (bias_in,) = [run for run in trace.runs if run[2].start == prog.addr("bc")]
+    assert bias_in[4] == slice(prog.addr("gate_c"), prog.addr("gate_c") + 800)
     assert _runs_of(trace, Opcode.VSIG) == [(prog.addr("gate_f"), 600)]
     assert prog.addr("gate_o") + 200 == prog.addr("gate_f") + 600
     assert _runs_of(trace, Opcode.VMUL) == [(prog.addr("gate_f"), 400), (prog.addr("gate_o"), 200)]
 
 
 def test_gru_step_replays_z_and_r_as_one_sigmoid(monkeypatch):
+    # The z and r bias-ins and mat-vecs join as the LSTM's do; the candidate's
+    # Wh and Ur_cand mat-vecs read different Y ranges (input, r*h), so they stay
+    # two calls: 16 runs.
     prog = compile_model(init_gru(33, 6, seed=0), CONFIG)
     trace = _replayed_step_trace(monkeypatch, prog)
     assert _runs_of(trace, Opcode.VSIG) == [(prog.addr("gate_z"), 66), (prog.addr("cand"), 33)]
-    assert len(trace.runs) == 18
+    assert _runs_of(trace, Opcode.MVMUL) == [(prog.addr("Wcat_z"), 66 * 39), (prog.addr("Wh"), 33 * 6),
+                                             (prog.addr("Ur_cand"), 33 * 33), (prog.addr("Wout"), 6 * 33)]
+    assert len(trace.runs) == 16
+
+
+def test_parameters_load_as_read_only_ranges(monkeypatch):
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    prog = compile_model(init_gru(8, 6, seed=0), CONFIG)
+    assert prog.readonly == {"Wcat_z", "Wcat_r", "bz", "br", "Wh", "bh", "Ur_cand", "Wout",
+                             "bout", "ones"}
+    runner = StepRunner(prog, CONFIG)
+    # Every parameter but `ones` lies before `input`: one merged range.
+    ones = prog.addr("ones")
+    assert runner.state.readonly == ((0, prog.addr("input")), (ones, ones + 8))
+    for name in ("Wcat_z", "ones"):
+        with pytest.raises(CompileError, match=f"^symbol '{name}' is read-only$"):
+            write_symbol(runner.state, prog, name, [0.0])
+    for reading in quantize(np.random.default_rng(4).uniform(-1, 1, size=(3, 6))):
+        runner.step(reading)
+    # Each state scans each read-only Mvmul X range once: the recording run
+    # the z and r gate matrices one by one, replay the two joined; Wh, Ur_cand
+    # and Wout.
+    spans = [("Wcat_z", 8 * 14), ("Wcat_r", 8 * 14), ("Wcat_z", 2 * 8 * 14), ("Wh", 8 * 6),
+             ("Ur_cand", 8 * 8), ("Wout", 6 * 8)]
+    assert set(runner.state.x_peaks) == {(prog.addr(name), prog.addr(name) + n)
+                                         for name, n in spans}
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -506,7 +542,7 @@ def test_ks_strategy_equivalence():
                 states = []
                 for prog in (looped, unrolled):
                     state = fresh_state(prog, config)
-                    state.memory[prog.addr("errors") : prog.addr("errors") + 40] = errors_raw
+                    state.words[prog.addr("errors") : prog.addr("errors") + 40] = errors_raw
                     run(state)
                     states.append(state)
                 state_l, state_u = states
@@ -517,8 +553,9 @@ def test_ks_strategy_equivalence():
                     assert np.array_equal(a, b), (n_ref, n_track, name)
                 # Only the looped form spills its loop registers; every other word matches.
                 spill, spill_len = looped.symbols["save_loop"]
-                state_l.memory[spill : spill + spill_len] = 0
-                assert np.array_equal(state_l.memory, state_u.memory), (n_ref, n_track)
+                memory_l = state_l.memory.copy()
+                memory_l[spill : spill + spill_len] = 0
+                assert np.array_equal(memory_l, state_u.memory), (n_ref, n_track)
                 assert read_symbol(state_u, unrolled, "d_values").astype(int).tolist() == [
                     d_count for d_count, _ in want
                 ]
@@ -585,14 +622,15 @@ def test_unrolled_programs_are_pinned():
 
 
 # sha256 of program, image and symbol table of init_lstm/init_gru(hidden, 6,
-# seed=0) step programs as the per-kind lowerings emitted them.
+# seed=0) step programs: gate matrices, then gate biases stacked, every bias-in
+# before the gate mat-vecs.
 STEP_DIGESTS = {
-    ("lstm", 16, 64): "52dd398c2d9e04dbb3e47e0b07581ce0a9f6be1b19f019a1556f4351f40235cd",
-    ("lstm", 200, 64): "37e5cd02b69573e4628ca8415f30f1d7aa60e699f1d95387720f8a50c3982830",
-    ("lstm", 33, 7): "19f3502d0ceb6b0cf0a09c1ff6735cb292c8e61e6b140078dc07910a28696a00",
-    ("gru", 16, 64): "8e68dea24a4810e2809cf1d64c84c75b59d49a950114e93372c9ad61d28f0441",
-    ("gru", 200, 64): "0130fada3995172229f89b85f38966fab78f0461084df54e08a426471283c68b",
-    ("gru", 33, 7): "8ec63ea68adc7abe0195053222120cb432749eec010aa61be2215ae9f6c07cff",
+    ("lstm", 16, 64): "ff9273e07e15ee4a7bf2584cbe7d2f58d818406cb43583d4f6ca05b6bd4eae6a",
+    ("lstm", 200, 64): "85e082222e3d6031da27449f4e8f4373ba7cfae4c0d62f39f103cdb193e24f33",
+    ("lstm", 33, 7): "c0a65ea8160ce7caf35fd4d351361df94ace10ca617144141838a0d4b31941fb",
+    ("gru", 16, 64): "d161811fea99232302adc385e3cbe8fcf117511607d03017588d718bbceafe21",
+    ("gru", 200, 64): "81e0033ae9932b8a5f9a9bb0c4d6b10ba348bfbebf3a3f632e82f513c3405745",
+    ("gru", 33, 7): "b02593d1111fe0680f67ae0ac8934792e26c0ef21bc6b44bedb7f79f934dadb1",
 }
 
 

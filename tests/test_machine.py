@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sid.fixedpoint import FX_MAX, FX_ONE, fx_array, fx_from_real
-from sid.isa import MacroInstruction, Opcode, halt, loop, regaddi, regload, regstore
+from sid.isa import GROUP_LOOP, MacroInstruction, Opcode, halt, loop, regaddi, regload, regstore
 from sid import machine
 from sid.machine import (
     LoadError,
@@ -313,9 +313,47 @@ def test_saturating_accumulation_order():
     program = [vec_op(Opcode.MVMUL, 3, 0, 8, 16, width=1), halt()]
     state = fresh(program, [(0, [1.0, 1.0, 1.0])])
     big = FX_MAX - fx_from_real(0.5)
-    state.memory[8:11] = [big, fx_from_real(1.0), fx_from_real(-1.0)]
+    state.words[8:11] = [big, fx_from_real(1.0), fx_from_real(-1.0)]
     run(state)
     assert state.memory[16] == FX_MAX - FX_ONE
+
+
+def test_memory_is_a_read_only_view_of_words():
+    state = fresh([halt()])
+    with pytest.raises(ValueError, match="read-only"):
+        state.memory[0] = 1
+    state.words[0] = 1  # the host's and the kernels' way in
+    assert state.memory[0] == 1
+
+
+def test_writes_into_a_read_only_range_trap_naming_it():
+    # [40, 44) and [44, 48) are adjacent, so they load as one range; an empty
+    # range is dropped.
+    ranges = [(44, 48), (40, 44), (20, 20)]
+    cases = [
+        ([vec_op(Opcode.VADD, 4, 0, 0, 36), vec_op(Opcode.VADD, 2, 0, 0, 46), halt()], 1,
+         "write to [46, 48) meets read-only range [40, 48)"),
+        ([vec_op(Opcode.VMAXABS, 4, 40, 0, 40), halt()], 0,
+         "write to [40, 41) meets read-only range [40, 48)"),
+        ([regstore(GROUP_LOOP, 38), halt()], 0, "write to [38, 41) meets read-only range [40, 48)"),
+    ]
+    for program, pc, reason in cases:
+        image = [(0, [1.0, 2.0, 3.0, 4.0]), (40, [5.0] * 8)]
+        outcomes = []
+        for execute in (run, stepped):
+            state = load(MachineConfig(), program, fresh([], image).memory, ranges)
+            assert state.readonly == ((40, 48),)
+            with pytest.raises(MachineTrap) as trap:
+                execute(state)
+            outcomes.append((str(trap.value), snapshot(state)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == f"trap at pc={pc}: {reason}"
+        assert list(real_array(state.memory[40:48])) == [5.0] * 8
+    # A write that ends where a read-only range starts, and reads of it, do not trap.
+    state = load(MachineConfig(), [vec_op(Opcode.VADD, 4, 40, 44, 36), halt()],
+                 fresh([], image).memory, ranges)
+    run(state)
+    assert list(real_array(state.memory[36:40])) == [10.0] * 4
 
 
 def snapshot(state):
@@ -377,7 +415,7 @@ def test_invalid_trace_falls_back_to_interpreter(monkeypatch):
     outcomes = []
     for execute in (run, stepped):
         state = fresh(program)
-        state.memory[65] = 1
+        state.words[65] = 1
         with pytest.raises(MachineTrap) as trap:
             execute(state, max_cycles=60)
         outcomes.append((str(trap.value), snapshot(state)))

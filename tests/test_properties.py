@@ -6,6 +6,8 @@ bundles against the float oracle, ISA text and binary round trips, truncated
 or corrupted binary inputs, the exact capped-simplex projection against
 bisection, and the stacked KS statistic against per-reference calls."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +442,97 @@ def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
                     break
                 for state in states:
                     state.pc, state.halted = 0, False
+
+
+@st.composite
+def read_only_ranges(draw):
+    """Up to three (start, stop) ranges of looped memory, possibly empty,
+    adjacent or overlapping; sometimes over a spill slot."""
+    starts = st.one_of(st.integers(0, 40), st.integers(0, LOOPED_WORDS))
+    return draw(st.lists(
+        st.tuples(starts, st.integers(0, 8)).map(lambda r: (r[0], min(r[0] + r[1], LOOPED_WORDS))),
+        max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=looped_programs(),
+    image=st.lists(words, min_size=LOOPED_WORDS, max_size=LOOPED_WORDS),
+    readonly=read_only_ranges(),
+    starts=st.lists(st.tuples(*[st.integers(-6, 24)] * 3), min_size=2, max_size=2),
+    max_cycles=st.one_of(st.none(), st.integers(0, 400)),
+)
+@example(  # the first start's Z misses [30, 34); the second start's replay would
+    # shift it in, so the interpreter runs it and traps
+    program=[MacroInstruction(mode=Opcode.VADD, length=2, addr_x=1, addr_y=2, addr_z=20,
+                              off_z=True), halt()],
+    image=list(range(LOOPED_WORDS)), readonly=[(30, 32), (32, 34)],
+    starts=[(0, 0, 0), (0, 0, 11)], max_cycles=None,
+)
+@example(  # likewise a regstore slot through off_z
+    program=[loop(1, 1), _spill(Opcode.REGSTORE, GROUP_LOOP, 20, True), halt()],
+    image=[0] * LOOPED_WORDS, readonly=[(24, 25)], starts=[(0, 0, 0), (0, 0, 2)],
+    max_cycles=None,
+)
+@example(  # a regload and a data X and Y may read a read-only range
+    program=[regload(GROUP_OFFSET, ZEROS_SLOT),
+             MacroInstruction(mode=Opcode.VADD, length=3, addr_x=ZEROS_SLOT, addr_y=ZEROS_SLOT),
+             halt()],
+    image=[7] * LOOPED_WORDS, readonly=[(ZEROS_SLOT, ZEROS_SLOT + 3)],
+    starts=[(0, 0, 0), (0, 0, 5)], max_cycles=None,
+)
+def test_read_only_ranges_trap_as_stepping_does(program, image, readonly, starts, max_cycles):
+    """With read-only ranges loaded, `run` (recorded, then replayed from a
+    second start) leaves exactly what stepping leaves: a data Z range or a
+    regstore slot that meets a range traps at the same pc with the same
+    partial memory, and the ranges keep their words. A run whose writes miss
+    every range leaves what it leaves with none."""
+    image[ZEROS_SLOT : ZEROS_SLOT + 3] = [0, 0, 0]  # entry regloads zero the offsets
+    if max_cycles is None and any(i.mode is Opcode.REGLOAD for i in program):
+        max_cycles = 2_000  # a data write into a loop slot can make a loop endless
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, **LOOPED_CONFIG)
+        for offsets in starts:
+            states = [load(config, program, image, readonly) for _ in range(2)]
+            plain = load(config, program, image)  # no read-only range
+            for state in (*states, plain):
+                state.off_x, state.off_y, state.off_z = offsets
+            for _ in range(2):
+                got = _outcome(run, states[0], max_cycles)
+                assert got == _outcome(stepped, states[1], max_cycles), f"n_track={n_track}"
+                want = _outcome(run, plain, max_cycles)
+                if got[0] is None or "read-only" not in got[0]:
+                    assert got == want, f"n_track={n_track}"
+                assert all(got[1][a:b] == image[a:b] for a, b in readonly)
+                if got[0] is not None:
+                    break
+                for state in (*states, plain):
+                    state.pc, state.halted = 0, False
+
+
+def test_mvmul_extrema_cache_is_per_state(monkeypatch):
+    """Two states of one program whose read-only weights take different Mvmul
+    paths each cache their own max|X|: the second, replaying the first's
+    trace, takes the path its own weights need, as the scalar reference says."""
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    running_sum, widened = machine._saturating_running_sum, []
+    monkeypatch.setattr(machine, "_saturating_running_sum",
+                        lambda *args: widened.append(True) or running_sum(*args))
+    program = [_mvmul(2, 2, 0, 48, 64)]
+    weights = {False: [HALF, -3, 7, HALF // 2],  # the int32 plain sum
+               True: [FX_MAX, FX_MIN + 1, 5, -7]}  # the int64 prefix check
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, data_mem_words=WORDS)
+        for wide, x in weights.items():
+            want = _image([(0, x), (48, [HALF, -9]), (64, [1, 2])])
+            state = load(config, program + [halt()], want, [(0, 2), (2, 4)])
+            for _ in range(2):  # recorded or replayed, then replayed
+                want = reference_run(program, want)
+                widened.clear()
+                run(state)
+                assert (state.memory.tolist(), bool(widened)) == (want, wide), n_track
+                assert state.x_peaks == {(0, 4): max(map(abs, x))}
+                state.pc, state.halted = 0, False
 
 
 # Runs of Mvmul row blocks as `codegen` cuts a tall mat-vec: one length and Y
