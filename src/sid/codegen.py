@@ -2,9 +2,10 @@
 
 Layout conventions shared by every generated program:
   * parameters are quantized to Q16.16 and placed in the memory image with a
-    symbol table (name -> (word address, length)); every parameter symbol is
-    read-only (`CompiledProgram.readonly`): `fresh_state` loads it as a
-    read-only range and `write_symbol` refuses it;
+    symbol table (name -> (word address, length)); every parameter symbol,
+    the KS reference tables (raw words) included, is read-only
+    (`CompiledProgram.readonly`): `fresh_state` loads it as a read-only range
+    and `write_symbol` refuses it;
   * matrix-vector products split into row blocks of at most n_local rows and
     accumulate into their destination, which the image zero-initializes;
   * biases are added with an explicit Vadd after the matrix blocks (the
@@ -86,25 +87,25 @@ class _Builder:
         self.clamped: list[str] = []
         self.readonly: set[str] = set()
 
-    def alloc(self, name: str, length: int, values=None) -> int:
+    def alloc(self, name: str, length: int) -> int:
         if name in self.symbols:
             raise CompileError(f"duplicate symbol {name!r}")
         addr = self.cursor
         self.cursor += length
         self.symbols[name] = (addr, length)
-        if values is not None:
-            values = np.asarray(values, dtype=np.float64).reshape(-1)
-            if len(values) != length:
-                raise CompileError(f"symbol {name!r}: {len(values)} values for {length} words")
-            if np.any(np.abs(values) > REAL_MAX):
-                self.clamped.append(name)
-            self.chunks.append((addr, fx_array(values)))
         return addr
 
     def tensor(self, name: str, values) -> int:
         """A read-only symbol holding `values`: a weight or a constant."""
-        values = np.asarray(values, dtype=np.float64)
-        addr = self.alloc(name, values.size, values)
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if np.any(np.abs(values) > REAL_MAX):
+            self.clamped.append(name)
+        return self.raw(name, fx_array(values))
+
+    def raw(self, name: str, words: np.ndarray) -> int:
+        """A read-only symbol holding int32 `words` as they are."""
+        addr = self.alloc(name, len(words))
+        self.chunks.append((addr, words))
         self.readonly.add(name)
         return addr
 
@@ -466,12 +467,11 @@ def compile_ks_stage(
             # One ulp up: the strict > compare then counts errors <= boundary.
             bnd_rows.append([min(fx_from_real(v) + 1, 0x7FFFFFFF) for v in ref.boundaries])
             cnt_rows.append([int(c) for c in ref.counts])
-        bnds = b.alloc("boundaries", n_ref * bins)
-        counts = b.alloc("ref_counts", n_ref * bins)
-        b.chunks.append((bnds, np.asarray(bnd_rows, dtype=np.int64).reshape(-1).astype(np.int32)))
-        b.chunks.append(
-            (counts, (np.asarray(cnt_rows, dtype=np.int64).reshape(-1) * FX_ONE).astype(np.int32))
-        )
+        # Raw words: the boundaries are already Q16.16, the counts whole counts.
+        bnds = b.raw("boundaries",
+                     np.asarray(bnd_rows, dtype=np.int64).reshape(-1).astype(np.int32))
+        counts = b.raw("ref_counts",
+                       (np.asarray(cnt_rows, dtype=np.int64).reshape(-1) * FX_ONE).astype(np.int32))
         errs = b.alloc("errors", n_err)
         tmp = b.alloc("tmp", bins)
         acc = b.alloc("observed_hist", bins)

@@ -11,8 +11,9 @@ every one bounds-checked before anything is written, and the memory traffic)
 and a kernel over the resolved ranges. One step (`_step`) fetches the
 instruction at pc, resolves it from the live registers, runs it, charges its
 cycles and moves pc on; `step_instruction` and `run`'s interpreter take it.
-Opcodes that differ only in an operator (VADD, VSUB), in the scalar they
-reduce X to (VMAXABS, VSQNORM) or in a table (the LUTs) share a kernel body.
+Every data opcode but Mvmul is a map: its arithmetic is one function of X and Y
+words (`_MAPS`), which one kernel body applies to a block (VMAXABS and
+VSQNORM also set scratchpad word 0), and the loop batching below to a stack.
 
 Control flow depends on data only through what `regload` reads: loop counts
 and `regaddi` steps are immediates. So the first `run` of a program records,
@@ -34,6 +35,22 @@ saturate, the kernel takes the plain sum (in int32 when every product fits
 too); otherwise only rows whose prefix sums leave the range run the
 per-element loop.
 
+`_record` then batches the loops of the run it caches. A loop whose
+iterations replay the same fixed runs, each range moved by a fixed stride
+per iteration, and whose body is a chain of maps (VSUB, VADD, VMUL, VSGT,
+VSSGT, the LUTs, and the row-wise VSQNORM and VMAXABS) ending in one VADD
+accumulate Z = Z + T over a fixed Z, replays as one call over all K
+iterations: each map runs its opcode's arithmetic, the function its
+per-block kernel runs, on a (K, n) stack, and the accumulate adds the K
+rows of T through `_saturating_running_sum`, exact sequential saturation.
+Every intermediate Z word and the scratchpad end as the last iteration
+leaves them. A loop stays unbatched, replayed run by run, unless that is
+exact: its body holds no Mvmul, guard, regstore or moving run; its Z ranges
+are fixed, nonempty and disjoint; and every read is loop-invariant, strided
+and clear of every Z, or exactly the Z an earlier run of the same iteration
+wrote, so the accumulator is read only by its accumulate. The KS inner loop
+and the kernel-machine support-vector loop batch.
+
 A state may hold read-only word ranges, fixed at `load` (a compiled
 program's weights and constants). A data Z range or a regstore slot that
 meets one traps, naming the range, before anything is written; replay hands
@@ -47,7 +64,7 @@ The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
 """
 
-import operator
+import itertools
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -284,14 +301,16 @@ def _register_value(name: str, word: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: kernel(state, inst, x, y, z) over resolved word ranges. Operands
-# are int32 views of memory; arithmetic widens to int64 inside the ufunc and
-# saturates in place, except where extrema bound every result within the
-# range (Mvmul's int32 path, a LUT's clamp-free path). Each reads all of its
-# operands before it writes Z, through `state.words`, so a trace may join
-# blocks that read no Z written before them. Extrema of writeable words are
-# rescanned on every call, since the host may write them between runs; max|X|
-# of an Mvmul X range inside a read-only range is cached in the state.
+# Kernels: kernel(state, inst, x, y, z) over resolved word ranges. A map
+# kernel runs its opcode's `_MAPS` function on one block, and `_batched` runs
+# the same functions on a loop's iterations stacked. Operands are int32 views
+# of memory; arithmetic widens to int64 inside the ufunc and saturates, except
+# where extrema bound every result within the range (Mvmul's int32 path, a
+# LUT's clamp-free path). Each reads all of its operands before it writes Z,
+# through `state.words`, so a trace may join blocks that read no Z written
+# before them. Extrema of writeable words are rescanned on every call, since
+# the host may write them between runs; max|X| of an Mvmul X range inside a
+# read-only range is cached in the state.
 # ---------------------------------------------------------------------------
 
 _HI = np.int64(FX_MAX)
@@ -340,46 +359,45 @@ def _saturating_running_sum(start: np.ndarray, products: np.ndarray, cap: int) -
     return result
 
 
-def _saturated(op):
-    """The kernel of VADD (`op` is `operator.iadd`) or VSUB (`isub`): X op Y
-    in int64, saturated into Z."""
-    def _vsum(s, inst, x, y, z):
-        mem = s.words
-        mem[z] = _saturate(op(mem[x].astype(np.int64), mem[y]))
-    return _vsum
-
-
-def _vmul(s, inst, x, y, z):
-    mem = s.words
-    mem[z] = _fx_mul(mem[x], mem[y])
-
-
-def _vsgt(s, inst, x, y, z):
-    mem = s.words
-    out = mem[z]
-    out[...] = mem[x] >= mem[y]
-    out *= FX_ONE
-
-
-def _vssgt(s, inst, x, y, z):
-    mem = s.words
-    out = mem[z]
-    out[...] = mem[x] > mem[y.start]  # one scalar Y word against every X word
-    out *= FX_ONE
+def _vsum(op):
+    """VADD (`op` is `np.add`) or VSUB (`np.subtract`): X op Y in int64, saturated."""
+    return lambda x, y: _saturate(op(x, y, dtype=np.int64))
 
 
 def _lut(table):
-    """The kernel of one LUT opcode, so each such opcode has its own."""
-    def _vlut(s, inst, x, y, z):
-        s.words[z] = table.eval_array(s.words[x])
-    return _vlut
+    return lambda x, y: table.eval_array(x)
 
 
-def _scalar(reduce):
-    """The kernel of VMAXABS or VSQNORM: the scalar `reduce` makes of X,
-    capped at FX_MAX, into scratchpad word 0 and Z."""
+# Map arithmetic, one function per opcode: the Z words that X and Y words give,
+# along the last axis, so a kernel runs it on one block and a batched loop on a
+# (K, n) stack of all K iterations. VSSGT compares every X word with Y's one
+# word; VMAXABS and VSQNORM reduce X to one word, capped at FX_MAX.
+_MAPS = {
+    Opcode.VADD: _vsum(np.add),
+    Opcode.VSUB: _vsum(np.subtract),
+    Opcode.VMUL: _fx_mul,
+    Opcode.VSGT: lambda x, y: np.multiply(x >= y, FX_ONE, dtype=np.int32),
+    **{op: _lut(_LUTS[name]) for op, name in _LUT_NAMES.items()},
+    Opcode.VSSGT: lambda x, y: np.multiply(x > y[..., :1], FX_ONE, dtype=np.int32),
+    Opcode.VMAXABS: lambda x, y: np.minimum(
+        np.absolute(x, dtype=np.int64).max(-1, keepdims=True, initial=0), FX_MAX),
+    # Non-negative terms: the capped sum is the saturating running sum.
+    Opcode.VSQNORM: lambda x, y: np.minimum(_fx_mul(x, x).sum(-1, keepdims=True), FX_MAX),
+}
+
+
+def _map(values):
+    """The kernel of a map opcode: Z = values(X, Y)."""
+    def _vmap(s, inst, x, y, z):
+        mem = s.words
+        mem[z] = values(mem[x], mem[y])
+    return _vmap
+
+
+def _scalar(values):
+    """The kernel of VMAXABS or VSQNORM: their one word into Z and scratchpad word 0."""
     def _vscalar(s, inst, x, y, z):
-        s.scratchpad[0] = s.words[z] = min(reduce(s.words[x]), FX_MAX)
+        s.scratchpad[:1] = s.words[z] = values(s.words[x], None)
     return _vscalar
 
 
@@ -420,24 +438,46 @@ def _mvmul(s, inst, x, y, z):
         first += block.width
 
 
+def _batched(s, body, x, y, z):
+    """K iterations of a loop body at once, as `_batch` planned them: `body`
+    is (K, maps, accumulate). Each map (values, sources, Z, scalar) runs on
+    its X and Y words stacked over the iterations, a source being an earlier
+    map's stack (its index), a fixed range (a slice) or one range per
+    iteration (a (K, n) array of word indices). The accumulate (source, Z)
+    adds its stack onto Z through the exact running sum. Every Z word and
+    the scratchpad end as the last iteration leaves them."""
+    count, maps, (t, acc) = body
+    mem = s.words
+    stacks = []
+
+    def stack(source):
+        if type(source) is int:
+            return stacks[source]
+        return mem[source][None] if type(source) is slice else mem[source]
+
+    for values, sources, _, _ in maps:
+        stacks.append(values(*map(stack, sources)))
+    start, terms = mem[acc].astype(np.int64), stack(t)
+    if len(terms) < count:  # the same T every iteration
+        terms = np.broadcast_to(terms, (count, len(start)))
+    terms = terms.T
+    for (_, _, z, scalar), out in zip(maps, stacks):
+        mem[z] = out[-1]
+        if scalar:
+            s.scratchpad[:1] = out[-1]
+    mem[acc] = _saturating_running_sum(start, terms, _max_abs(start) + count * _max_abs(terms))
+
+
 def _put_registers(s, inst, x, y, z):
     """Memory effect of regstore: `y` holds one (register, delta) pair per
     word, stored as delta plus that register of `s` (None: plus 0)."""
     s.words[z] = [_signed32(delta + (getattr(s, reg) if reg else 0)) for reg, delta in y]
 
 
-_KERNELS = {
-    Opcode.VADD: _saturated(operator.iadd),
-    Opcode.VSUB: _saturated(operator.isub),
-    Opcode.VMUL: _vmul,
-    Opcode.VSGT: _vsgt,
-    **{op: _lut(_LUTS[name]) for op, name in _LUT_NAMES.items()},
-    Opcode.MVMUL: _mvmul,
-    Opcode.VSSGT: _vssgt,
-    Opcode.VMAXABS: _scalar(_max_abs),
-    # Non-negative terms: the capped sum is the saturating running sum.
-    Opcode.VSQNORM: _scalar(lambda words: int(_fx_mul(words, words).sum())),
-}
+_KERNELS = {op: (_scalar if op in _Z_SCALAR else _map)(values) for op, values in _MAPS.items()}
+_KERNELS[Opcode.MVMUL] = _mvmul
+_MAP_VALUES = {_KERNELS[op]: values for op, values in _MAPS.items()}
+_SCALAR_KERNELS = frozenset(_KERNELS[op] for op in _Z_SCALAR)
 # Kernels whose consecutive blocks a trace may join: not VSSGT, whose Y is one
 # scalar word, nor VMAXABS or VSQNORM, which write one Z word and the scratchpad.
 _JOINABLE = frozenset(k for op, k in _KERNELS.items() if op not in {_VSSGT, *_Z_SCALAR})
@@ -560,11 +600,15 @@ def _interpret(state: MachineState, max_cycles: int | None, trace=None):
     """Run to Halt one `_step` at a time from the live registers, adding each
     step to `trace`; returns it, or None once it grew too long."""
     while not state.halted:
+        pc = state.pc
         step = _step(state)
         if step is False:
             break  # nothing ran, so nothing is charged against the budget
-        if step is not None and trace is not None:
-            trace = trace.add(state, step)
+        if trace is not None:
+            if step is not None:
+                trace = trace.add(state, step)
+            if pc == state.loop_end and trace is not None:
+                trace.end_iteration(state)
         if max_cycles is not None and state.cycles > max_cycles:
             raise MachineTrap(state.pc, f"cycle budget {max_cycles} exceeded")
     return trace
@@ -582,6 +626,8 @@ class Trace:
     (data kernels, regstores and regload guards, operands resolved) and its
     `end` point. `add` joins consecutive blocks of one kernel into one call
     (see `_join`); a fixed run of such a kernel holds its blocks' tuple.
+    `batch_loops`, once the run has halted, replaces a loop's iterations by
+    one `_batched` run where `_batch` finds that exact.
 
     A point is the loop registers and pc, the offsets, and the counters
     relative to the run's start. An offset is (register, delta): delta plus
@@ -599,6 +645,7 @@ class Trace:
         self.runs = []
         self.moving = []
         self.relative = True  # no regload has set the offsets yet
+        self.ends = []  # (runs so far, loop_begin, loop_end) where an iteration ended
         self.end = None
 
     def _ref(self, name: str, value: int) -> tuple:
@@ -652,6 +699,37 @@ class Trace:
         self.runs[-1] = (kernel, (*blocks, inst), xs, ys, zs)
         return True
 
+    def end_iteration(self, state: MachineState) -> None:
+        """Note that an iteration of the live loop ended, unless it added no run."""
+        if not self.ends or self.ends[-1][0] != len(self.runs):
+            self.ends.append((len(self.runs), state.loop_begin, state.loop_end))
+
+    def batch_loops(self) -> None:
+        """Replace the runs of each loop's iterations by one `_batched` run
+        where `_batch` finds that exact. A loop is a series of iteration
+        ends of one (loop_begin, loop_end), the same number of runs apart;
+        its first iteration is taken to hold that many runs too, which
+        `_batch` checks with the rest. Drops the iteration ends."""
+        moving = [i for i, *_ in self.moving]
+        kept, done, iteration_ends, self.ends = [], 0, self.ends, []
+        for _, group in itertools.groupby(iteration_ends, key=lambda end: end[1:]):
+            ends = [end for end, *_ in group]
+            length = ends[1] - ends[0] if len(ends) > 1 else 0
+            start = ends[0] - length
+            if (length and start >= done
+                    and all(b - a == length for a, b in zip(ends, ends[1:]))
+                    and not any(start <= i < ends[-1] for i in moving)):
+                batched = _batch(self.runs[start : ends[-1]], length)
+                if batched is not None:
+                    kept += self.runs[done:start]
+                    kept.append(batched)
+                    done = ends[-1]
+        if done:
+            moves = {id(self.runs[i]): flags for i, *flags in self.moving}
+            self.runs = kept + self.runs[done:]
+            self.moving = [(i, *moves[id(run)]) for i, run in enumerate(self.runs)
+                           if id(run) in moves]
+
     def bind(self, state: MachineState) -> list | None:
         """`runs` with the moving ranges shifted to `state`'s start offsets;
         None if a shifted range leaves memory or a shifted write meets a
@@ -671,6 +749,64 @@ class Trace:
                 return None
             steps[i] = (kernel, inst, *ranges)
         return steps
+
+
+def _batch(runs: list, length: int):
+    """One `_batched` run standing in for `runs`, iterations of `length`
+    runs each, or None unless it leaves exactly what they leave. Each run of
+    an iteration repeats the first iteration's run, its ranges moved by a
+    fixed stride per iteration. The body is a chain of maps that ends in one
+    VADD accumulate Z = Z + T over a fixed Z; every Z is fixed, nonempty and
+    clear of the others; every read is loop-invariant, strided and unwritten
+    in the body, or the Z that an earlier run of the iteration wrote, so the
+    accumulator is read only by its accumulate."""
+    count, body = len(runs) // length, runs[:length]
+    strides = []
+    for j, (kernel, inst, *ranges) in enumerate(body):
+        if kernel not in _MAP_VALUES:
+            return None
+        step = [b.start - a.start for a, b in zip(ranges, runs[length + j][2:])]
+        for k in range(1, count):
+            kernel_k, inst_k, *ranges_k = runs[k * length + j]
+            if kernel_k is not kernel or inst_k != inst or ranges_k != [
+                    slice(r.start + k * d, r.stop + k * d) for r, d in zip(ranges, step)]:
+                return None
+        strides.append(step)
+    zs = [z for *_, z in body]
+    spans = sorted((z.start, z.stop) for z in zs)
+    if any(d[2] for d in strides) or any(a == b for a, b in spans) or any(
+            a[1] > b[0] for a, b in zip(spans, spans[1:])):
+        return None
+    written = {(z.start, z.stop): j for j, z in enumerate(zs)}
+
+    def source(j: int, r: slice, d: int):
+        """Where run j finds the words of its read range r, moving d per
+        iteration (see `_batched`), or None."""
+        if r.start == r.stop:
+            return r
+        if d == 0 and (r.start, r.stop) in written:
+            i = written[r.start, r.stop]
+            return i if i < j else None
+        lo, hi = min(r.start, r.start + d * (count - 1)), max(r.stop, r.stop + d * (count - 1))
+        if any(lo < z.stop and z.start < hi for z in zs):
+            return None
+        if d == 0:
+            return r
+        return r.start + d * np.arange(count)[:, None] + np.arange(r.stop - r.start)
+
+    *maps, (kernel, _, x, y, acc) = body
+    (dx, dy, _), last = strides[-1], length - 1
+    t = (source(last, y, dy) if x == acc and dx == 0 else
+         source(last, x, dx) if y == acc and dy == 0 else None)
+    if kernel is not _KERNELS[Opcode.VADD] or t is None:
+        return None
+    plan = []
+    for j, ((kernel, _, x, y, z), (dx, dy, _)) in enumerate(zip(maps, strides)):
+        sources = source(j, x, dx), source(j, y, dy)
+        if any(source is None for source in sources):
+            return None
+        plan.append((_MAP_VALUES[kernel], sources, z, kernel in _SCALAR_KERNELS))
+    return _batched, (count, tuple(plan), (t, acc)), None, None, None
 
 
 def _restore(state: MachineState, point: tuple) -> None:
@@ -708,17 +844,20 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
 # Traces `run` has recorded, keyed by program (its hash; a trace of another
 # program under that hash is recorded over), memory size, lane count and
 # scratchpad size, pc and loop registers: what fixes the control flow up
-# to the first regload; and the read-only ranges, which decide its traps. Shared by every state, so a fresh state of a
-# compiled program finds its trace; bounded, oldest dropped first.
+# to the first regload; and the read-only ranges, which decide its traps.
+# Shared by every state, so a fresh state of a compiled program finds its
+# trace; bounded, oldest dropped first.
 _TRACES: OrderedDict = OrderedDict()
 _TRACE_KEYS = 32
 
 
 def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
-    """Interpret `state` and cache the trace of the run if it halts."""
+    """Interpret `state` and cache the trace of the run, its loops batched
+    where that is exact, if it halts."""
     trace = _interpret(state, max_cycles, Trace(state))
     if trace is not None:
         trace.end = trace.point(_point(state))
+        trace.batch_loops()
         _TRACES[key] = trace
         if len(_TRACES) > _TRACE_KEYS:
             _TRACES.popitem(last=False)

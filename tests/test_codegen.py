@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from sid.codegen import (
 )
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
 from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul
-from sid.isa import CONTROL_OPCODES, Opcode, program_to_bytes
-from sid.machine import MachineConfig, image_to_bytes, run, step_instruction
+from sid.isa import CONTROL_OPCODES, MacroInstruction, Opcode, halt, program_to_bytes
+from sid.machine import MachineConfig, MachineTrap, image_to_bytes, run, step_instruction
 from sid.models import (
     ModelBundle,
     infer_lr,
@@ -575,6 +576,87 @@ def test_ks_unrolled_instruction_count():
     assert unrolled.stages == {"ks": 1661}
     assert compile_ks_stage(refs, cfg, "unrolled").stages == {"ks": 1661, "vote": 2}
     assert compile_ks_stage(refs, cfg, "looped").stages == {"ks": 15, "vote": 2}
+
+
+def _counted(state):
+    """Memory, scratchpad and counters of a state."""
+    return state.memory.tolist(), state.scratchpad.tolist(), state.cycles, state.reads, state.writes
+
+
+def test_ks_vote_replays_one_batched_run_per_reference(monkeypatch):
+    # Per reference: the loop-register spill, zeroing the histogram, the 40
+    # compare-and-add iterations as one batched run, the spill's guard, the
+    # difference and its max|.|. With the entry guard, the reject compare and
+    # the vote, 124 runs where the recorded run took 1,704 steps.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    rng = np.random.default_rng(19)
+    cfg = KsDecisionConfig()
+    prog = compile_ks_stage(make_refs(rng, cfg), cfg)
+    for scale in (1, 50, 1):  # recorded, then replayed
+        errors = quantize(rng.exponential(size=cfg.window_errors)) * scale
+        replayed, reference = fresh_state(prog, CONFIG), fresh_state(prog, CONFIG)
+        for state in (replayed, reference):
+            write_symbol(state, prog, "errors", errors)
+        run(replayed)
+        assert _counted(replayed) == _counted(stepped(reference))
+    (trace,) = machine._TRACES.values()
+    assert len(trace.runs) == 124
+    batched = [i for i, (kernel, *_) in enumerate(trace.runs) if kernel is machine._batched]
+    assert batched == list(range(3, 123, 6))
+    bins, errs, tmp = cfg.bins, prog.addr("errors"), prog.addr("tmp")
+    hist = prog.addr("observed_hist")
+    for r, i in enumerate(batched):
+        count, ((_, (x, y), z, scalar),), accumulate = trace.runs[i][1]
+        row = prog.addr("boundaries") + r * bins
+        assert (count, x, z, scalar) == (40, slice(row, row + bins), slice(tmp, tmp + bins), False)
+        assert y.ravel().tolist() == list(range(errs, errs + 40))  # one error per iteration
+        assert accumulate == (0, slice(hist, hist + bins))  # tmp, the first map's Z
+
+
+def test_ocsvm_replays_its_support_vector_loop_as_one_batched_run(monkeypatch):
+    # d = x - v_i, its squared norm, * -gamma, exp, * coef_i, added onto acc:
+    # five maps and the accumulate, 238 times in one call.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    rng = np.random.default_rng(20)
+    n_sv, dim = 238, 6
+    m = ModelBundle("ocsvm", {"coef": rng.dirichlet(np.ones(n_sv)), "rho": 0.3, "gamma": 0.5,
+                              "sv": quantize(rng.uniform(-2, 2, size=(n_sv, dim)))})
+    prog = compile_model(m, CONFIG)
+    for x in quantize(rng.uniform(-2, 2, size=(3, dim))):  # recorded, then replayed
+        _, replayed = run_feedforward(prog, CONFIG, x)
+        reference = fresh_state(prog, CONFIG)
+        write_symbol(reference, prog, "input", x)
+        assert _counted(replayed) == _counted(stepped(reference))
+    (trace,) = machine._TRACES.values()
+    assert [kernel for kernel, *_ in trace.runs] == [
+        machine._guard, machine._batched, machine._KERNELS[Opcode.VADD],
+        machine._KERNELS[Opcode.VSGT]]
+    count, maps, accumulate = trace.runs[1][1]
+    acc = prog.addr("acc")
+    assert (count, len(maps), accumulate) == (n_sv, 5, (4, slice(acc, acc + 1)))
+
+
+def test_ks_reference_tables_are_read_only():
+    # The tables hold raw words (boundaries one ulp up, counts in count
+    # units), not fx_array's; adjacent, they load as one read-only range.
+    cfg = KsDecisionConfig()
+    prog = compile_ks_stage(make_refs(np.random.default_rng(18), cfg), cfg)
+    assert prog.readonly == {"boundaries", "ref_counts", "ks_threshold", "vote_threshold"}
+    start, stop = prog.addr("boundaries"), prog.addr("ref_counts") + prog.length("ref_counts")
+    assert prog.addr("ref_counts") == start + prog.length("boundaries")
+    assert (start, stop) in fresh_state(prog, CONFIG).readonly
+    errs, z = prog.addr("errors"), start + 5
+    writer = replace(prog, instructions=[
+        MacroInstruction(mode=Opcode.VADD, length=2, addr_x=errs, addr_y=errs, addr_z=z), halt()])
+    for execute in (run, stepped):
+        state = fresh_state(writer, CONFIG)
+        with pytest.raises(MachineTrap, match=re.escape(
+                f"trap at pc=0: write to [{z}, {z + 2}) meets read-only range [{start}, {stop})")):
+            execute(state)
+        assert np.array_equal(state.memory[: len(prog.image)], prog.image)
+    for name in ("boundaries", "ref_counts"):
+        with pytest.raises(CompileError, match=f"^symbol '{name}' is read-only$"):
+            write_symbol(state, prog, name, [0.0])
 
 
 def test_ks_reference_validation():

@@ -383,12 +383,17 @@ def test_nested_run_matches_stepping_and_profile(monkeypatch):
     report = run(state)
     assert snapshot(state) == snapshot(stepped(fresh(program, [(65, [1.0])])))
     (trace,) = machine._TRACES.values()  # what the run recorded
-    # A fixed data run holds the tuple of its blocks; none of these join.
-    insts = [inst[0] if type(inst) is tuple else inst for _, inst, *_ in trace.runs]
-    ops = [inst.mode.name for inst in insts]
-    assert ops == ["REGSTORE", "REGSTORE", "VADD", "VADD", "REGLOAD", "REGLOAD", "VADD"] * 3
-    assert [program.index(inst) for inst in insts[:7]] == [1, 2, 4, 4, 6, 7, 8]
-    assert [z for *_, z in trace.runs[:3]] == [slice(200, 203), slice(204, 207), slice(64, 65)]
+    # A fixed data run holds the tuple of its blocks; none of these join. The
+    # inner loop's two vadds, each adding word 65 onto word 64, replay as one
+    # batched run with no maps before its accumulate.
+    kernels = [kernel for kernel, *_ in trace.runs]
+    assert kernels == ([machine._put_registers] * 2 + [machine._batched] + [machine._guard] * 2
+                       + [machine._KERNELS[Opcode.VADD]]) * 3
+    insts = [inst[0] if type(inst) is tuple else inst
+             for kernel, inst, *_ in trace.runs[:6] if kernel is not machine._batched]
+    assert [program.index(inst) for inst in insts] == [1, 2, 6, 7, 8]
+    assert [z for *_, z in trace.runs[:2]] == [slice(200, 203), slice(204, 207)]
+    assert trace.runs[2][1] == (2, (), (slice(65, 66), slice(64, 65)))
     rows = profile(fresh(program, [(65, [1.0])]))
     totals = [sum(row[i] for row in rows.values()) for i in range(4)]
     assert totals == [1 + 3 * 10 + 1, report.cycles, report.reads, report.writes]

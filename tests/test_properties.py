@@ -1,10 +1,11 @@
 """Property tests: the VM against a per-element scalar reference (Mvmul also
 at the edges of its int32 path), trace replay against one-instruction
-stepping on looped programs and on runs of Mvmul row blocks and of
-element-wise blocks, compiled random
-bundles against the float oracle, ISA text and binary round trips, truncated
-or corrupted binary inputs, the exact capped-simplex projection against
-bisection, and the stacked KS statistic against per-reference calls."""
+stepping on looped programs, on runs of Mvmul row blocks and of
+element-wise blocks and on loops whose bodies replay batched, compiled
+random bundles against the float oracle, ISA text and binary round trips,
+truncated or corrupted binary inputs, the exact capped-simplex projection
+against bisection, and the stacked KS statistic against per-reference
+calls."""
 
 from collections import OrderedDict
 
@@ -674,6 +675,159 @@ def test_joined_elementwise_replay_matches_stepping(blocks, image):
         if exact:
             trace = next(reversed(machine._TRACES.values()))
             assert len(trace.runs) == 1 and len(trace.runs[0][1]) == len(program) - 1
+
+
+# Loops as codegen emits the KS inner loop and the kernel-machine loop: an
+# entry regload sets the offsets, then each of 1 to 40 iterations runs a chain
+# of maps over strided inputs (off_x, off_y), fixed inputs and the Z of an
+# earlier map, ends in a VADD accumulate Z = Z + T onto a fixed Z and moves the
+# offsets by regaddi; a moving Vadd before the loop and a Vsgt after it. Replay
+# must batch such a loop into one call. One change of UNBATCHED keeps it
+# unbatched: a map that reads the accumulator, a map that reads a Z before the
+# iteration writes it, a Z moved by off_z, a Z over a strided input, or a
+# regload in the body. Full-range words saturate some sums part-way.
+BATCH_WORDS = 400
+BATCH_INPUTS = 256  # inputs below, fixed Z ranges from here, one word apart
+BATCH_BASE = 120  # off_x and off_y after the entry regload; off_z is 0
+MOVING_Z = 300  # where a Z moved by off_z starts
+BATCH_SLOT = 394  # the entry regload's three words
+MAP_OPS = sorted([*ELEMENTWISE, *LUT_NAMES, Opcode.VSSGT, Opcode.VMAXABS, Opcode.VSQNORM])
+UNBATCHED = ("reads acc", "read before write", "strided Z", "Z over strided X", "regload")
+
+
+def _map_op(op, n, x, z, y=0, off_x=False, off_y=False, off_z=False):
+    return MacroInstruction(mode=op, length=n, addr_x=x, addr_y=y, addr_z=z,
+                            off_x=off_x, off_y=off_y, off_z=off_z)
+
+
+@st.composite
+def batched_loops(draw):
+    """A looped program and whether replay must batch its loop."""
+    count, change = draw(st.integers(1, 40)), draw(st.sampled_from(("none",) * 5 + UNBATCHED))
+    written, cursor = [], [BATCH_INPUTS]  # (first word, words) of each Z so far
+
+    def new_z(n):
+        cursor[0] += n + 1
+        return cursor[0] - n - 1
+
+    def read(n):
+        """(first word, strided) of an n-word read."""
+        earlier = [a for a, m in written if m == n]
+        kind = draw(st.sampled_from(["strided", "fixed"] + ["earlier"] * bool(earlier)))
+        if kind == "earlier":
+            return draw(st.sampled_from(earlier)), False
+        if kind == "strided":
+            return draw(st.integers(0, 10)), True
+        return draw(st.integers(0, BATCH_INPUTS - n)), False
+
+    body = []
+    for _ in range(draw(st.integers(0, 3))):
+        op, n = draw(st.sampled_from(MAP_OPS)), draw(st.integers(1, 6))
+        x, off_x = read(n)
+        y, off_y = (0, False) if op in LUT_NAMES or op in (Opcode.VMAXABS, Opcode.VSQNORM) else (
+            read(1 if op is Opcode.VSSGT else n))
+        nz = 1 if op in (Opcode.VMAXABS, Opcode.VSQNORM) else n
+        body.append(_map_op(op, n, x, new_z(nz), y, off_x, off_y))
+        written.append((body[-1].addr_z, nz))
+    n = draw(st.integers(1, 6))
+    (t, strided), acc = read(n), new_z(n)
+    if draw(st.booleans()):  # Z = T + Z
+        accumulate = _map_op(Opcode.VADD, n, t, acc, acc, off_x=strided)
+    else:
+        accumulate = _map_op(Opcode.VADD, n, acc, acc, t, off_y=strided)
+    at, steps = draw(st.integers(0, len(body))), [draw(st.integers(-3, 3)) for _ in range(2)]
+    op = draw(st.sampled_from([Opcode.VSUB, Opcode.VMUL, Opcode.VSIG, Opcode.VTANH]))
+    if change == "reads acc":
+        body.insert(at, _map_op(op, n, acc, new_z(n), draw(st.integers(0, 200))))
+    elif change == "read before write":  # the Z of a map at or after it
+        later = [(inst.addr_z, inst.length) for inst in body[at:] if inst.mode in ELEMENTWISE]
+        if later and draw(st.booleans()):
+            x, m = draw(st.sampled_from(later))
+            body.insert(at, _map_op(op, m, x, new_z(m), draw(st.integers(0, 200))))
+        else:
+            m = draw(st.integers(1, 6))
+            z = new_z(m)
+            body.insert(at, _map_op(op, m, z, z, draw(st.integers(0, 200))))
+    elif change == "strided Z":
+        body.insert(at, _map_op(op, n, draw(st.integers(0, 200)), MOVING_Z, off_z=True))
+        steps.append(draw(st.integers(1, 2)))
+    elif change == "Z over strided X":
+        x, k = draw(st.integers(0, 10)), draw(st.integers(0, count - 1))
+        z = max(0, x + BATCH_BASE + k * steps[0] + draw(st.integers(-n + 1, n - 1)))
+        body.insert(at, _map_op(op, n, x, z, draw(st.integers(0, 200)), off_x=True))
+    elif change == "regload":
+        body.insert(at, regload(GROUP_OFFSET, BATCH_SLOT))
+    body.append(accumulate)
+    body += [regaddi(reg, step) for reg, step in enumerate(steps) if step]
+    program = [_map_op(Opcode.VADD, 2, 250, 240, 252, off_z=True),
+               regload(GROUP_OFFSET, BATCH_SLOT), loop(len(body) + 2, count - 1), *body,
+               _map_op(Opcode.VSGT, 1, acc, new_z(1), 0), halt()]
+    return program, change == "none" and count > 1
+
+
+def _batch_image(pairs):
+    image = [0] * BATCH_WORDS
+    for addr, values in pairs:
+        image[addr : addr + len(values)] = values
+    return image
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    loop=batched_loops(),
+    image=st.lists(words, min_size=BATCH_WORDS, max_size=BATCH_WORDS),
+    shift=st.integers(1, 8),
+    max_cycles=st.one_of(st.none(), st.none(), st.integers(0, 2_000)),
+)
+@example(  # the KS inner loop: a count vector added up over eight errors
+    loop=(assemble("""
+    regload group=offset addr=394
+    loop end=4 n=7
+    vssgt length=4 x=20 y=0 z=256 offy
+    vadd length=4 x=261 y=256 z=261
+    regaddi reg=off_y imm=1
+    halt
+    """), True),
+    image=_batch_image([(20, [0, FX_ONE, 2 * FX_ONE, 3 * FX_ONE]),
+                        (BATCH_BASE, [i * FX_ONE // 2 for i in range(8)]),
+                        (BATCH_SLOT, [BATCH_BASE, BATCH_BASE, 0])]),
+    shift=1, max_cycles=None,
+)
+@example(  # sums that leave the range and come back: only the running sum is exact
+    loop=(assemble("""
+    regload group=offset addr=394
+    loop end=3 n=4
+    vadd length=2 x=0 y=260 z=260 offx
+    regaddi reg=off_x imm=2
+    halt
+    """), True),
+    image=_batch_image([(260, [FX_MAX - 5, FX_MIN + 5]),
+                        (BATCH_BASE, [10, -10, -20, 20, FX_MAX, FX_MIN, FX_MIN, FX_MAX, 3, -3]),
+                        (BATCH_SLOT, [BATCH_BASE, BATCH_BASE, 0])]),
+    shift=1, max_cycles=None,
+)
+def test_batched_loop_replay_matches_stepping(loop, image, shift, max_cycles):
+    """`run`, recording a loop and then replaying it, leaves exactly what
+    stepping leaves, traps included, and batches the loop where it must. A
+    second state of the program starts with off_z moved; each state runs
+    again from where its first run left the registers."""
+    program, exact = loop
+    image[BATCH_SLOT : BATCH_SLOT + 3] = [BATCH_BASE, BATCH_BASE, 0]
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, data_mem_words=BATCH_WORDS)
+        for off_z in (0, shift):
+            states = [load(config, program, image) for _ in range(2)]
+            for state in states:
+                state.off_z = off_z
+            for _ in range(2):
+                got = _outcome(run, states[0], max_cycles)
+                assert got == _outcome(stepped, states[1], max_cycles), f"n_track={n_track}"
+                if got[0] is not None:
+                    break
+                trace = next(reversed(machine._TRACES.values()))
+                assert any(kernel is machine._batched for kernel, *_ in trace.runs) == exact
+                for state in states:
+                    state.pc, state.halted = 0, False
 
 
 # Compiler differential: small random bundles of every compilable kind, run at
