@@ -178,28 +178,26 @@ def split_gates(kind: str, W, U, b) -> dict[str, np.ndarray]:
     return out
 
 
-def lstm_cell(W, U, b, h, c, x, out=None):
-    """One LSTM update over gate-stacked weights; h, c, x may be batched.
+def lstm_cell(a, U, b, h, c, out=None):
+    """One LSTM update over gate-stacked weights; h, c and a may be batched.
 
     cand = tanh(Wc x + Uc h + bc); f, i, o = sigmoid gates;
     c' = f*c + i*cand; h' = o * tanh(c').
 
-    W and U are used transposed over their last two axes and b broadcasts
-    against the gate pre-activations, so weights with a leading model axis,
-    (M, 4H, D) and b as (M, 1, 4H), step a (M, B, .) batch, model k on row k.
-    Returns (h', c', (cand, fio, tanh(c'))), where fio stacks the f, i and o
-    activations: what backpropagation through the step needs.
+    `a` holds the input projection x @ W.T, (..., 4H), and becomes the gate
+    pre-activations: the step adds h @ U.T, then b. U is used transposed
+    over its last two axes and b broadcasts against `a`, so weights with a
+    leading model axis, (M, 4H, H) and b as (M, 1, 4H), step a (M, B, .)
+    batch, model k on row k. Returns (h', c', (cand, fio, tanh(c'))), where
+    fio stacks the f, i and o activations: what backpropagation needs.
 
-    `out` = (h', c', cand, fio, tanh(c'), gates, scratch) are the arrays the
-    step writes: shaped like h, except fio (..., 3H) and the gate
-    pre-activations and h @ U.T (..., 4H). h' and c' may be h and c
-    themselves, and cand and fio may lie in scratch's memory, which is spent
-    before they are written. Without `out` every array is new, as BPTT needs
-    for the steps it caches.
+    `out` = (h', c', cand, fio, tanh(c'), scratch) are the arrays the step
+    writes, new without it: shaped like h, except fio (..., 3H) and h @ U.T
+    (..., 4H). h' and c' may be h and c, and cand and fio may lie in
+    scratch's memory, which is spent before they are written.
     """
     hidden = h.shape[-1]
-    h_new, c_new, cand, fio, hc, a, scratch = (None,) * 7 if out is None else out
-    a = np.matmul(x, mT(W), out=a)
+    h_new, c_new, cand, fio, hc, scratch = (None,) * 6 if out is None else out
     a += np.matmul(h, mT(U), out=scratch)
     a += b
     cand = np.tanh(a[..., :hidden], out=cand)
@@ -211,25 +209,23 @@ def lstm_cell(W, U, b, h, c, x, out=None):
     return np.multiply(o, hc, out=h_new), c_new, (cand, fio, hc)
 
 
-def gru_cell(W, U, b, h, x, out=None):
+def gru_cell(a, U, b, h, out=None):
     """One GRU update over gate-stacked weights, following the printed equations.
 
     z = sigmoid(Wz x + Uz h + bz); r = sigmoid(Wr x + Ur h + br);
     h' = (1-z)*h + z*sigmoid(Wh x + Ur (r*h) + bh).
     Note the candidate reuses Ur and a sigmoid, as printed.
 
-    h and x may be batched and the weights may carry a leading model axis,
-    as in lstm_cell. Returns (h', (zr, r*h, cand)), where zr stacks the z
-    and r activations: what backpropagation through the step needs.
+    `a` holds x @ W.T, (..., 3H); batches and model axes are as in
+    lstm_cell. Returns (h', (zr, r*h, cand)), where zr stacks the z and r
+    activations: what backpropagation through the step needs.
 
-    `out` = (h', zr, r*h, cand, gates, scratch) are the arrays the step
-    writes: shaped like h, except zr and h @ U.T (..., 2H) and the gate
-    pre-activations (..., 3H). h' may be h itself. Without `out` every array
-    is new, as in lstm_cell.
+    `out` = (h', zr, r*h, cand, scratch) are the arrays the step writes:
+    shaped like h, except zr and h @ U.T (..., 2H). h' may be h itself.
+    Without `out` every array is new, as in lstm_cell.
     """
     hidden = h.shape[-1]
-    h_new, zr, rh, cand, a, scratch = (None,) * 6 if out is None else out
-    a = np.matmul(x, mT(W), out=a)
+    h_new, zr, rh, cand, scratch = (None,) * 5 if out is None else out
     scratch = np.matmul(h, mT(U), out=scratch)
     zr = np.add(a[..., : 2 * hidden], scratch, out=zr)
     zr += b[..., : 2 * hidden]
@@ -247,7 +243,7 @@ def gru_cell(W, U, b, h, x, out=None):
 
 
 # kind -> (cell, number of state arrays). A state is the tuple (h, c) for an
-# lstm and (h,) for a gru, h first; `cell(W, U, b, *state, x)` returns
+# lstm and (h,) for a gru, h first; `cell(x @ W.T, U, b, *state)` returns
 # (*state', activations).
 RNN_CELLS = {"lstm": (lstm_cell, 2), "gru": (gru_cell, 1)}
 
@@ -274,7 +270,7 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
         raise ShapeError(f"windows of {T} readings yield 1 to {T - 1} errors, not {n}")
     first = T - 1 - n  # the first kept step
     W, U, b = stacked_weights(m)
-    w_out_t = m["Wout"].T
+    w_t, w_out_t = W.T, m["Wout"].T
     hidden = rnn_hidden_size(m)
     h = np.zeros((B, hidden))
     gates, scratch = np.empty((B, len(W))), np.empty((B, len(U)))
@@ -282,14 +278,14 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
         c = np.zeros_like(h)
         spent = scratch.reshape(-1)  # cand and fio reuse h @ U.T's memory
         cand, fio = spent[: h.size].reshape(h.shape), spent[h.size :].reshape(B, 3 * hidden)
-        state, out = (h, c), (h, c, cand, fio, np.empty_like(h), gates, scratch)
+        state, out = (h, c), (h, c, cand, fio, np.empty_like(h), scratch)
     else:
         state = (h,)
-        out = (h, np.empty((B, 2 * hidden)), np.empty_like(h), np.empty_like(h), gates, scratch)
+        out = (h, np.empty((B, 2 * hidden)), np.empty_like(h), np.empty_like(h), scratch)
     cell, _ = RNN_CELLS[m.kind]
     pred = np.empty((n, B, D))
     for t in range(T - 1):
-        cell(W, U, b, *state, x[:, t, :], out=out)
+        cell(np.matmul(x[:, t, :], w_t, out=gates), U, b, *state, out=out)
         if t >= first:
             np.matmul(h, w_out_t, out=pred[t - first])
     pred += m["bout"]

@@ -255,7 +255,7 @@ def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
 # Recurrent models: batched BPTT on next-step mean squared error
 # ---------------------------------------------------------------------------
 
-def _init_rnn(kind, hidden, dim, seed, scale) -> ModelBundle:
+def init_rnn(kind, hidden, dim, seed=0, scale=0.2) -> ModelBundle:
     """Per gate in RNN_GATES order: W, then U where the gate has one, then a zero b."""
     rng = np.random.default_rng(seed)
     w_gates, u_gates = RNN_GATES[kind]
@@ -271,91 +271,130 @@ def _init_rnn(kind, hidden, dim, seed, scale) -> ModelBundle:
 
 
 def init_lstm(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
-    return _init_rnn("lstm", hidden, dim, seed, scale)
+    return init_rnn("lstm", hidden, dim, seed, scale)
 
 
-def init_gru(hidden, dim, seed=0, scale=0.2) -> ModelBundle:
-    return _init_rnn("gru", hidden, dim, seed, scale)
-
-
-def _lstm_grads(U, gU, state, acts, dstate):
-    """One step back through lstm_cell: (pre-activation gradient, previous
-    (dh, dc)), given (dh, dc) at its output; adds the step's U gradient to gU."""
-    (h, c), (cand, fio, hc), (dh, dc) = state, acts, dstate
-    H = h.shape[-1]
+def _lstm_grads(U, da, state, acts, dstate):
+    """One step back through lstm_cell, given (dh, dc) at its output: writes
+    the pre-activation gradient into da and returns the previous (dh, dc)."""
+    (_, c), (cand, fio, hc), (dh, dc) = state, acts, dstate
+    H = c.shape[-1]
     f, i, o = fio[..., :H], fio[..., H : 2 * H], fio[..., 2 * H :]
     dc = dc + dh * o * (1.0 - hc**2)
     dfio = np.concatenate([dc * c, dc * cand, dh * hc], axis=-1)
-    da = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1)
-    gU += mT(da) @ h
-    return da, (da @ U, dc * f)
+    np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1, out=da)
+    return da @ U, dc * f
 
 
-def _gru_grads(U, gU, state, acts, dstate):
+def _gru_grads(U, da, state, acts, dstate):
     """One step back through gru_cell, as _lstm_grads; the candidate reuses Ur."""
-    (h,), (zr, rh, cand), (dh,) = state, acts, dstate
+    (h,), (zr, _, cand), (dh,) = state, acts, dstate
     H = h.shape[-1]
     z, r = zr[..., :H], zr[..., H:]
     dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
     drh = dac @ U[..., H:, :]
     dzr = np.concatenate([dh * (cand - h), drh * h], axis=-1) * zr * (1.0 - zr)
-    gU += mT(dzr) @ h  # gate-side uses of Uz and Ur
-    gU[..., H:, :] += mT(dac) @ rh  # candidate-side use of Ur
-    return np.concatenate([dzr, dac], axis=-1), (dh * (1.0 - z) + drh * r + dzr @ U,)
+    np.concatenate([dzr, dac], axis=-1, out=da)
+    return (dh * (1.0 - z) + drh * r + dzr @ U,)
 
 
-_RNN_GRADS = {"lstm": _lstm_grads, "gru": _gru_grads}
+# kind -> (backward step, widths in H of the cell's activations)
+_RNN_GRADS = {"lstm": (_lstm_grads, (1, 3, 1)), "gru": (_gru_grads, (2, 1, 1))}
 
 
-def rnn_loss_and_grads(m: ModelBundle, batch, state=None):
+def bptt_workspace(m: ModelBundle, batch_shape) -> dict:
+    """rnn_loss_and_grads' stacks for batches (*models, B, T, D) of up to T readings;
+    time-major, (step, *models, B, .): each step's product keeps its BLAS call."""
+    *models, B, T, D = batch_shape
+    H, rows = rnn_hidden_size(m), (T - 1, *models, B)
+    widths = {"gates": len(RNN_GATES[m.kind][0]) * H, "err": D, "dpred": D, "dh": H}
+    return {
+        "state": tuple(np.empty((T, *rows[1:], H)) for _ in range(RNN_CELLS[m.kind][1])),
+        "acts": tuple(np.empty((*rows, k * H)) for k in _RNN_GRADS[m.kind][1]),
+        **{name: np.empty((*rows, n)) for name, n in widths.items()},
+        "scratch": np.empty((*rows[1:], len(RNN_GATES[m.kind][1]) * H)),
+        "prod": np.empty(np.prod(rows[:-1]) * 4 * H * max(H, D)),
+    }
+
+
+def _sum_steps(terms):
+    """`total = 0.0; for t in terms: total += t`, bit for bit: np.add.reduce
+    sums pairwise where a step holds one number, and cumsum + 0.0 does not."""
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    return np.cumsum(terms, axis=0)[-1] + 0.0
+
+
+def _step_sum(buf, a, b=None):
+    """Sum from zero, last step first, of mT(a[t]) @ b[t] or, without b, a[t]'s row sums."""
+    shape = a.shape[:-2] + a.shape[-1:] + (() if b is None else b.shape[-1:])
+    terms = np.ndarray(shape, buffer=buf)
+    if b is None:
+        return _sum_steps(np.add.reduce(a[::-1], axis=-2, out=terms))
+    return _sum_steps(np.matmul(mT(a[::-1]), b[::-1], out=terms))
+
+
+def _gru_u_grad(buf, da, h, acts):
+    """The gru's gU: per step the gate-side term, then the candidate-side one (+0.0,
+    a no-op, on the Uz rows), over contiguous copies: a gemv's bits vary with stride."""
+    (dzr, rh, dac), H = acts, h.shape[-1]
+    np.copyto(dzr, da[..., : 2 * H])
+    np.copyto(dac, da[..., 2 * H :])
+    shape = (len(da), 2, *da.shape[1:-2], 2 * H, H)
+    terms = np.ndarray(shape, buffer=buf)
+    np.matmul(mT(dzr[::-1]), h[::-1], out=terms[:, 0])
+    terms[:, 1, ..., :H, :] = 0.0
+    np.matmul(mT(dac[::-1]), rh[::-1], out=terms[:, 1, ..., H:, :])
+    return _sum_steps(terms.reshape(-1, *shape[2:]))
+
+
+def rnn_loss_and_grads(m: ModelBundle, batch, state=None, work=None):
     """Forward + full backward over a (B, T, D) batch of sequences.
 
     Loss is the mean over (sequence, transition) of the squared L2 next-step
     error. `state` is the carried-in state tuple, (h, c) for an lstm and (h,)
-    for a gru, zero by default. Returns (loss, grads, final state);
-    gradients do not flow into the carried-in state, which is what makes
-    chunked calls a truncated BPTT.
+    for a gru, zero by default. Returns (loss, grads, final state), all new
+    arrays; gradients do not flow into the carried-in state, which is what
+    makes chunked calls a truncated BPTT. `work` is a bptt_workspace that
+    fits the batch, new by default. The step loops carry only the
+    recurrence; all else runs once over the stacks, bit for bit.
 
     Leading axes are model axes: tensors shaped (M, ...) with a batch shaped
     (M, B, T, D) give M losses, gradients and states, model k's computed from
     batch[k] alone with the same float operations as a one-model call.
     """
     x = np.asarray(batch, dtype=np.float64)
-    *_, B, T, D = x.shape
-    cell, arity = RNN_CELLS[m.kind]
+    *_, B, T, _ = x.shape
+    steps, (cell, _), (step_back, _) = T - 1, RNN_CELLS[m.kind], _RNN_GRADS[m.kind]
     W, U, b = stacked_weights(m)
-    b_rows = b[..., None, :]  # one bias row per model, broadcast over its batch
-    w_out, b_out = m["Wout"], m["bout"][..., None, :]
-    zeros = (np.zeros(x.shape[:-2] + (rnn_hidden_size(m),)),) * arity  # never written
-    state = zeros if state is None else tuple(state)
-    steps = T - 1
-    cache = []
-    loss = 0.0
-    for t in range(steps):
-        xt = x[..., t, :]
-        *new, acts = cell(W, U, b_rows, *state, xt)
-        err = new[0] @ mT(w_out) + b_out - x[..., t + 1, :]
-        loss += (err**2).sum(axis=(-2, -1))
-        cache.append((xt, state, acts, new[0], err))
-        state = tuple(new)
+    b_rows, w_out = b[..., None, :], m["Wout"]  # one bias row per model, broadcast over its batch
+    work = bptt_workspace(m, x.shape) if work is None else work
+    states, acts = work["state"], tuple(a[:steps] for a in work["acts"])
+    gates, err, dpred, dh_out = (work[k][:steps] for k in ("gates", "err", "dpred", "dh"))
+    xs = np.moveaxis(x, -2, 0)  # (T, *models, B, D)
+    for s, s0 in zip(states, (0.0,) * len(states) if state is None else state):
+        s[0] = s0
+    np.matmul(xs[:-1], mT(W), out=gates)
+    for a, prev, new, act in zip(gates, zip(*states), zip(*(s[1:] for s in states)), zip(*acts)):
+        cell(a, U, b_rows, *prev, out=(*new, *act, work["scratch"]))
+    h = states[0][:T]
+    np.matmul(h[1:], mT(w_out), out=err)
+    err += m["bout"][..., None, :]
+    err -= xs[1:]
     scale = 1.0 / (B * steps)
-    loss *= scale
+    np.multiply(err, 2.0 * scale, out=dpred)
+    loss = _sum_steps(np.square(err, out=err).sum(axis=(-2, -1))) * scale
+    np.matmul(dpred, w_out, out=dh_out)
 
-    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-    g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
-    step_back = _RNN_GRADS[m.kind]
-    dstate = zeros
-    for t in reversed(range(steps)):
-        xt, prev, acts, h_new, err = cache[t]
-        dpred = 2.0 * scale * err
-        g_out += mT(dpred) @ h_new
-        g_bout += dpred.sum(axis=-2)
-        dh = dstate[0] + dpred @ w_out
-        da, dstate = step_back(U, gU, prev, acts, (dh, *dstate[1:]))
-        gW += mT(da) @ xt
-        gb += da.sum(axis=-2)
-    grads = {**split_gates(m.kind, gW, gU, gb), "Wout": g_out, "bout": g_bout}
-    return loss, grads, state
+    dstate = (np.zeros(h.shape[1:]),) * len(states)
+    for da, prev, act, dh in reversed(list(zip(gates, zip(*states), zip(*acts), dh_out))):
+        dstate = step_back(U, da, prev, act, (dstate[0] + dh, *dstate[1:]))
+    prod = work["prod"]
+    gU = (_step_sum(prod, gates, h[:steps]) if m.kind == "lstm"
+          else _gru_u_grad(prod, gates, h[:steps], acts))
+    grads = {**split_gates(m.kind, _step_sum(prod, gates, xs[:-1]), gU, _step_sum(prod, gates)),
+             "Wout": _step_sum(prod, dpred, h[1:]), "bout": _step_sum(prod, dpred)}
+    return loss, grads, tuple(s[steps].copy() for s in states)
 
 
 def _clip_grads(grads, clip, models):
@@ -376,8 +415,11 @@ def train_rnn(kind, sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=2
 
     `sequences` is (T, D), (B, T, D), or (M, B, T, D) for M models trained
     in one pass, model k on sequences[k]; the last returns a list of M
-    bundles, each bit-identical to training that model alone.
+    bundles, each bit-identical to training that model alone. All chunks of
+    `trunc` steps run in one bptt_workspace; `clip` 0 turns clipping off.
     """
+    if trunc < 1 or clip < 0:
+        raise TrainingError(f"need trunc >= 1 and clip >= 0, not trunc={trunc}, clip={clip}")
     x = np.asarray(sequences, dtype=np.float64)
     if x.ndim not in (2, 3, 4):
         raise TrainingError("sequences must be (T, D), (B, T, D) or (M, B, T, D)")
@@ -391,18 +433,17 @@ def train_rnn(kind, sequences, hidden=16, lr=0.05, epochs=200, clip=5.0, trunc=2
     models, T = x.shape[:-3], x.shape[-2]
     if T < 2:
         raise TrainingError("sequences must have at least two readings")
-    m = _init_rnn(kind, hidden, x.shape[-1], seed, scale=0.2)
+    m = init_rnn(kind, hidden, x.shape[-1], seed)
     m.tensors = {k: np.broadcast_to(v, models + v.shape).copy() for k, v in m.tensors.items()}
+    work = bptt_workspace(m, x.shape[:-2] + (min(trunc, T - 1) + 1, x.shape[-1]))
     losses = []
     for _ in range(epochs):
         epoch_loss = 0.0
         state = None  # zero at the start of every epoch
         # Chunked passes: state carries across chunks, gradients do not.
         for start in range(0, T - 1, trunc):
-            chunk = x[..., start : min(start + trunc + 1, T), :]
-            if chunk.shape[-2] < 2:
-                break
-            loss, grads, state = rnn_loss_and_grads(m, chunk, state)
+            chunk = x[..., start : start + trunc + 1, :]
+            loss, grads, state = rnn_loss_and_grads(m, chunk, state, work)
             _check_finite(loss, f"{kind} loss")
             _clip_grads(grads, clip, models)
             for name, g in grads.items():

@@ -13,7 +13,14 @@ from sid.isa import (
     regaddi, regload, regstore,
 )
 from sid.machine import MachineTrap, step_instruction
-from sid.models import RNN_CELLS, ShapeError, rnn_hidden_size, stacked_weights
+from sid.models import RNN_CELLS, ShapeError, mT, rnn_hidden_size, split_gates, stacked_weights
+from sid.training import init_rnn
+
+
+def init_gru(hidden, dim, seed=0, scale=0.2):
+    """The GRU counterpart of `sid.training.init_lstm`, for tests that iterate
+    over the two initializers."""
+    return init_rnn("gru", hidden, dim, seed, scale)
 
 
 def step_rnn(m, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -23,7 +30,8 @@ def step_rnn(m, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     state = tuple(np.asarray(s, dtype=np.float64) for s in state)
     if len(state) != arity or any(s.shape != (hidden,) for s in state):
         raise ShapeError(f"{m.kind} state must be {arity} array(s) of shape ({hidden},)")
-    *state, _ = cell(*stacked_weights(m), *state, np.asarray(x, dtype=np.float64))
+    W, U, b = stacked_weights(m)
+    *state, _ = cell(np.asarray(x, dtype=np.float64) @ W.T, U, b, *state)
     return tuple(state), m["Wout"] @ state[0] + m["bout"]
 
 
@@ -67,10 +75,77 @@ def stepwise_readout_errors(m, windows) -> np.ndarray:
     state = (np.zeros((B, rnn_hidden_size(m))),) * arity
     errors = np.empty((B, T - 1))
     for t in range(T - 1):
-        *state, _ = cell(W, U, b, *state, x[:, t, :])
+        *state, _ = cell(x[:, t, :] @ W.T, U, b, *state)
         pred = state[0] @ m["Wout"].T + m["bout"]
         errors[:, t] = ((pred - x[:, t + 1, :]) ** 2).sum(axis=1)
     return errors
+
+
+def _lstm_grads(U, gU, state, acts, dstate):
+    """One step back through lstm_cell: (pre-activation gradient, previous
+    (dh, dc)), given (dh, dc) at its output; adds the step's U gradient to gU."""
+    (h, c), (cand, fio, hc), (dh, dc) = state, acts, dstate
+    H = h.shape[-1]
+    f, i, o = fio[..., :H], fio[..., H : 2 * H], fio[..., 2 * H :]
+    dc = dc + dh * o * (1.0 - hc**2)
+    dfio = np.concatenate([dc * c, dc * cand, dh * hc], axis=-1)
+    da = np.concatenate([dc * i * (1.0 - cand**2), dfio * fio * (1.0 - fio)], axis=-1)
+    gU += mT(da) @ h
+    return da, (da @ U, dc * f)
+
+
+def _gru_grads(U, gU, state, acts, dstate):
+    """One step back through gru_cell, as _lstm_grads; the candidate reuses Ur."""
+    (h,), (zr, rh, cand), (dh,) = state, acts, dstate
+    H = h.shape[-1]
+    z, r = zr[..., :H], zr[..., H:]
+    dac = dh * z * cand * (1.0 - cand)  # candidate pre-activation
+    drh = dac @ U[..., H:, :]
+    dzr = np.concatenate([dh * (cand - h), drh * h], axis=-1) * zr * (1.0 - zr)
+    gU += mT(dzr) @ h  # gate-side uses of Uz and Ur
+    gU[..., H:, :] += mT(dac) @ rh  # candidate-side use of Ur
+    return np.concatenate([dzr, dac], axis=-1), (dh * (1.0 - z) + drh * r + dzr @ U,)
+
+
+def bptt_stepped(m, batch, state=None):
+    """sid.training.rnn_loss_and_grads with every product, readout, loss and
+    gradient term computed step by step inside the two loops, on new arrays."""
+    x = np.asarray(batch, dtype=np.float64)
+    *_, B, T, D = x.shape
+    cell, arity = RNN_CELLS[m.kind]
+    W, U, b = stacked_weights(m)
+    b_rows = b[..., None, :]
+    w_out, b_out = m["Wout"], m["bout"][..., None, :]
+    zeros = (np.zeros(x.shape[:-2] + (rnn_hidden_size(m),)),) * arity
+    state = zeros if state is None else tuple(state)
+    steps = T - 1
+    cache = []
+    loss = 0.0
+    for t in range(steps):
+        xt = x[..., t, :]
+        *new, acts = cell(xt @ mT(W), U, b_rows, *state)
+        err = new[0] @ mT(w_out) + b_out - x[..., t + 1, :]
+        loss += (err**2).sum(axis=(-2, -1))
+        cache.append((xt, state, acts, new[0], err))
+        state = tuple(new)
+    scale = 1.0 / (B * steps)
+    loss *= scale
+
+    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+    g_out, g_bout = np.zeros_like(w_out), np.zeros_like(m["bout"])
+    step_back = {"lstm": _lstm_grads, "gru": _gru_grads}[m.kind]
+    dstate = zeros
+    for t in reversed(range(steps)):
+        xt, prev, acts, h_new, err = cache[t]
+        dpred = 2.0 * scale * err
+        g_out += mT(dpred) @ h_new
+        g_bout += dpred.sum(axis=-2)
+        dh = dstate[0] + dpred @ w_out
+        da, dstate = step_back(U, gU, prev, acts, (dh, *dstate[1:]))
+        gW += mT(da) @ xt
+        gb += da.sum(axis=-2)
+    grads = {**split_gates(m.kind, gW, gU, gb), "Wout": g_out, "bout": g_bout}
+    return loss, grads, state
 
 
 def fx_sub(a: int, b: int) -> int:

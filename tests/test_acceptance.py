@@ -40,14 +40,13 @@ from sid.models import (
 )
 from sid.pipeline import LadConfig, run_lad, safe_metrics
 from sid.training import (
-    init_gru,
     init_lstm,
     init_mlp,
     mlp_loss_and_grads,
     rnn_loss_and_grads,
 )
 
-from oracles import step_rnn
+from oracles import init_gru, step_rnn
 
 TOL = 2**-8
 

@@ -30,7 +30,7 @@ from sid.models import (
     infer_svm,
     mlp_logits,
 )
-from sid.training import init_gru, init_lstm, init_mlp
+from sid.training import init_lstm, init_mlp, init_rnn
 
 from oracles import fx_sub, predict_series, stepped
 
@@ -173,7 +173,7 @@ def test_krr_is_rejected():
     ModelBundle("linear_svm", {"coef": [1.0], "sv": [[0.5, -0.5]], "b": 0.0}),
     init_mlp([3, 4, 2], seed=1),
     init_lstm(2, 3, seed=1),
-    init_gru(2, 3, seed=1),
+    init_rnn("gru", 2, 3, seed=1),
 ], ids=lambda m: m.kind)
 def test_unrolled_form_only_for_kernel_machines(m):
     with pytest.raises(CompileError, match="kernel_svm and ocsvm"):
@@ -198,7 +198,7 @@ def reshaped(m, **tensors):
     ("gru", "Wout", (7, 8), "Wout has shape (7, 8), expected (6, 8)"),
 ])
 def test_mis_shaped_recurrent_bundle_is_rejected(kind, name, shape, message):
-    m = (init_lstm if kind == "lstm" else init_gru)(8, 6, seed=0)
+    m = init_rnn(kind, 8, 6, seed=0)
     with pytest.raises(CompileError, match=re.escape(f"{kind} bundle: {message}")):
         compile_model(reshaped(m, **{name: np.zeros(shape)}), CONFIG)
 
@@ -315,8 +315,7 @@ def test_mlp_matches_oracle():
 ])
 def test_rnn_step_matches_oracle(kind, hidden, config):
     rng = np.random.default_rng(12)
-    init = init_lstm if kind == "lstm" else init_gru
-    m = init(hidden, 6, seed=13)
+    m = init_rnn(kind, hidden, 6, seed=13)
     prog = compile_model(m, config)
     readings = quantize(rng.uniform(-1.5, 1.5, size=(12, 6)))
     runner = StepRunner(prog, config)
@@ -380,7 +379,7 @@ def test_gru_step_replays_z_and_r_as_one_sigmoid(monkeypatch):
     # The z and r bias-ins and mat-vecs join as the LSTM's do; the candidate's
     # Wh and Ur_cand mat-vecs read different Y ranges (input, r*h), so they stay
     # two calls: 16 runs.
-    prog = compile_model(init_gru(33, 6, seed=0), CONFIG)
+    prog = compile_model(init_rnn("gru", 33, 6, seed=0), CONFIG)
     trace = _replayed_step_trace(monkeypatch, prog)
     assert _runs_of(trace, Opcode.VSIG) == [(prog.addr("gate_z"), 66), (prog.addr("cand"), 33)]
     assert _runs_of(trace, Opcode.MVMUL) == [(prog.addr("Wcat_z"), 66 * 39), (prog.addr("Wh"), 33 * 6),
@@ -390,7 +389,7 @@ def test_gru_step_replays_z_and_r_as_one_sigmoid(monkeypatch):
 
 def test_parameters_load_as_read_only_ranges(monkeypatch):
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
-    prog = compile_model(init_gru(8, 6, seed=0), CONFIG)
+    prog = compile_model(init_rnn("gru", 8, 6, seed=0), CONFIG)
     assert prog.readonly == {"Wcat_z", "Wcat_r", "bz", "br", "Wh", "bh", "Ur_cand", "Wout",
                              "bout", "ones"}
     runner = StepRunner(prog, CONFIG)
@@ -415,8 +414,7 @@ def test_parameters_load_as_read_only_ranges(monkeypatch):
 def test_step_runner_stops_at_error_capacity(kind):
     # One squared error per step lands in `errors`; the word after it belongs
     # to `zerovec`, which every step adds to its biases.
-    init = init_lstm if kind == "lstm" else init_gru
-    prog = compile_model(init(2, 2, seed=3), CONFIG)
+    prog = compile_model(init_rnn(kind, 2, 2, seed=3), CONFIG)
     capacity = prog.length("errors")
     runner = StepRunner(prog, CONFIG)
     for _ in range(capacity):
@@ -703,7 +701,7 @@ def test_unrolled_programs_are_pinned():
     assert digests == UNROLLED_DIGESTS
 
 
-# sha256 of program, image and symbol table of init_lstm/init_gru(hidden, 6,
+# sha256 of program, image and symbol table of init_rnn(kind, hidden, 6,
 # seed=0) step programs: gate matrices, then gate biases stacked, every bias-in
 # before the gate mat-vecs.
 STEP_DIGESTS = {
@@ -718,15 +716,14 @@ STEP_DIGESTS = {
 
 @pytest.mark.parametrize("kind, hidden, n_local", list(STEP_DIGESTS))
 def test_step_programs_are_pinned(kind, hidden, n_local):
-    init = init_lstm if kind == "lstm" else init_gru
-    prog = compile_model(init(hidden, 6, seed=0), MachineConfig(n_local=n_local))
+    prog = compile_model(init_rnn(kind, hidden, 6, seed=0), MachineConfig(n_local=n_local))
     blob = (program_to_bytes(prog.instructions) + image_to_bytes(prog.image)
             + prog.symbol_table_text().encode())
     assert hashlib.sha256(blob).hexdigest() == STEP_DIGESTS[kind, hidden, n_local]
 
 
 def test_gru_instruction_count_formula():
-    m = init_gru(200, 6, seed=18)
+    m = init_rnn("gru", 200, 6, seed=18)
     prog = compile_model(m, CONFIG)
     assert len(prog.instructions) == gru_instruction_count(200, 6, CONFIG.n_local)
 
@@ -784,7 +781,7 @@ def standard_programs():
                                    "gamma": 0.4}),
         ModelBundle("ocsvm", {"coef": np.full(5, 0.2), "sv": sv, "rho": 0.4, "gamma": 0.5}),
         init_lstm(8, 6, seed=13),
-        init_gru(8, 6, seed=13),
+        init_rnn("gru", 8, 6, seed=13),
     ]
     progs = [(compile_model(m, CONFIG), "input") for m in bundles]
     progs += [(compile_model(m, CONFIG, "unrolled"), "input") for m in bundles[3:5]]

@@ -18,9 +18,9 @@ from sid.models import (
     rnn_hidden_size,
     sigmoid,
 )
-from sid.training import init_gru, init_lstm
+from sid.training import init_lstm
 
-from oracles import predict_series, step_rnn, stepwise_readout_errors
+from oracles import init_gru, predict_series, step_rnn, stepwise_readout_errors
 
 
 def lstm_bundle(hidden, dim, rng=None, scale=0.0):

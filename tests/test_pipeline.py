@@ -21,9 +21,9 @@ from sid.pipeline import (
     validation_split,
     window_error_samples,
 )
-from sid.training import init_gru, init_lstm, train_ocsvm
+from sid.training import init_lstm, train_ocsvm
 
-from oracles import predict_series
+from oracles import init_gru, predict_series
 
 
 def small_corpus(seed=0, freqs=(1.5, 2.2), length=700):

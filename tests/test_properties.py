@@ -65,7 +65,7 @@ from sid.models import (
     infer_svm,
     mlp_logits,
 )
-from sid.training import _project_capped_simplex, init_gru, init_lstm, init_mlp
+from sid.training import _project_capped_simplex, init_mlp, init_rnn
 
 from oracles import assemble, fx_sub, predict_series, stepped
 
@@ -848,7 +848,7 @@ def random_bundle(kind, dim, n, rng):
     if kind == "mlp":
         return init_mlp([dim, n, 2], seed=seed)
     if kind in ("lstm", "gru"):
-        return (init_lstm if kind == "lstm" else init_gru)(n, dim, seed=seed)
+        return init_rnn(kind, n, dim, seed=seed)
     sv = _quantize(rng.uniform(-2, 2, size=(n, dim)))
     if kind == "ocsvm":
         return ModelBundle("ocsvm", {"coef": rng.dirichlet(np.ones(n)), "sv": sv,

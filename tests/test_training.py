@@ -1,14 +1,20 @@
+import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sid import training
 from sid.models import ModelBundle, bundle_to_bytes, infer_krr, infer_lr, infer_ocsvm, infer_svm
 from sid.training import (
     TrainingError,
-    init_gru,
+    bptt_workspace,
     init_lstm,
     init_mlp,
+    init_rnn,
     mlp_loss_and_grads,
     rnn_loss_and_grads,
     train,
@@ -16,6 +22,8 @@ from sid.training import (
     train_ocsvm,
     train_rnn,
 )
+
+from oracles import bptt_stepped, init_gru
 
 
 def central_difference(loss_fn, tensors, name, eps=1e-5):
@@ -262,9 +270,103 @@ def test_stacked_clipped_chunked_training_is_pinned(kind, digest):
 ])
 def test_loss_and_grads_with_carried_state_are_pinned(kind, digest):
     rng = np.random.default_rng(27)
-    m = (init_lstm if kind == "lstm" else init_gru)(5, 6, seed=28, scale=0.8)
+    m = init_rnn(kind, 5, 6, seed=28, scale=0.8)
     batch = rng.normal(size=(4, 9, 6))
     state = tuple(rng.normal(size=(2, 4, 5))[: 2 if kind == "lstm" else 1])  # carried in
     loss, grads, final = rnn_loss_and_grads(m, batch, state)
     arrays = [loss, *(grads[name] for name in sorted(grads)), *final]
     assert _sha256(arrays) == digest
+
+
+def _same_bits(got, want):
+    return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _assert_same_results(got, want):
+    """(loss, grads, final state) equal bit for bit, signs of zero included."""
+    assert _same_bits(got[0], want[0])
+    assert list(got[1]) == list(want[1])
+    for name, g in want[1].items():
+        assert _same_bits(got[1][name], g), name
+    assert len(got[2]) == len(want[2])
+    for a, b in zip(got[2], want[2]):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 1), (16, 1, 1), (16, 2), (16, 3, 2)])
+def test_step_sums_add_in_loop_order_from_zero(shape):
+    # Magnitudes 24 decades apart make a pairwise sum differ from the loop's
+    # in about half the draws, and the loop turns -0.0 steps into +0.0.
+    rng = np.random.default_rng(33)
+    draws = [rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape) for _ in range(8)]
+    for terms in (*draws, np.full(shape, -0.0)):
+        total = np.zeros(shape[1:])
+        for step in terms:
+            total += step
+        assert _same_bits(training._sum_steps(terms), total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["lstm", "gru"]), hidden=st.integers(1, 40), batch=st.integers(1, 33),
+       T=st.integers(2, 45), dim=st.integers(1, 8), models=st.sampled_from([(), (1,), (3,)]),
+       carried=st.booleans(), scale=st.floats(0.05, 10.0), seed=st.integers(0, 1 << 16))
+@example(kind="gru", hidden=1, batch=33, T=45, dim=1, models=(), carried=True, scale=10.0, seed=0)
+@example(kind="lstm", hidden=1, batch=1, T=2, dim=1, models=(1,), carried=False, scale=0.05,
+         seed=1)
+def test_bptt_matches_the_stepped_oracle_bit_for_bit(kind, hidden, batch, T, dim, models, carried,
+                                                     scale, seed):
+    # The hoisted loops must reproduce every bit of the step-by-step BPTT:
+    # per-step products keep their (B, K) @ (K, N) shapes, and every sum over
+    # steps keeps the stepped loop's order.
+    rng = np.random.default_rng(seed)
+    alone = [init_rnn(kind, hidden, dim, seed=seed + k, scale=0.8) for k in range(math.prod(models))]
+    m = ModelBundle(kind, {name: np.reshape([a[name] for a in alone], models + t.shape)
+                           for name, t in alone[0].tensors.items()})
+    batch = scale * rng.normal(size=models + (batch, T, dim))
+    state = None
+    if carried:
+        state = tuple(rng.normal(size=batch.shape[:-2] + (hidden,)) for _ in range(1 + (kind == "lstm")))
+    _assert_same_results(rnn_loss_and_grads(m, batch, state), bptt_stepped(m, batch, state))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_training_with_a_short_last_chunk_matches_stepped_bptt(kind, monkeypatch):
+    # 30 transitions in chunks of 12: the last chunk of 6 steps runs in the
+    # leading rows of the workspace sized for 12.
+    rng = np.random.default_rng(29)
+    stack = np.stack([s * rng.normal(size=(3, 31, 6)) for s in SCALES])
+    hyper = {"hidden": 6, "epochs": 2, "clip": 1.0, "trunc": 12, "seed": 30}
+    hoisted = train_rnn(kind, stack, **hyper)
+    monkeypatch.setattr(training, "rnn_loss_and_grads",
+                        lambda m, batch, state, work: bptt_stepped(m, batch, state))
+    stepped = train_rnn(kind, stack, **hyper)
+    for got, want in zip(hoisted, stepped):
+        assert list(got.tensors) == list(want.tensors)
+        for name, t in want.tensors.items():
+            assert _same_bits(got[name], t), name
+
+
+@pytest.mark.parametrize("kind", ["lstm", "gru"])
+def test_calls_sharing_a_workspace_do_not_alias(kind):
+    # Every returned array is new, so a second call in the same workspace
+    # (a shorter batch, carrying the first call's final state) leaves the
+    # first call's results as they were.
+    rng = np.random.default_rng(31)
+    m = init_rnn(kind, 5, 6, seed=32, scale=0.8)
+    first, second = rng.normal(size=(4, 12, 6)), rng.normal(size=(4, 8, 6))
+    state = tuple(rng.normal(size=(4, 5)) for _ in range(1 + (kind == "lstm")))
+    work = bptt_workspace(m, first.shape)
+    results = rnn_loss_and_grads(m, first, state, work)
+    kept = copy.deepcopy(results)
+    again = rnn_loss_and_grads(m, second, results[2], work)
+    _assert_same_results(results, kept)
+    _assert_same_results(results, rnn_loss_and_grads(m, first, state))
+    _assert_same_results(again, rnn_loss_and_grads(m, second, kept[2]))
+
+
+@pytest.mark.parametrize("trunc, clip", [(0, 5.0), (-5, 5.0), (20, -1.0)])
+def test_train_rnn_rejects_bad_trunc_and_clip(trunc, clip):
+    # trunc < 1 used to train nothing or leak range()'s ValueError, and a
+    # negative clip flipped the gradient's sign.
+    with pytest.raises(TrainingError, match="trunc"):
+        train_rnn("lstm", sinusoid(T=30), hidden=4, epochs=1, clip=clip, trunc=trunc)
