@@ -58,7 +58,6 @@ class CompiledProgram:
     image: np.ndarray
     symbols: dict[str, tuple[int, int]]
     stages: dict[str, int] = field(default_factory=dict)
-    clamped: list[str] = field(default_factory=list)
     readonly: frozenset[str] = frozenset()  # symbols no instruction or host may write
 
     @property
@@ -145,7 +144,6 @@ class _Builder:
             instructions=self.instructions,
             image=image,
             symbols=self.symbols,
-            clamped=self.clamped,
             readonly=frozenset(self.readonly),
         )
 

@@ -38,7 +38,10 @@ class ModelBundle:
             raise ShapeError(f"{self.kind} bundle is missing tensor {name!r}") from None
 
     def scalar(self, name: str) -> float:
-        return float(np.asarray(self[name]).reshape(-1)[0])
+        value = self[name]
+        if value.size != 1:
+            raise ShapeError(f"{self.kind} tensor {name!r} holds {value.size} values, not one")
+        return float(value.reshape(-1)[0])
 
 
 def sigmoid(z, out=None):
@@ -193,8 +196,7 @@ def lstm_cell(a, U, b, h, c, out=None):
 
     `out` = (h', c', cand, fio, tanh(c'), scratch) are the arrays the step
     writes, new without it: shaped like h, except fio (..., 3H) and h @ U.T
-    (..., 4H). h' and c' may be h and c, and cand and fio may lie in
-    scratch's memory, which is spent before they are written.
+    (..., 4H). h' and c' may be h and c.
     """
     hidden = h.shape[-1]
     h_new, c_new, cand, fio, hc, scratch = (None,) * 6 if out is None else out
@@ -242,10 +244,11 @@ def gru_cell(a, U, b, h, out=None):
     return np.add(keep, np.multiply(z, cand, out=update), out=h_new), (zr, rh, cand)
 
 
-# kind -> (cell, number of state arrays). A state is the tuple (h, c) for an
-# lstm and (h,) for a gru, h first; `cell(x @ W.T, U, b, *state)` returns
-# (*state', activations).
-RNN_CELLS = {"lstm": (lstm_cell, 2), "gru": (gru_cell, 1)}
+# kind -> (cell, number of state arrays, widths in H of the cell's activations).
+# A state is the tuple (h, c) for an lstm and (h,) for a gru, h first;
+# `cell(x @ W.T, U, b, *state, out=(*state', *activations, scratch))` returns
+# (*state', activations), and h @ U.T fills the scratch.
+RNN_CELLS = {"lstm": (lstm_cell, 2, (1, 3, 1)), "gru": (gru_cell, 1, (2, 1, 1))}
 
 
 def rnn_hidden_size(m: ModelBundle) -> int:
@@ -258,10 +261,11 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
     errors[:, t] = ||Wout h_t + bout - x_{t+1}||^2, where h_t has read
     x_0..x_t, over the trailing n of the T-1 transitions (all of them by
     default). The step loop runs the recurrence at every step, writing the
-    state in place and the cell's gates and scratch into arrays allocated
-    once per call, and writes h_t @ Wout.T into row t of one (n, B, D)
-    buffer for the kept steps only; bias, difference, square and sum over D
-    run once over that buffer after the loop.
+    state in place and the cell's gates, activations and scratch into arrays
+    allocated once per call from the kind's RNN_CELLS row, and writes
+    h_t @ Wout.T into row t of one (n, B, D) buffer for the kept steps only;
+    bias, difference, square and sum over D run once over that buffer after
+    the loop.
     """
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
@@ -271,23 +275,15 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
     first = T - 1 - n  # the first kept step
     W, U, b = stacked_weights(m)
     w_t, w_out_t = W.T, m["Wout"].T
-    hidden = rnn_hidden_size(m)
-    h = np.zeros((B, hidden))
-    gates, scratch = np.empty((B, len(W))), np.empty((B, len(U)))
-    if m.kind == "lstm":
-        c = np.zeros_like(h)
-        spent = scratch.reshape(-1)  # cand and fio reuse h @ U.T's memory
-        cand, fio = spent[: h.size].reshape(h.shape), spent[h.size :].reshape(B, 3 * hidden)
-        state, out = (h, c), (h, c, cand, fio, np.empty_like(h), scratch)
-    else:
-        state = (h,)
-        out = (h, np.empty((B, 2 * hidden)), np.empty_like(h), np.empty_like(h), scratch)
-    cell, _ = RNN_CELLS[m.kind]
-    pred = np.empty((n, B, D))
+    hidden, (cell, arity, widths) = rnn_hidden_size(m), RNN_CELLS[m.kind]
+    state = tuple(np.zeros((B, hidden)) for _ in range(arity))
+    out = (*state, *(np.empty((B, k * hidden)) for k in widths), np.empty((B, len(U))))
+    gates, pred = np.empty((B, len(W))), np.empty((n, B, D))
     for t in range(T - 1):
         cell(np.matmul(x[:, t, :], w_t, out=gates), U, b, *state, out=out)
         if t >= first:
-            np.matmul(h, w_out_t, out=pred[t - first])
+            np.matmul(state[0], w_out_t, out=pred[t - first])
+    del state, out, gates  # spent: freed before the readout's temporaries, a lower peak
     pred += m["bout"]
     pred -= x[:, first + 1 :, :].transpose(1, 0, 2)
     pred **= 2

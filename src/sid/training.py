@@ -15,6 +15,10 @@ overhead across them. Each model keeps its own loss,
 gradient-norm clip and update, computed with the same float operations in
 the same order as a one-model call, so every bundle is bit-identical to
 training it alone; a one-model call is the same code with no model axis.
+Each chunk runs in a bptt_workspace whose state and activation stacks follow
+the kind's RNN_CELLS row, with its backward step and U gradient from
+_RNN_GRADS; the step loops carry only the recurrence, and each weight
+gradient is one stacked product that allocates its own result.
 """
 
 import numpy as np
@@ -298,22 +302,18 @@ def _gru_grads(U, da, state, acts, dstate):
     return (dh * (1.0 - z) + drh * r + dzr @ U,)
 
 
-# kind -> (backward step, widths in H of the cell's activations)
-_RNN_GRADS = {"lstm": (_lstm_grads, (1, 3, 1)), "gru": (_gru_grads, (2, 1, 1))}
-
-
 def bptt_workspace(m: ModelBundle, batch_shape) -> dict:
     """rnn_loss_and_grads' stacks for batches (*models, B, T, D) of up to T readings;
     time-major, (step, *models, B, .): each step's product keeps its BLAS call."""
     *models, B, T, D = batch_shape
     H, rows = rnn_hidden_size(m), (T - 1, *models, B)
-    widths = {"gates": len(RNN_GATES[m.kind][0]) * H, "err": D, "dpred": D, "dh": H}
+    (_, arity, act_widths), (w_gates, u_gates) = RNN_CELLS[m.kind], RNN_GATES[m.kind]
+    widths = {"gates": len(w_gates) * H, "err": D, "dpred": D, "dh": H}
     return {
-        "state": tuple(np.empty((T, *rows[1:], H)) for _ in range(RNN_CELLS[m.kind][1])),
-        "acts": tuple(np.empty((*rows, k * H)) for k in _RNN_GRADS[m.kind][1]),
+        "state": tuple(np.empty((T, *rows[1:], H)) for _ in range(arity)),
+        "acts": tuple(np.empty((*rows, k * H)) for k in act_widths),
         **{name: np.empty((*rows, n)) for name, n in widths.items()},
-        "scratch": np.empty((*rows[1:], len(RNN_GATES[m.kind][1]) * H)),
-        "prod": np.empty(np.prod(rows[:-1]) * 4 * H * max(H, D)),
+        "scratch": np.empty((*rows[1:], len(u_gates) * H)),
     }
 
 
@@ -325,27 +325,29 @@ def _sum_steps(terms):
     return np.cumsum(terms, axis=0)[-1] + 0.0
 
 
-def _step_sum(buf, a, b=None):
+def _step_sum(a, b=None):
     """Sum from zero, last step first, of mT(a[t]) @ b[t] or, without b, a[t]'s row sums."""
-    shape = a.shape[:-2] + a.shape[-1:] + (() if b is None else b.shape[-1:])
-    terms = np.ndarray(shape, buffer=buf)
     if b is None:
-        return _sum_steps(np.add.reduce(a[::-1], axis=-2, out=terms))
-    return _sum_steps(np.matmul(mT(a[::-1]), b[::-1], out=terms))
+        return _sum_steps(np.add.reduce(a[::-1], axis=-2))
+    return _sum_steps(np.matmul(mT(a[::-1]), b[::-1]))
 
 
-def _gru_u_grad(buf, da, h, acts):
+def _gru_u_grad(da, h, acts):
     """The gru's gU: per step the gate-side term, then the candidate-side one (+0.0,
     a no-op, on the Uz rows), over contiguous copies: a gemv's bits vary with stride."""
     (dzr, rh, dac), H = acts, h.shape[-1]
     np.copyto(dzr, da[..., : 2 * H])
     np.copyto(dac, da[..., 2 * H :])
-    shape = (len(da), 2, *da.shape[1:-2], 2 * H, H)
-    terms = np.ndarray(shape, buffer=buf)
+    terms = np.empty((len(da), 2, *da.shape[1:-2], 2 * H, H))
     np.matmul(mT(dzr[::-1]), h[::-1], out=terms[:, 0])
     terms[:, 1, ..., :H, :] = 0.0
     np.matmul(mT(dac[::-1]), rh[::-1], out=terms[:, 1, ..., H:, :])
-    return _sum_steps(terms.reshape(-1, *shape[2:]))
+    return _sum_steps(terms.reshape(-1, *terms.shape[2:]))
+
+
+# kind -> (backward step, gU from the stacked pre-activation gradients, h and activations)
+_RNN_GRADS = {"lstm": (_lstm_grads, lambda da, h, acts: _step_sum(da, h)),
+              "gru": (_gru_grads, _gru_u_grad)}
 
 
 def rnn_loss_and_grads(m: ModelBundle, batch, state=None, work=None):
@@ -365,7 +367,7 @@ def rnn_loss_and_grads(m: ModelBundle, batch, state=None, work=None):
     """
     x = np.asarray(batch, dtype=np.float64)
     *_, B, T, _ = x.shape
-    steps, (cell, _), (step_back, _) = T - 1, RNN_CELLS[m.kind], _RNN_GRADS[m.kind]
+    steps, (cell, *_), (step_back, u_grad) = T - 1, RNN_CELLS[m.kind], _RNN_GRADS[m.kind]
     W, U, b = stacked_weights(m)
     b_rows, w_out = b[..., None, :], m["Wout"]  # one bias row per model, broadcast over its batch
     work = bptt_workspace(m, x.shape) if work is None else work
@@ -389,11 +391,9 @@ def rnn_loss_and_grads(m: ModelBundle, batch, state=None, work=None):
     dstate = (np.zeros(h.shape[1:]),) * len(states)
     for da, prev, act, dh in reversed(list(zip(gates, zip(*states), zip(*acts), dh_out))):
         dstate = step_back(U, da, prev, act, (dstate[0] + dh, *dstate[1:]))
-    prod = work["prod"]
-    gU = (_step_sum(prod, gates, h[:steps]) if m.kind == "lstm"
-          else _gru_u_grad(prod, gates, h[:steps], acts))
-    grads = {**split_gates(m.kind, _step_sum(prod, gates, xs[:-1]), gU, _step_sum(prod, gates)),
-             "Wout": _step_sum(prod, dpred, h[1:]), "bout": _step_sum(prod, dpred)}
+    gU = u_grad(gates, h[:steps], acts)
+    grads = {**split_gates(m.kind, _step_sum(gates, xs[:-1]), gU, _step_sum(gates)),
+             "Wout": _step_sum(dpred, h[1:]), "bout": _step_sum(dpred)}
     return loss, grads, tuple(s[steps].copy() for s in states)
 
 

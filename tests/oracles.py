@@ -25,7 +25,7 @@ def init_gru(hidden, dim, seed=0, scale=0.2):
 
 def step_rnn(m, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """One cell update plus the affine readout: (state', Wout h' + bout)."""
-    cell, arity = RNN_CELLS[m.kind]
+    cell, arity, _ = RNN_CELLS[m.kind]
     hidden = rnn_hidden_size(m)
     state = tuple(np.asarray(s, dtype=np.float64) for s in state)
     if len(state) != arity or any(s.shape != (hidden,) for s in state):
@@ -71,7 +71,7 @@ def stepwise_readout_errors(m, windows) -> np.ndarray:
     x = np.asarray(windows, dtype=np.float64)
     B, T, D = x.shape
     W, U, b = stacked_weights(m)
-    cell, arity = RNN_CELLS[m.kind]
+    cell, arity, _ = RNN_CELLS[m.kind]
     state = (np.zeros((B, rnn_hidden_size(m))),) * arity
     errors = np.empty((B, T - 1))
     for t in range(T - 1):
@@ -112,7 +112,7 @@ def bptt_stepped(m, batch, state=None):
     gradient term computed step by step inside the two loops, on new arrays."""
     x = np.asarray(batch, dtype=np.float64)
     *_, B, T, D = x.shape
-    cell, arity = RNN_CELLS[m.kind]
+    cell, arity, _ = RNN_CELLS[m.kind]
     W, U, b = stacked_weights(m)
     b_rows = b[..., None, :]
     w_out, b_out = m["Wout"], m["bout"][..., None, :]

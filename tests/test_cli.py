@@ -10,7 +10,7 @@ import pytest
 import sid
 from sid import cli, codegen, detection, isa, machine, pipeline
 from sid.cli import UsageError, main
-from sid.models import ModelBundle, save_bundle
+from sid.models import ModelBundle, load_bundle, save_bundle
 from sid.training import init_lstm, init_mlp
 
 from oracles import assemble
@@ -443,7 +443,11 @@ def test_truncated_files_exit_two(tmp_path, capsys):
      "layer 1 W1 has shape (2, 3), expected (2, 4)"),
     (ModelBundle("mlp", {**init_mlp([3, 4, 2]).tensors, "b0": np.zeros(5)}),
      "layer 0 W0 has shape (4, 3), expected (5, 3) (input 3 from W0, output 5 from b0)"),
-], ids=["lstm-short-bout", "kernel-svm-short-coef", "mlp-swapped-w1", "mlp-long-b0"])
+    (ModelBundle("kernel_svm", {"sv": np.zeros((3, 6)), "coef": np.zeros(3), "b": 0.0,
+                                "gamma": np.zeros(0)}), "kernel_svm tensor 'gamma' holds 0 values"),
+    (ModelBundle("lr", {"w": np.zeros(4), "b": np.zeros(0)}), "lr tensor 'b' holds 0 values"),
+], ids=["lstm-short-bout", "kernel-svm-short-coef", "mlp-swapped-w1", "mlp-long-b0",
+        "kernel-svm-empty-gamma", "lr-empty-b"])
 def test_compile_mis_shaped_bundle_exits_two(tmp_path, capsys, bundle, named):
     path = tmp_path / "m.sidb"
     save_bundle(path, bundle)
@@ -722,3 +726,47 @@ def test_detect_reports_match_pinned_digests(pinned_corpus, tmp_path, case):
     assert run_cli("detect", *argv, "--data", str(pinned_corpus / "synth"),
                    "--out", str(out_csv)) == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the outputs of CLI paths that no other test runs, on the same corpus.
+PINNED_PATHS = {
+    "train-ocsvm": (
+        ("train", "--kind", "ocsvm", "--window", "120", "--step", "60"),
+        "6d594ccde79a0a8267a3e7709ef2aeba2d50bd9912003785d66fe1071cf15af9"),
+    "train-mlp-hidden": (
+        ("train", "--kind", "mlp", "--window", "120", "--step", "60", "--hidden", "8",
+         "--epochs", "2"),
+        "114d098fa70b8d5aa9498b874fb41039dfd2a9c997da7d797fed8e5d7354e19b"),
+    "idaas-linear-svm": (
+        ("detect", "--scenario", "idaas", "--model-kind", "linear_svm", "--step", "16",
+         "--epochs", "2"),
+        "4cf6b72afeb6a0e91949b2ac105c51b83589a3905384659bc2d42b4214e582b0"),
+    "idaas-kernel-svm": (
+        ("detect", "--scenario", "idaas", "--model-kind", "kernel_svm", "--step", "16",
+         "--epochs", "2"),
+        "e657fe6a72fd95a43a0b4695f0f9ed59717817db73fe38a8a02e1fd6620ad3a8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PATHS))
+def test_cli_paths_match_pinned_digests(pinned_corpus, tmp_path, case):
+    argv, digest = PINNED_PATHS[case]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--data", str(pinned_corpus / "synth"), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_train_mlp_hidden_sets_the_hidden_layer(pinned_corpus, tmp_path):
+    out = tmp_path / "mlp.sidb"
+    assert run_cli("train", "--kind", "mlp", "--data", str(pinned_corpus / "synth"),
+                   "--window", "120", "--step", "60", "--hidden", "8", "--epochs", "2",
+                   "--out", str(out)) == 0
+    assert load_bundle(out)["b0"].shape == (8,)
+
+
+def test_train_user_without_windows_exits_two(pinned_corpus, tmp_path, capsys):
+    out = tmp_path / "m.sidb"
+    assert run_cli("train", "--kind", "lstm", "--data", str(pinned_corpus / "synth"),
+                   "--user", "99", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: user 99 has no training window"]
+    assert not out.exists()

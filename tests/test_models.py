@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sid import codegen, training
 from sid.models import (
+    RNN_CELLS,
+    RNN_GATES,
     ModelBundle,
     ShapeError,
     batched_window_errors,
@@ -243,9 +246,19 @@ def test_predict_series_requires_two_readings():
 def test_batched_readout_after_loop_is_exact(init, hidden):
     # Each prediction error sees the same float operations in the same order
     # as the readout inside the step loop, so the bits must agree.
+    # A trailing count reads out the kept steps only, from the same state.
     m = init(hidden, 6, seed=hidden)
     windows = np.random.default_rng(hidden).normal(size=(7, 30, 6))
-    assert np.array_equal(batched_window_errors(m, windows), stepwise_readout_errors(m, windows))
+    every = stepwise_readout_errors(m, windows)
+    assert np.array_equal(batched_window_errors(m, windows), every)
+    for n in (1, 11):
+        assert np.array_equal(batched_window_errors(m, windows, n), every[:, -n:]), n
+
+
+def test_every_recurrent_table_lists_the_same_kinds():
+    # A recurrent kind added to only some of these tables fails here at once.
+    for table in (RNN_CELLS, training._RNN_GRADS, codegen._STEP_CELLS):
+        assert sorted(table) == sorted(RNN_GATES)
 
 
 @pytest.mark.parametrize("init", [init_lstm, init_gru], ids=["lstm", "gru"])
