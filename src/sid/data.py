@@ -6,6 +6,7 @@ step frequency per channel, plus Gaussian noise, which is enough to give users
 distinct prediction-error distributions without modeling biomechanics.
 """
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,19 +113,22 @@ def synth_user_sessions(
 # ---------------------------------------------------------------------------
 
 def _read_matrix(path: Path, columns: int, dtype=float) -> np.ndarray:
-    """The rows of `columns` whitespace-separated numbers in `path`, blank lines skipped.
+    """The rows of `columns` whitespace-separated finite numbers in `path`, blank lines skipped.
 
-    One vectorised parse reads the file; a line scan runs only to name the line it rejects.
+    One vectorised parse reads the file; its text is read only to reject an
+    all-blank file or to name the line it rejects.
     """
-    lines = path.read_text().split("\n")
-    if not any(line.strip() for line in lines):
-        return np.empty((0, columns), dtype)
     try:
-        matrix = np.loadtxt(lines, dtype, comments=None, ndmin=2)
-        if matrix.shape[1] == columns:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            matrix = np.loadtxt(path, dtype, comments=None, ndmin=2)
+        if matrix.shape[1] == columns and np.isfinite(matrix).all():
             return matrix
     except ValueError:
         pass
+    lines = path.read_text().split("\n")
+    if not any(line.strip() for line in lines):
+        return np.empty((0, columns), dtype)
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
@@ -132,10 +136,12 @@ def _read_matrix(path: Path, columns: int, dtype=float) -> np.ndarray:
         if len(parts) != columns:
             raise DataError(f"{path}: line {line_no}: expected {columns} columns")
         try:
-            np.loadtxt([raw], dtype, comments=None)
+            row = np.loadtxt([raw], dtype, comments=None)
         except ValueError:
             what = "integer" if dtype is int else "number"
             raise DataError(f"{path}: line {line_no}: malformed {what}") from None
+        if not np.isfinite(row).all():
+            raise DataError(f"{path}: line {line_no}: non-finite number")
     raise DataError(f"{path}: malformed")  # unreached: the scan names a line
 
 

@@ -35,13 +35,15 @@ def make_windows(sequence, window_len: int = 64, step: int = 4) -> list[np.ndarr
     """Overlapping windows at offsets 0, step, 2*step, ...
 
     A 64/4 default overlaps consecutive windows by 93.75%. Sequences shorter
-    than one window yield an empty list.
+    than one window yield an empty list. Windows are read-only views of the
+    sequence; `sequence` itself stays writeable.
     """
     if window_len < 1 or step < 1:
         raise DetectionError(f"window length {window_len} and step {step} must be at least 1")
-    data = np.asarray(sequence)
+    data = np.asarray(sequence).view()
+    data.flags.writeable = False
     count = (len(data) - window_len) // step + 1 if len(data) >= window_len else 0
-    return [data[i * step : i * step + window_len].copy() for i in range(count)]
+    return [data[i * step : i * step + window_len] for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,10 @@ def infer_lr(m: ModelBundle, x) -> float:
     return float(sigmoid(np.dot(w, x) + m.scalar("b")))
 
 
-def _rbf_sum(m: ModelBundle, x) -> float:
-    """sum_i coef_i * exp(-gamma * ||sv_i - x||^2), the kernel machines' unbiased score."""
-    k = np.exp(-m.scalar("gamma") * ((m["sv"] - x) ** 2).sum(axis=1))
-    return np.dot(m["coef"], k)
+def _rbf_kernel(m: ModelBundle, x) -> np.ndarray:
+    """k_i = exp(-gamma * ||sv_i - x||^2), one row per row of x; coef . k is the
+    kernel machines' unbiased score."""
+    return np.exp(-m.scalar("gamma") * ((m["sv"] - x[..., None, :]) ** 2).sum(axis=-1))
 
 
 def svm_score(m: ModelBundle, x) -> float:
@@ -96,7 +96,7 @@ def svm_score(m: ModelBundle, x) -> float:
         raise ShapeError("svm bundle needs one coefficient per support vector")
     x = _expect_vector(x, sv.shape[1], "svm input")
     if m.kind == "kernel_svm":
-        return float(_rbf_sum(m, x) + b)
+        return float(np.dot(coef, _rbf_kernel(m, x)) + b)
     return float(np.dot(coef, sv @ x) + b)
 
 
@@ -134,12 +134,17 @@ def infer_mlp(m: ModelBundle, x) -> np.ndarray:
 
 def ocsvm_score(m: ModelBundle, x) -> float:
     x = _expect_vector(x, m["sv"].shape[1], "ocsvm input")
-    return float(_rbf_sum(m, x) - m.scalar("rho"))
+    return float(np.dot(m["coef"], _rbf_kernel(m, x)) - m.scalar("rho"))
 
 
-def infer_ocsvm(m: ModelBundle, x) -> tuple[bool, float]:
-    """(is_anomaly, score): anomalous iff the margin score is negative."""
-    score = ocsvm_score(m, x)
+def infer_ocsvm(m: ModelBundle, x):
+    """(is_anomaly, score): anomalous iff the margin score is negative. A 2-D x gives
+    arrays, one flag and score per row from one kernel evaluation, each row's bits its own."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2 and x.shape[1] == m["sv"].shape[1]:
+        score = np.array([np.dot(m["coef"], k) for k in _rbf_kernel(m, x)]) - m.scalar("rho")
+    else:
+        score = ocsvm_score(m, x)
     return score < 0.0, score
 
 
@@ -279,11 +284,12 @@ def batched_window_errors(m: ModelBundle, windows, n: int | None = None) -> np.n
     state = tuple(np.zeros((B, hidden)) for _ in range(arity))
     out = (*state, *(np.empty((B, k * hidden)) for k in widths), np.empty((B, len(U))))
     gates, pred = np.empty((B, len(W))), np.empty((n, B, D))
+    b = np.broadcast_to(b, gates.shape).copy()  # a same-shape add costs less than a broadcast
     for t in range(T - 1):
         cell(np.matmul(x[:, t, :], w_t, out=gates), U, b, *state, out=out)
         if t >= first:
             np.matmul(state[0], w_out_t, out=pred[t - first])
-    del state, out, gates  # spent: freed before the readout's temporaries, a lower peak
+    del state, out, gates, b  # spent: freed before the readout's temporaries, a lower peak
     pred += m["bout"]
     pred -= x[:, first + 1 :, :].transpose(1, 0, 2)
     pred **= 2

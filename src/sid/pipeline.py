@@ -174,7 +174,7 @@ class LadModel:
             rejections = ks_reject(self.ks_features(windows), n, n, self.cfg.ks)
             return vote_decide(rejections, self.cfg.ks)
         if pipeline == "ocsvm":
-            return np.array([infer_ocsvm(self.ocsvm, f)[0] for f in self.ks_features(windows)])
+            return infer_ocsvm(self.ocsvm, self.ks_features(windows))[0]
         raise PipelineError(f"unknown pipeline {pipeline!r}")
 
 

@@ -225,12 +225,15 @@ def _project_capped_simplex(v, cap):
     projection of Duchi et al. 2008, with caps).
     """
     knots = np.sort(np.concatenate([v - cap, v]))
-    f = np.clip(v - knots[:, None], 0.0, cap).sum(axis=1)  # non-increasing, f[-1] == 0
+    # np.minimum(cap, np.maximum(0.0, .)) in this order is np.clip's result, signed zeros and
+    # NaN included; f is non-increasing and f[-1] == 0.
+    f = np.minimum(cap, np.maximum(0.0, v - knots[:, None])).sum(axis=1)
     j = np.count_nonzero(f > 1.0)
     t = knots[0]  # j == 0 only if cap * n == 1: every entry at the cap
     if j:
-        t = knots[j - 1] + (f[j - 1] - 1.0) * (knots[j] - knots[j - 1]) / (f[j - 1] - f[j])
-    return np.clip(v - t, 0.0, cap)
+        (k0, k1), (f0, f1) = knots[j - 1 : j + 1].tolist(), f[j - 1 : j + 1].tolist()
+        t = k0 + (f0 - 1.0) * (k1 - k0) / (f0 - f1)
+    return np.minimum(cap, np.maximum(0.0, v - t))
 
 
 def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:

@@ -35,6 +35,18 @@ def step_rnn(m, state, x) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(state), m["Wout"] @ state[0] + m["bout"]
 
 
+def project_capped_simplex_clip(v, cap):
+    """`sid.training._project_capped_simplex` in its np.clip form, with numpy
+    scalars in the interpolation: the form the np.maximum/np.minimum one replaced."""
+    knots = np.sort(np.concatenate([v - cap, v]))
+    f = np.clip(v - knots[:, None], 0.0, cap).sum(axis=1)
+    j = np.count_nonzero(f > 1.0)
+    t = knots[0]
+    if j:
+        t = knots[j - 1] + (f[j - 1] - 1.0) * (knots[j] - knots[j - 1]) / (f[j - 1] - f[j])
+    return np.clip(v - t, 0.0, cap)
+
+
 def stepped(state, max_cycles=None):
     """`sid.machine.run` one `step_instruction` at a time, with its cycle
     budget: checked after each instruction, not after the stop past the last

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import pkgutil
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +683,37 @@ def test_malformed_sensor_file_exits_two_naming_the_line(tmp_path, capsys):
     assert errors == [f"error: {acc}: line 7: expected 3 columns"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_reading_exits_two_naming_the_line(tmp_path, capsys, value):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--freqs", "1.6,2.1", "--seed", "3", "--out", str(datadir))
+    gyro = sorted(datadir.glob("gyro_*.txt"))[2]
+    lines = gyro.read_text().splitlines(keepends=True)
+    lines[11] = f"0.5 {value} 0.125\n"
+    gyro.write_text("".join(lines))
+    capsys.readouterr()
+    assert run_cli("detect", "--scenario", "lad", "--data", str(datadir)) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert errors == [f"error: {gyro}: line 12: non-finite number"]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "  \t\n \r\n"])
+def test_blank_labels_exit_two_without_a_warning(tmp_path, capsys, text):
+    datadir = tmp_path / "synth"
+    run_cli("gen-data", "--users", "2", "--seqs", "2", "--length", "300",
+            "--freqs", "1.6,2.1", "--seed", "3", "--out", str(datadir))
+    (datadir / "labels.txt").write_bytes(text.encode())
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" would raise here
+        assert run_cli("detect", "--scenario", "lad", "--data", str(datadir)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {datadir / 'labels.txt'}: no walking segment "
+                            "(activity 1) labelled\n")
+
+
 # sha256 of each `sid detect` CSV on one small corpus, pinned so that a
 # refactor of the detection path cannot change a single output byte unnoticed.
 LAD_SMALL = ("--scenario", "lad", "--window", "120", "--step", "60")
@@ -754,6 +786,36 @@ def test_cli_paths_match_pinned_digests(pinned_corpus, tmp_path, case):
     out = tmp_path / "out"
     assert run_cli(*argv, "--data", str(pinned_corpus / "synth"), "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of `sid detect --model` CSVs at the `lad_score` benchmark's shape: the default
+# `gen-data` corpus (2 users x 4 sessions x 1,400 readings), 200-reading windows every
+# 50, scored by a hidden-16 lstm that `sid train` fits for user 1.
+BENCH_SHAPE_BUNDLE = "0fc75d22a592d456f0c24e289979357f3c32038fc6d18a1ff397db806b3b5f21"
+PINNED_MODEL_REPORTS = {
+    "vote": "9377a2c573579ddf87cb28619799c649839554e2cc6c4c1636eb30f3c3a52f30",
+    "threshold": "b47a48859ef4494f7aa26eecac6e25e5ea86d7faa5bdff9416356cfe7f6871fa",
+    "ocsvm": "a0aed58f622f18cbdff060472dcb0f6c8719da867773894371fc7d357d157f80",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_shape_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench_shape")
+    assert run_cli("gen-data", "--seed", "7", "--out", str(root / "synth")) == 0
+    assert run_cli("train", "--kind", "lstm", "--data", str(root / "synth"), "--user", "1",
+                   "--step", "50", "--out", str(root / "lstm.sidb")) == 0
+    assert hashlib.sha256((root / "lstm.sidb").read_bytes()).hexdigest() == BENCH_SHAPE_BUNDLE
+    return root
+
+
+@pytest.mark.parametrize("pipe", sorted(PINNED_MODEL_REPORTS))
+def test_detect_model_at_bench_shape_matches_pinned_digests(bench_shape_corpus, tmp_path, pipe):
+    out_csv = tmp_path / "report.csv"
+    assert run_cli("detect", "--scenario", "lad", "--step", "50", "--pipeline", pipe,
+                   "--model", str(bench_shape_corpus / "lstm.sidb"), "--user", "1",
+                   "--data", str(bench_shape_corpus / "synth"), "--out", str(out_csv)) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == PINNED_MODEL_REPORTS[pipe]
 
 
 def test_train_mlp_hidden_sets_the_hidden_layer(pinned_corpus, tmp_path):

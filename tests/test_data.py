@@ -206,6 +206,9 @@ def _sensor_corpus(tmp_path, acc_text, rows=4):
         ("1 2 3\n4 5 6\n7 x 9\n1 2 3\n", 3, "malformed number"),
         ("1 2 3\n4 5 6\n7 8 9\n1 2 3e\n", 4, "malformed number"),
         ("1 2 3\n# 4 5\n7 8 9\n1 2 3\n", 2, "malformed number"),
+        ("1 2 3\n4 nan 6\n7 8 9\n1 2 3\n", 2, "non-finite number"),
+        ("1 2 3\n4 5 6\n1e999 8 9\n1 2 3\n", 3, "non-finite number"),  # overflows to inf
+        ("1 2 3\n4 5 6\n7 8 9\n-inf 2 3\n", 4, "non-finite number"),
     ],
 )
 def test_hapt_reader_names_offending_line(tmp_path, acc_text, line_no, message):
@@ -218,7 +221,8 @@ def test_hapt_reader_names_offending_line(tmp_path, acc_text, line_no, message):
 @pytest.mark.parametrize(
     "labels, line_no, message",
     [("1 1 1 1 4\n\n1 1 1 2\n", 3, "expected 5 columns"),
-     ("1 1 1 1 4\n1 1 1 1 4.5\n", 2, "malformed integer")],
+     ("1 1 1 1 4\n1 1 1 1 4.5\n", 2, "malformed integer"),
+     ("1 1 1 1 4\n1 1 1 nan 4\n", 2, "malformed integer")],
 )
 def test_hapt_labels_reader_names_offending_line(tmp_path, labels, line_no, message):
     _sensor_corpus(tmp_path, "1 2 3\n" * 4)

@@ -66,6 +66,18 @@ def test_make_windows_offsets():
     assert windows[1][0] == 4 and windows[2][0] == 8
 
 
+def test_make_windows_are_read_only_views():
+    seq = np.arange(120.0).reshape(20, 6)
+    windows = make_windows(seq, window_len=8, step=3)
+    assert all(np.shares_memory(w, seq) for w in windows)
+    assert np.array_equal(windows[2], seq[6:14])
+    with pytest.raises(ValueError):
+        windows[0][0, 0] = 1.0
+    assert seq.flags.writeable
+    seq[0, 0] = -1.0  # the caller's array stays writeable, and the views see the write
+    assert windows[0][0, 0] == -1.0
+
+
 def test_split_by_sequence():
     rng = np.random.default_rng(0)
     seqs = [Seq(u, s, rng.normal(size=(70, 6))) for u in (1, 2) for s in (0, 1)]

@@ -65,9 +65,9 @@ from sid.models import (
     infer_svm,
     mlp_logits,
 )
-from sid.training import _project_capped_simplex, init_mlp, init_rnn
+from sid.training import _project_capped_simplex, init_mlp, init_rnn, train_ocsvm
 
-from oracles import assemble, fx_sub, predict_series, stepped
+from oracles import assemble, fx_sub, predict_series, project_capped_simplex_clip, stepped
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -1026,6 +1026,53 @@ def test_capped_simplex_projection_matches_bisection(inputs):
     assert np.abs(a - bisection_projection(v, cap)).max() <= 1e-12
     assert abs(a.sum() - 1.0) <= 1e-12
     assert np.all((a >= 0.0) & (a <= cap))
+
+
+@st.composite
+def signed_zero_simplex_inputs(draw):
+    """(v, cap) whose entries include -0.0 and +0.0, ties, and values at +-cap."""
+    n = draw(st.integers(1, 40), label="n")
+    nu = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0)), label="nu")
+    cap = 1.0 / max(nu * n, 1.0)
+    unit = st.one_of(st.floats(-1.0, 1.0),
+                     st.sampled_from([-0.0, 0.0, 0.25, -0.5, 1.0, cap, -cap, 1.0 / n]))
+    v = np.array(draw(st.lists(unit, min_size=n, max_size=n), label="v"))
+    return v * draw(st.sampled_from([1.0, 1e-3, 1e2]), label="scale"), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_zero_simplex_inputs())
+@example((np.full(7, 1.0 / 7), 1.0 / 7))  # every entry at the cap
+@example((np.array([-0.0, 0.0, -0.0]), 1.0))  # signed zeros, a three-way tie
+@example((np.array([0.5, 0.5, -0.0, 0.0]), 0.5))  # two entries that end at the cap
+def test_capped_simplex_projection_matches_clip_form_bit_for_bit(inputs):
+    v, cap = inputs
+    want = project_capped_simplex_clip(v, cap)
+    assert _project_capped_simplex(v, cap).tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 24), n_sv=st.integers(1, 20), rows=st.integers(0, 40),
+       seed=st.integers(0, (1 << 32) - 1), grid=st.booleans(), trained=st.booleans())
+def test_batched_ocsvm_matches_per_row_calls_bit_for_bit(dim, n_sv, rows, seed, grid, trained):
+    """One kernel evaluation over the rows of X scores each row as its own call does.
+
+    `grid` draws KS-statistic-like values on a 1/40 grid (ties); `trained`
+    fits the model as local detection does, else its tensors are random.
+    """
+    rng = np.random.default_rng(seed)
+    def draw(*shape):
+        return rng.integers(0, 41, size=shape) / 40 if grid else rng.uniform(0, 1, size=shape)
+    if trained:
+        m = train_ocsvm(draw(n_sv, dim), gamma=2.0, nu=0.1)
+    else:
+        m = ModelBundle("ocsvm", {"coef": rng.dirichlet(np.ones(n_sv)), "sv": draw(n_sv, dim),
+                                  "rho": rng.uniform(0, 1), "gamma": rng.uniform(0.1, 4)})
+    X = draw(rows, dim)
+    flags, scores = infer_ocsvm(m, X)
+    singles = [infer_ocsvm(m, x) for x in X]
+    assert scores.tobytes() == np.array([score for _, score in singles], dtype=float).tobytes()
+    assert flags.tolist() == [flag for flag, _ in singles]
 
 
 # A coarse grid makes ties within and across samples likely.
