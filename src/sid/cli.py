@@ -172,8 +172,10 @@ def cmd_sim(args) -> int:
     state = machine.load(config, program, image)
     report = machine.run(state, max_cycles=args.max_cycles)
     sys.stdout.write(report.to_keyvalues())
-    digest = hashlib.sha256(state.memory.tobytes()).hexdigest()
-    print(f"memory_sha256={digest}")
+    # The whole data memory: the state's words, then the zeros past them.
+    digest = hashlib.sha256(state.memory.tobytes())
+    digest.update(bytes(4 * (config.data_mem_words - len(state.memory))))
+    print(f"memory_sha256={digest.hexdigest()}")
     if args.profile:
         sys.stdout.write(_profile_table(machine.profile(machine.load(config, program, image))))
     return 0

@@ -567,14 +567,25 @@ def fresh_state(prog: CompiledProgram, config: MachineConfig) -> MachineState:
     return load(config, prog.instructions, prog.image, ranges)
 
 
-def write_symbol(state: MachineState, prog: CompiledProgram, name: str, values) -> None:
-    addr, length = prog.symbols[name]
+def _writable(prog: CompiledProgram, name: str) -> tuple[int, int]:
+    """The (address, length) of a symbol the host may write."""
+    symbol = prog.symbols[name]
     if name in prog.readonly:
         raise CompileError(f"symbol {name!r} is read-only")
+    return symbol
+
+
+def _put(state: MachineState, name: str, symbol: tuple[int, int], values) -> None:
+    """Write `values` as Q16.16 words from the start of symbol (address, length)."""
+    addr, length = symbol
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(values) > length:
         raise CompileError(f"symbol {name!r} holds {length} words, got {len(values)}")
     state.words[addr : addr + len(values)] = fx_array(values)
+
+
+def write_symbol(state: MachineState, prog: CompiledProgram, name: str, values) -> None:
+    _put(state, name, _writable(prog, name), values)
 
 
 def read_symbol(state: MachineState, prog: CompiledProgram, name: str, count=None) -> np.ndarray:
@@ -605,22 +616,24 @@ class StepRunner:
         self.state = fresh_state(prog, config)
         self.steps = 0
         self.cycles_per_step: list[int] = []
-
-    def step(self, reading) -> None:
+        self._input = _writable(prog, "input")
         # Each step writes one error at errors[steps]; past the last slot the
         # program would write into the next symbol.
-        capacity = self.prog.length("errors")
+        self._capacity = prog.length("errors")
+
+    def step(self, reading) -> None:
+        state, capacity = self.state, self._capacity
         if self.steps >= capacity:
             raise CompileError(
                 f"symbol 'errors' holds {capacity} words: the step program is full "
                 f"after {capacity} steps"
             )
-        before = self.state.cycles
-        write_symbol(self.state, self.prog, "input", reading)
-        self.state.pc = 0  # a new reading re-arms the program counter
-        self.state.halted = False
-        run(self.state)
-        self.cycles_per_step.append(self.state.cycles - before)
+        before = state.cycles
+        _put(state, "input", self._input, reading)
+        state.pc = 0  # a new reading re-arms the program counter
+        state.halted = False
+        run(state)
+        self.cycles_per_step.append(state.cycles - before)
         self.steps += 1
 
     def errors(self) -> np.ndarray:

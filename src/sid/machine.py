@@ -60,6 +60,14 @@ at the same pc. `state.memory` is a read-only view, and the kernels and
 instruction can change a read-only range, each state caches max|X| of the
 Mvmul X ranges inside one, so a gate matrix is scanned once per state.
 
+A state's words are its image, zero-extended to data memory: `load` copies
+the image only, and the first access past it, once its checks pass, grows the
+state to the whole data memory, zeros past the image. Every bounds check and
+trap is against `MachineConfig.data_mem_words`, whatever the state holds. A
+trace records its reach, its largest range stop, and replay grows the state
+first where that lies past the words. A compiled program's image covers every
+symbol, so its states never grow.
+
 The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
 """
@@ -134,19 +142,19 @@ class RunReport:
 class MachineState:
     """Mutable machine state; one execution context owns it at a time.
 
-    `words` is the int32 data memory and `memory` a read-only view of it.
-    `readonly` holds sorted, disjoint (start, stop) word ranges no write may
-    meet, and `x_peaks` max|X| of each Mvmul X range inside one, by (start,
-    stop). A host that writes a read-only range through `words` must drop
-    `x_peaks`."""
+    `words` is the int32 data memory's first words, zero-extended to data
+    memory: the image's words until a run reaches past them, then, after
+    `grow`, the whole data memory. `memory` is a read-only view of it. A host
+    that writes past the words through `words` must `grow` first. `readonly`
+    holds sorted, disjoint (start, stop) word ranges no write may meet, and
+    `x_peaks` max|X| of each Mvmul X range inside one, by (start, stop). A
+    host that writes a read-only range through `words` must drop `x_peaks`."""
 
     def __init__(self, config: MachineConfig, program, memory: np.ndarray, readonly=()):
         self.config = config
         self.program = list(program)
         self.program_hash = hash(tuple(self.program))  # a trace key; checked on use
-        self.words = memory
-        self.memory = memory.view()
-        self.memory.flags.writeable = False
+        self._hold(memory)
         self.readonly = tuple(readonly)
         self.x_peaks = {}
         self.scratchpad = np.zeros(config.n_local, dtype=np.int32)
@@ -162,6 +170,17 @@ class MachineState:
         self.writes = 0
         self.halted = False
 
+    def _hold(self, words: np.ndarray) -> None:
+        self.words = words
+        self.memory = words.view()
+        self.memory.flags.writeable = False
+
+    def grow(self) -> None:
+        """Hold the whole data memory: the words so far, then zeros."""
+        words = np.zeros(self.config.data_mem_words, dtype=np.int32)
+        words[: len(self.words)] = self.words
+        self._hold(words)
+
 
 def _merged(ranges) -> tuple:
     """Nonempty (start, stop) ranges sorted, adjacent or overlapping ones merged."""
@@ -175,21 +194,20 @@ def _merged(ranges) -> tuple:
 
 
 def load(config: MachineConfig, program, image, readonly=()) -> MachineState:
-    """A state running `program` over `image`, zero-extended to data memory;
+    """A state running `program` over `image`, zero-extended to data memory:
+    its words are a copy of the image, grown once a run reaches past them.
     `readonly` lists (start, stop) word ranges no write may meet."""
     program = list(program)
     if len(program) > INST_MEM_SLOTS:
         raise LoadError(
             f"program has {len(program)} instructions, instruction memory holds {INST_MEM_SLOTS}"
         )
-    image = np.asarray(image, dtype=np.int32)
+    image = np.array(image, dtype=np.int32)
     if len(image) > config.data_mem_words:
         raise LoadError(
             f"image has {len(image)} words, data memory holds {config.data_mem_words}"
         )
-    memory = np.zeros(config.data_mem_words, dtype=np.int32)
-    memory[: len(image)] = image
-    return MachineState(config, program, memory, _merged(readonly))
+    return MachineState(config, program, image, _merged(readonly))
 
 
 def instruction_cycles(inst: MacroInstruction, config: MachineConfig) -> int:
@@ -215,6 +233,12 @@ _LUTS = default_luts()  # the LUT ROM, built once at import
 def _check_range(pc: int, start: int, count: int, words: int) -> None:
     if count and not (0 <= start and start + count <= words):
         raise MachineTrap(pc, f"address range [{start}, {start + count}) out of bounds")
+
+
+def _cover(s, *ranges: slice) -> None:
+    """Grow `s` if a nonempty word range, bounds-checked, reaches past its words."""
+    if any(r.stop > len(s.words) and r.stop > r.start for r in ranges):
+        s.grow()
 
 
 def _read_only_met(readonly: tuple, z: slice):
@@ -253,24 +277,25 @@ def _footprint(inst: MacroInstruction):
 
 def _operands(s, inst: MacroInstruction) -> tuple[slice, slice, slice]:
     """Bounds-check X, Y and Z in that order, then Z against the read-only
-    ranges, before anything is written; count the traffic and return the
-    three word ranges."""
+    ranges, before anything is written; grow the state if they reach past
+    its words, count the traffic and return the three word ranges."""
     nx, ny, nz, reads, writes = _footprint(inst)
     if inst.mode is _MVMUL and inst.width > s.config.n_local:
         raise MachineTrap(s.pc, f"Mvmul width {inst.width} exceeds scratchpad {s.config.n_local}")
     x = inst.addr_x + s.off_x if inst.off_x else inst.addr_x
     y = inst.addr_y + s.off_y if inst.off_y else inst.addr_y
     z = inst.addr_z + s.off_z if inst.off_z else inst.addr_z
-    pc, words = s.pc, len(s.memory)
+    pc, words = s.pc, s.config.data_mem_words
     _check_range(pc, x, nx, words)
     _check_range(pc, y, ny, words)
     _check_range(pc, z, nz, words)
-    zs = slice(z, z + nz)
+    xs, ys, zs = slice(x, x + nx), slice(y, y + ny), slice(z, z + nz)
     if s.readonly:
         _check_writable(s, zs)
+    _cover(s, xs, ys, zs)
     s.reads += reads
     s.writes += writes
-    return slice(x, x + nx), slice(y, y + ny), zs
+    return xs, ys, zs
 
 
 _REG_GROUPS = {
@@ -285,7 +310,7 @@ def _reg_slot(s, inst: MacroInstruction) -> tuple[tuple[str, str, str], slice]:
     if names is None:
         raise MachineTrap(s.pc, f"register group {inst.length} undefined")
     start = inst.addr_z + s.off_z if inst.off_z else inst.addr_z
-    _check_range(s.pc, start, 3, len(s.memory))
+    _check_range(s.pc, start, 3, s.config.data_mem_words)
     return names, slice(start, start + 3)
 
 
@@ -511,6 +536,7 @@ def _regaddi(s, inst):
 def _regstore(s, inst):
     names, z = _reg_slot(s, inst)
     _check_writable(s, z)
+    _cover(s, z)
     pairs = [(name, 0) for name in names]
     _put_registers(s, inst, None, pairs, z)
     s.writes += 3
@@ -527,6 +553,7 @@ def _point(s) -> tuple:
 
 def _regload(s, inst):
     names, z = _reg_slot(s, inst)
+    _cover(s, z)
     before = _point(s)
     words = s.memory[z].tolist()
     for name, word in zip(names, words):
@@ -636,6 +663,10 @@ class Trace:
     names ((index, x, y, z) flags) use such relative offsets, and a
     regstore's pairs store them likewise, so the trace replays from other
     start offsets.
+
+    `reach` is the largest stop of a nonempty range the run touched, and
+    `fixed_reach` that of the ranges `bind` never moves, so a replay grows
+    the state first where it reaches past the state's words.
     """
 
     def __init__(self, state: MachineState):
@@ -647,6 +678,7 @@ class Trace:
         self.relative = True  # no regload has set the offsets yet
         self.ends = []  # (runs so far, loop_begin, loop_end) where an iteration ended
         self.end = None
+        self.reach = self.fixed_reach = 0
 
     def _ref(self, name: str, value: int) -> tuple:
         if self.relative and name in self.starts:
@@ -667,7 +699,13 @@ class Trace:
             y = (y[0], self.point(y[1]))
         else:
             moves = (inst.off_x, inst.off_y, inst.off_z)
-        if self.relative and any(moves):
+        moving = self.relative and any(moves)
+        for r, moved in zip((x, y, z), moves):  # a regstore's or guard's y is no range
+            if type(r) is slice and r.stop > r.start:
+                self.reach = max(self.reach, r.stop)
+                if not (moving and moved):
+                    self.fixed_reach = max(self.fixed_reach, r.stop)
+        if moving:
             self.moving.append((len(self.runs), *moves))
         elif kernel in _JOINABLE:
             if self._join(kernel, inst, x, y, z):
@@ -730,25 +768,27 @@ class Trace:
             self.moving = [(i, *moves[id(run)]) for i, run in enumerate(self.runs)
                            if id(run) in moves]
 
-    def bind(self, state: MachineState) -> list | None:
-        """`runs` with the moving ranges shifted to `state`'s start offsets;
-        None if a shifted range leaves memory or a shifted write meets a
-        read-only range."""
+    def bind(self, state: MachineState) -> tuple[list, int] | None:
+        """`runs` with the moving ranges shifted to `state`'s start offsets,
+        and their reach; None if a shifted range leaves memory or a shifted
+        write meets a read-only range."""
         shift = [getattr(state, name) - start for name, start in self.starts.items()]
         if not self.moving or not any(shift):
-            return self.runs
-        steps, words = list(self.runs), len(state.memory)
+            return self.runs, self.reach
+        steps, words, reach = list(self.runs), state.config.data_mem_words, self.fixed_reach
         for i, *moves in self.moving:
             kernel, inst, *ranges = steps[i]
             for j in range(3):
                 if moves[j]:
                     r = ranges[j] = slice(ranges[j].start + shift[j], ranges[j].stop + shift[j])
-                    if r.stop > r.start and (r.start < 0 or r.stop > words):
-                        return None
+                    if r.stop > r.start:
+                        if r.start < 0 or r.stop > words:
+                            return None
+                        reach = max(reach, r.stop)
             if moves[2] and kernel is not _guard and _read_only_met(state.readonly, ranges[2]):
                 return None
             steps[i] = (kernel, inst, *ranges)
-        return steps
+        return steps, reach
 
 
 def _batch(runs: list, length: int):
@@ -823,14 +863,18 @@ def _restore(state: MachineState, point: tuple) -> None:
 
 
 def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
-    """Redo `trace` on `state`. False where the interpreter must go on: from
-    the untouched state if a shifted range leaves memory or the run passes
-    `max_cycles`, from just before a regload whose guard failed."""
+    """Redo `trace` on `state`, grown first if the trace reaches past its
+    words. False where the interpreter must go on: from the untouched state
+    if a shifted range leaves memory or the run passes `max_cycles`, from
+    just before a regload whose guard failed."""
     if max_cycles is not None and state.cycles + trace.end[2][0] > max_cycles:
         return False
-    steps = trace.bind(state)
-    if steps is None:
+    bound = trace.bind(state)
+    if bound is None:
         return False
+    steps, reach = bound
+    if reach > len(state.words):
+        state.grow()
     for kernel, inst, x, y, z in steps:
         before = kernel(state, inst, x, y, z)
         if before is not None:
@@ -842,10 +886,12 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
 
 
 # Traces `run` has recorded, keyed by program (its hash; a trace of another
-# program under that hash is recorded over), memory size, lane count and
+# program under that hash is recorded over), data memory size, lane count and
 # scratchpad size, pc and loop registers: what fixes the control flow up
 # to the first regload; and the read-only ranges, which decide its traps.
-# Shared by every state, so a fresh state of a compiled program finds its
+# Not the length of the state's words: bounds and traps are against data
+# memory, and a replay grows the state where the run reached past them. Shared
+# by every state, so fresh image-sized states of a compiled program find one
 # trace; bounded, oldest dropped first.
 _TRACES: OrderedDict = OrderedDict()
 _TRACE_KEYS = 32
@@ -872,7 +918,7 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
     if not state.halted:
         config = state.config
         key = (
-            state.program_hash, len(state.memory), config.n_track, config.n_local,
+            state.program_hash, config.data_mem_words, config.n_track, config.n_local,
             state.pc, state.loop_begin, state.loop_end, state.loop_n, state.readonly,
         )
         trace = _TRACES.get(key)

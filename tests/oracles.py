@@ -12,7 +12,7 @@ from sid.isa import (
     _OFFSET_REG_NAMES, GROUP_LOOP, GROUP_OFFSET, EncodingError, MacroInstruction, Opcode, loop,
     regaddi, regload, regstore,
 )
-from sid.machine import MachineTrap, step_instruction
+from sid.machine import MachineState, MachineTrap, _merged, step_instruction
 from sid.models import RNN_CELLS, ShapeError, mT, rnn_hidden_size, split_gates, stacked_weights
 from sid.training import init_rnn
 
@@ -45,6 +45,15 @@ def project_capped_simplex_clip(v, cap):
     if j:
         t = knots[j - 1] + (f[j - 1] - 1.0) * (knots[j] - knots[j - 1]) / (f[j - 1] - f[j])
     return np.clip(v - t, 0.0, cap)
+
+
+def full_state(config, program, image, readonly=()) -> MachineState:
+    """A state of `program` that holds the whole data memory from the start,
+    `image` then zeros, as `sid.machine.load` once built every state: the
+    reference an image-sized state, grown on demand, must match."""
+    memory = np.zeros(config.data_mem_words, dtype=np.int32)
+    memory[: len(image)] = image
+    return MachineState(config, program, memory, _merged(readonly))
 
 
 def stepped(state, max_cycles=None):

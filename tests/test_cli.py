@@ -11,6 +11,7 @@ import pytest
 import sid
 from sid import cli, codegen, detection, isa, machine, pipeline
 from sid.cli import UsageError, main
+from sid.fixedpoint import fx_array
 from sid.models import ModelBundle, load_bundle, save_bundle
 from sid.training import init_lstm, init_mlp
 
@@ -666,6 +667,54 @@ def test_sim_profile_of_data_dependent_loop(tmp_path, capsys):
     assert totals == table["total"]
     keyvalues = dict(line.split("=") for line in plain.splitlines())
     assert table["total"][1:] == [int(keyvalues[k]) for k in ("cycles", "reads", "writes")]
+
+
+def _ks_vote_sim(prefix: Path):
+    """A looped KS+vote program over its own image, an errors window written in."""
+    cfg = detection.KsDecisionConfig()
+    rng = np.random.default_rng(2)
+    refs = [detection.build_ped(rng.exponential(size=cfg.window_errors), cfg.bins)
+            for _ in range(cfg.refs)]
+    prog = codegen.compile_ks_stage(refs, cfg)
+    image = prog.image.copy()
+    errors = rng.exponential(size=cfg.window_errors)
+    image[prog.addr("errors") : prog.addr("errors") + len(errors)] = fx_array(errors)
+    return _save(prefix, prog.instructions, image)
+
+
+def _past_image_sim(prefix: Path):
+    """A two-word image; its loop writes a squared norm ever further past it,
+    then a regstore and regload spill the offsets near the top of data memory."""
+    top = machine.MachineConfig().data_mem_words - 3
+    program = assemble(f"""
+    loop end=2 n=3
+    vsqnorm length=2 x=0 y=0 z=60 offz
+    regaddi reg=off_z imm=7
+    regstore group=offset addr={top}
+    regload group=offset addr={top}
+    vadd length=2 x=0 y=0 z=200000 offz
+    halt
+    """)
+    return _save(prefix, program, fx_array([1.0, -2.5]))
+
+
+# sha256 of the data memory `sid sim` leaves (its `memory_sha256` line), for a
+# program that stays inside its image and one that reaches past it; both pinned
+# while every state still held the whole data memory.
+PINNED_SIM_MEMORY = {
+    "ks-vote": (
+        _ks_vote_sim, "c989f2d609ed43aa8dec82be62561367fbcedfe5db3c65320ffbec0771565c14"),
+    "past-image": (
+        _past_image_sim, "dde761feea8de0c3447fc3b3e9b0249fd2a5e29b3d90f1f764b88528c8f7a3e7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SIM_MEMORY))
+def test_sim_memory_digest_is_pinned(tmp_path, capsys, case):
+    build, digest = PINNED_SIM_MEMORY[case]
+    assert run_cli(*build(tmp_path / case)) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"memory_sha256=(\w+)", out).group(1) == digest
 
 
 def test_malformed_sensor_file_exits_two_naming_the_line(tmp_path, capsys):

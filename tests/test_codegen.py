@@ -610,6 +610,35 @@ def test_ks_vote_replays_one_batched_run_per_reference(monkeypatch):
         assert accumulate == (0, slice(hist, hist + bins))  # tmp, the first map's Z
 
 
+def test_fresh_states_of_one_ks_program_share_one_trace(monkeypatch):
+    # One fresh state per window, its errors written in: each holds only the
+    # program's image, which covers every word the program touches. The trace
+    # key counts data memory, not a state's words, so the first window records
+    # and every later one replays, a state grown to the whole data memory too.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    records = []
+    record = machine._record
+    monkeypatch.setattr(machine, "_record", lambda *args: records.append(1) or record(*args))
+    rng = np.random.default_rng(23)
+    cfg = KsDecisionConfig()
+    prog = compile_ks_stage(make_refs(rng, cfg), cfg)
+    for grown in (False, False, True):
+        errors = quantize(rng.exponential(size=cfg.window_errors))
+        state, reference = fresh_state(prog, CONFIG), fresh_state(prog, CONFIG)
+        if grown:
+            state.grow()
+        for s in (state, reference):
+            write_symbol(s, prog, "errors", errors)
+        run(state)
+        stepped(reference)
+        assert len(reference.memory) == len(prog.image)
+        assert len(state.memory) == (CONFIG.data_mem_words if grown else len(prog.image))
+        assert _counted(state)[1:] == _counted(reference)[1:]
+        assert state.memory[: len(prog.image)].tolist() == reference.memory.tolist()
+        assert not state.memory[len(prog.image) :].any()
+    assert len(records) == 1
+
+
 def test_ocsvm_replays_its_support_vector_loop_as_one_batched_run(monkeypatch):
     # d = x - v_i, its squared norm, * -gamma, exp, * coef_i, added onto acc:
     # five maps and the accumulate, 238 times in one call.

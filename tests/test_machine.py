@@ -21,7 +21,7 @@ from sid.machine import (
     run,
 )
 
-from oracles import assemble, real_array, stepped
+from oracles import assemble, full_state, real_array, stepped
 
 
 def vec_op(op, length, x, y, z, **kw):
@@ -453,6 +453,31 @@ def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
     assert snapshot(replayed) == snapshot(reference)
     run(load(config, program, fx_array([1.0, 2.0])))  # a fresh state of the same program
     assert len(records) == 1
+
+
+def test_trace_recorded_inside_an_image_replays_past_it(monkeypatch):
+    # Recorded where the sum lands inside the six-word image; from off_z=10 the
+    # shifted write lies past the image but inside data memory, so the trace
+    # still replays, the state grown first.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    interprets = []
+    interpret = machine._interpret
+    monkeypatch.setattr(machine, "_interpret",
+                        lambda *args: interprets.append(1) or interpret(*args))
+    program = [vec_op(Opcode.VADD, 2, 0, 2, 4, off_z=True), halt()]
+    config = MachineConfig(data_mem_words=64)
+    image = fx_array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
+    for off_z, words in ((0, 6), (10, 64)):
+        replayed, reference = load(config, program, image), full_state(config, program, image)
+        for state in (replayed, reference):
+            state.off_z = off_z
+        run(replayed)
+        stepped(reference)
+        assert len(replayed.memory) == words
+        memory, *rest = snapshot(replayed)
+        assert [memory + [0] * (64 - words), *rest] == list(snapshot(reference))
+    assert real_array(replayed.memory[14:16]).tolist() == [4.0, 6.0]
+    assert len(interprets) == 1
 
 
 def test_programs_differing_in_one_field_never_share_a_trace(monkeypatch):

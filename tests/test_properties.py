@@ -67,7 +67,9 @@ from sid.models import (
 )
 from sid.training import _project_capped_simplex, init_mlp, init_rnn, train_ocsvm
 
-from oracles import assemble, fx_sub, predict_series, project_capped_simplex_clip, stepped
+from oracles import (
+    assemble, full_state, fx_sub, predict_series, project_capped_simplex_clip, stepped,
+)
 
 WORDS = 96  # data memory of the straight-line programs
 LUTS = default_luts()
@@ -509,6 +511,72 @@ def test_read_only_ranges_trap_as_stepping_does(program, image, readonly, starts
                     break
                 for state in (*states, plain):
                     state.pc, state.halted = 0, False
+
+
+def _zero_extended(outcome, words: int) -> tuple:
+    """`_outcome` with its memory zero-extended to `words` words."""
+    trap, memory, *rest = outcome
+    return (trap, memory + [0] * (words - len(memory)), *rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=looped_programs(),
+    image=st.lists(words, max_size=LOOPED_WORDS),
+    data_mem_words=st.one_of(st.just(LOOPED_WORDS), st.integers(24, LOOPED_WORDS + 16)),
+    readonly=read_only_ranges(),
+    starts=st.lists(st.tuples(*[st.integers(-6, 24)] * 3), min_size=2, max_size=2),
+    max_cycles=st.one_of(st.none(), st.integers(0, 400)),
+)
+@example(  # the squared norm lands one word further per run, past the two-word
+    # image, until it leaves data memory
+    program=[MacroInstruction(mode=Opcode.VSQNORM, length=2, addr_z=60, off_z=True),
+             regaddi(2, 1), halt()],
+    image=[FX_ONE, 2 * FX_ONE], data_mem_words=LOOPED_WORDS, readonly=[],
+    starts=[(0, 0, 0), (0, 0, 1)], max_cycles=None,
+)
+@example(  # recorded inside the image; replayed from the second start, the same
+    # trace writes past it
+    program=[MacroInstruction(mode=Opcode.VADD, length=2, addr_z=4, off_z=True), halt()],
+    image=[FX_ONE] * 6, data_mem_words=LOOPED_WORDS, readonly=[],
+    starts=[(0, 0, 0), (0, 0, 10)], max_cycles=None,
+)
+@example(  # a regstore past the image
+    program=[regstore(GROUP_OFFSET, OFFSET_SLOT), halt()], image=[5, 6],
+    data_mem_words=LOOPED_WORDS, readonly=[], starts=[(1, 2, 3), (0, 0, 0)], max_cycles=None,
+)
+@example(  # a regload past the image reading zeros, then a regstore
+    program=[regload(GROUP_OFFSET, ZEROS_SLOT), regstore(GROUP_LOOP, LOOP_SLOTS[0]),
+             MacroInstruction(mode=Opcode.VADD, length=3, addr_x=LOOP_SLOTS[0], addr_z=2),
+             halt()],
+    image=[5, 6], data_mem_words=LOOPED_WORDS, readonly=[(2, 3)],
+    starts=[(0, 0, 0), (1, 2, 3)], max_cycles=None,
+)
+def test_image_sized_state_matches_full_size_state(
+        program, image, data_mem_words, readonly, starts, max_cycles):
+    """A state loaded over a short image holds only its words until a run
+    reaches past them. Recorded, then replayed from a second start and again
+    from the first, and re-armed as `StepRunner` does, it leaves what stepping
+    a state holding the whole data memory leaves: memory once zero-extended,
+    scratchpad, registers, counters and traps, bounds against data memory."""
+    image = image[:data_mem_words]
+    if max_cycles is None and any(i.mode is Opcode.REGLOAD for i in program):
+        max_cycles = 2_000  # a data write into a loop slot can make a loop endless
+    machine._TRACES.clear()  # so that the first start records
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, n_local=4, data_mem_words=data_mem_words)
+        for offsets in (*starts, starts[0]):
+            state = load(config, program, image, readonly)
+            reference = full_state(config, program, image, readonly)
+            for s in (state, reference):
+                s.off_x, s.off_y, s.off_z = offsets
+            for _ in range(2):
+                got = _zero_extended(_outcome(run, state, max_cycles), data_mem_words)
+                assert got == _outcome(stepped, reference, max_cycles), f"n_track={n_track}"
+                if got[0] is not None:
+                    break
+                for s in (state, reference):
+                    s.pc, s.halted = 0, False
 
 
 def test_mvmul_extrema_cache_is_per_state(monkeypatch):
