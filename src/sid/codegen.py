@@ -578,10 +578,10 @@ def _writable(prog: CompiledProgram, name: str) -> tuple[int, int]:
 def _put(state: MachineState, name: str, symbol: tuple[int, int], values) -> None:
     """Write `values` as Q16.16 words from the start of symbol (address, length)."""
     addr, length = symbol
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if len(values) > length:
-        raise CompileError(f"symbol {name!r} holds {length} words, got {len(values)}")
-    state.words[addr : addr + len(values)] = fx_array(values)
+    values = np.asarray(values, dtype=np.float64)
+    if values.size > length:
+        raise CompileError(f"symbol {name!r} holds {length} words, got {values.size}")
+    state.words[addr : addr + values.size] = fx_array(values).reshape(-1)
 
 
 def write_symbol(state: MachineState, prog: CompiledProgram, name: str, values) -> None:

@@ -40,22 +40,14 @@ def fx_to_real(raw: int) -> float:
     return raw / FX_ONE
 
 
-def fx_add(a: int, b: int) -> int:
-    return saturate(a + b)
-
-
-def fx_mul(a: int, b: int) -> int:
-    # Full product, then arithmetic shift: rounds toward negative infinity.
-    return saturate((a * b) >> FRAC_BITS)
-
-
 def fx_array(values) -> np.ndarray:
     """Vectorized fx_from_real onto an int32 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if np.isnan(v).any():
+    raw = np.floor(np.multiply(values, FX_ONE, dtype=np.float64) + 0.5)
+    # Saturated, only a NaN value stays non-finite: np.maximum keeps NaN.
+    raw = np.minimum(np.maximum(raw, FX_MIN), FX_MAX)
+    if math.isnan(np.add.reduce(raw, axis=None)):
         raise ValueError("cannot convert NaN to fixed point")
-    raw = np.floor(v * FX_ONE + 0.5)
-    return np.clip(raw, FX_MIN, FX_MAX).astype(np.int32)
+    return raw.astype(np.int32)
 
 
 _FUNCTIONS = {
@@ -101,22 +93,12 @@ class LutTable:
     def hi(self) -> float:
         return fx_to_real(self.hi_raw)
 
-    def lookup(self, x_raw: int) -> tuple[int, int]:
-        """Slope/intercept pair for one raw input."""
-        if x_raw < self.lo_raw:
-            return 0, self.sat_lo
-        if x_raw >= self.hi_raw:
-            return 0, self.sat_hi
-        span = self.hi_raw - self.lo_raw
-        idx = (x_raw - self.lo_raw) * self.segments // span
-        return int(self.k[idx]), int(self.b[idx])
-
     @functools.cached_property
     def _vector(self) -> tuple:
-        """What `eval_array` derives once: `lookup`'s index plus 1 as (x*scale -
-        base) // width, the fraction reduced (scale 1 for whole-word segments);
-        slopes and intercepts padded with the x < lo and x >= hi pairs; and
-        whether k*x + b can leave the range (k is 0 outside [lo, hi))."""
+        """What `eval_array` derives once: x's segment (x - lo) * segments //
+        (hi - lo), plus 1, as (x*scale - base) // width (scale 1 for whole-word
+        segments); slopes and intercepts padded with the x < lo and x >= hi
+        pairs; and whether k*x + b can leave the range (k is 0 outside [lo, hi))."""
         span = self.hi_raw - self.lo_raw
         g = math.gcd(self.segments, span)
         scale, width = self.segments // g, span // g
@@ -127,7 +109,7 @@ class LutTable:
         return scale, self.lo_raw * scale - width, width, k, b, clamp
 
     def eval_array(self, x_raw: np.ndarray) -> np.ndarray:
-        """`eval` over an array of raw inputs, as int64."""
+        """k*x + b of each raw input through the saturating Q16.16 multiply and add, as int64."""
         # Floor division sends every x < lo below index 1 and every x >= hi to
         # index `segments` + 1 or above, so clipping onto the padded tables
         # picks the saturation pairs.
@@ -142,11 +124,6 @@ class LutTable:
             np.clip(out, FX_MIN, FX_MAX, out=out)
         out += b.take(pos, mode="clip")
         return np.clip(out, FX_MIN, FX_MAX, out=out) if clamp else out
-
-    def eval(self, x_raw: int) -> int:
-        """k*x + b through the fixed-point multiply/add path."""
-        k, b = self.lookup(x_raw)
-        return fx_add(fx_mul(k, x_raw), b)
 
 
 def lut_build(name: str, segments: int, lo: float, hi: float) -> LutTable:

@@ -31,9 +31,11 @@ mat-vecs of an LSTM step), and adjacent VADD, VSUB, VMUL, VSGT or same-table
 LUT blocks (the step's bias-ins, its gate sigmoids). A LUT kernel is one
 `LutTable.eval_array` call, which clamps only if its table's extrema let
 k*x + b leave the range. When operand extrema show that no Mvmul row can
-saturate, the kernel takes the plain sum (in int32 when every product fits
-too); otherwise only rows whose prefix sums leave the range run the
-per-element loop.
+saturate, the kernel takes the plain sum; otherwise only rows whose prefix
+sums leave the range run the per-element loop. The plain sum is in int32
+when every product fits too: there a large mat-vec's X is viewed as long
+rows of several mat-vec rows, and one multiply by Y tiled, one shift and one
+segmented reduce (`np.add.reduceat`) sum every row.
 
 `_record` then batches the loops of the run it caches. A loop whose
 iterations replay the same fixed runs, each range moved by a fixed stride
@@ -72,6 +74,7 @@ The clock, pipeline fill, instruction memory and LUT ROM are fixed by the
 design, so they are constants, not `MachineConfig` fields.
 """
 
+import functools
 import itertools
 import struct
 from collections import OrderedDict
@@ -340,6 +343,7 @@ def _register_value(name: str, word: int) -> int:
 
 _HI = np.int64(FX_MAX)
 _LO = np.int64(FX_MIN)
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce  # cheaper per call than .max, .min
 
 
 def _saturate(values: np.ndarray) -> np.ndarray:
@@ -358,7 +362,7 @@ def _fx_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _max_abs(words: np.ndarray) -> int:
     """max |w| of int32 words, 0 if there are none, with no int64 temporary."""
-    return max(int(words.max(initial=0)), -int(words.min(initial=0)))
+    return max(int(_MAX(words, axis=None, initial=0)), -int(_MIN(words, axis=None, initial=0)))
 
 
 def _saturating_running_sum(start: np.ndarray, products: np.ndarray, cap: int) -> np.ndarray:
@@ -426,15 +430,34 @@ def _scalar(values):
     return _vscalar
 
 
+# Below `_FOLD_MIN` words, tiling Y and the segmented reduce cost more than
+# broadcasting Y over short rows saves.
+_LONG_ROW, _FOLD_MIN = 8_192, 32_768
+
+
+@functools.cache
+def _fold(rows: int, cols: int) -> tuple:
+    """(fold, each row's start in a long row): the largest divisor of `rows`
+    whose rows fit one long row of `_LONG_ROW` words, or 1 below `_FOLD_MIN`
+    words (so with no columns, which np.add.reduceat cannot sum to 0)."""
+    fold = 1
+    if rows * cols >= _FOLD_MIN:
+        fold = max((d for d in range(2, rows + 1) if rows % d == 0 and d * cols <= _LONG_ROW),
+                   default=1)
+    return fold, np.arange(fold) * cols
+
+
 def _mvmul(s, inst, x, y, z):
     """Z += X @ Y, one row per Z word. `inst` is one Mvmul or, on replay, a
-    tuple of the Mvmul blocks fused into these ranges; the scratchpad takes
-    each block's rows in turn, as running the blocks one by one leaves it."""
+    tuple of the Mvmul blocks fused into these ranges; the scratchpad ends
+    as running the blocks one by one leaves it. The int32 path views X, which
+    is contiguous, as long rows of `fold` mat-vec rows (`_fold`), multiplies
+    them by Y tiled `fold` times and sums each row's segment."""
     rows, cols = z.stop - z.start, y.stop - y.start
     if rows == 0:
         return
     mem = s.words
-    xv, yv, zv = mem[x].reshape(rows, cols), mem[y], mem[z]
+    xv, yv, zv = mem[x], mem[y], mem[z]
     x_peak = s.x_peaks.get((x.start, x.stop))
     if x_peak is None:
         x_peak = _max_abs(xv)
@@ -447,20 +470,27 @@ def _mvmul(s, inst, x, y, z):
     if peak <= FX_MAX and cap <= FX_MAX:
         # Every product, partial sum and total fits int32, and a sum that
         # cannot overflow is the same in any order: no widening is needed.
-        products = xv * yv
+        fold, starts = _fold(rows, cols)
+        products = xv.reshape(rows // fold, fold * cols) * (np.tile(yv, fold) if fold > 1 else yv)
         products >>= 16  # arithmetic shift: floors, as on the int64 path
-        result = products.sum(axis=1, dtype=np.int32)
+        result = (products.sum(axis=1, dtype=np.int32) if fold == 1 else
+                  np.add.reduceat(products, starts, axis=1, dtype=np.int32).reshape(rows))
         result += zv
     else:
-        products = np.multiply(xv, yv, dtype=np.int64)
+        products = np.multiply(xv.reshape(rows, cols), yv, dtype=np.int64)
         products >>= 16  # unsaturated; the running sum saturates where it must
         # Partial sums start from the prior Z contents.
         result = _saturating_running_sum(zv.astype(np.int64), products, cap)
     mem[z] = result
-    first = 0
-    for block in inst if type(inst) is tuple else (inst,):
-        s.scratchpad[: block.width] = result[first : first + block.width]
-        first += block.width
+    # Each block wider than all after it leaves its rows past theirs.
+    done, stop = 0, rows
+    for block in reversed(inst) if type(inst) is tuple else (inst,):
+        if block.width > done:
+            s.scratchpad[done : block.width] = result[stop - block.width + done : stop]
+            done = block.width
+            if done == len(s.scratchpad):
+                break
+        stop -= block.width
 
 
 def _batched(s, body, x, y, z):

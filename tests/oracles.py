@@ -7,7 +7,7 @@ tests can compare the two; the assembler, the inverse of
 
 import numpy as np
 
-from sid.fixedpoint import FX_ONE, saturate
+from sid.fixedpoint import FRAC_BITS, FX_ONE, LutTable, saturate
 from sid.isa import (
     _OFFSET_REG_NAMES, GROUP_LOOP, GROUP_OFFSET, EncodingError, MacroInstruction, Opcode, loop,
     regaddi, regload, regstore,
@@ -169,9 +169,37 @@ def bptt_stepped(m, batch, state=None):
     return loss, grads, state
 
 
+def fx_add(a: int, b: int) -> int:
+    """Saturating Q16.16 sum of two raw values."""
+    return saturate(a + b)
+
+
 def fx_sub(a: int, b: int) -> int:
     """Saturating Q16.16 difference of two raw values."""
     return saturate(a - b)
+
+
+def fx_mul(a: int, b: int) -> int:
+    """Q16.16 product of two raw values: the full product, then an arithmetic
+    shift (rounding toward negative infinity), saturated."""
+    return saturate((a * b) >> FRAC_BITS)
+
+
+def lut_lookup(table: LutTable, x_raw: int) -> tuple[int, int]:
+    """Slope/intercept pair of `table` for one raw input."""
+    if x_raw < table.lo_raw:
+        return 0, table.sat_lo
+    if x_raw >= table.hi_raw:
+        return 0, table.sat_hi
+    idx = (x_raw - table.lo_raw) * table.segments // (table.hi_raw - table.lo_raw)
+    return int(table.k[idx]), int(table.b[idx])
+
+
+def lut_eval(table: LutTable, x_raw: int) -> int:
+    """k*x + b of `table` for one raw input, through the fixed-point multiply
+    and add: what `LutTable.eval_array` gives per element."""
+    k, b = lut_lookup(table, x_raw)
+    return fx_add(fx_mul(k, x_raw), b)
 
 
 def real_array(raw) -> np.ndarray:

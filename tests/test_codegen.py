@@ -20,7 +20,7 @@ from sid.codegen import (
     write_symbol,
 )
 from sid.detection import KsDecisionConfig, build_ped, ks_hardware, vote_decide
-from sid.fixedpoint import FX_ONE, fx_add, fx_array, fx_mul
+from sid.fixedpoint import FX_ONE, fx_array
 from sid.isa import CONTROL_OPCODES, MacroInstruction, Opcode, halt, program_to_bytes
 from sid.machine import MachineConfig, MachineTrap, image_to_bytes, run, step_instruction
 from sid.models import (
@@ -32,7 +32,7 @@ from sid.models import (
 )
 from sid.training import init_lstm, init_mlp, init_rnn
 
-from oracles import fx_sub, predict_series, stepped
+from oracles import fx_add, fx_mul, fx_sub, predict_series, stepped
 
 CONFIG = MachineConfig()
 TOL = 2**-8
@@ -748,6 +748,26 @@ def test_step_programs_are_pinned(kind, hidden, n_local):
     blob = (program_to_bytes(prog.instructions) + image_to_bytes(prog.image)
             + prog.symbol_table_text().encode())
     assert hashlib.sha256(blob).hexdigest() == STEP_DIGESTS[kind, hidden, n_local]
+
+
+# sha256 of the memory, scratchpad and errors() that the init_rnn(kind, 200, 6,
+# seed=0) step program leaves after 50 StepRunner readings at n_track 4. Most
+# readings keep the gate mat-vec on the int32 Mvmul path; six reach past it.
+STEP_RUN_DIGESTS = {
+    "lstm": "a96e61e72be572c03e0eed7508ad5e7f9a0647f110e40b3bcf35c5d878120c03",
+    "gru": "37041d2b44fa6b1f26692fd609e09a6dbd1a9ea5b5100f8bb3c09d2b0afc3afd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_RUN_DIGESTS))
+def test_step_runs_are_pinned(kind):
+    runner = StepRunner(compile_model(init_rnn(kind, 200, 6, seed=0), CONFIG),
+                        MachineConfig(n_track=4))
+    for reading in np.random.default_rng(32).normal(0, 0.7, size=(50, 6)):
+        runner.step(reading)
+    state = runner.state
+    blob = state.memory.tobytes() + state.scratchpad.tobytes() + runner.errors().tobytes()
+    assert hashlib.sha256(blob).hexdigest() == STEP_RUN_DIGESTS[kind]
 
 
 def test_gru_instruction_count_formula():

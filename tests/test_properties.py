@@ -7,6 +7,7 @@ truncated or corrupted binary inputs, the exact capped-simplex projection
 against bisection, and the stacked KS statistic against per-reference
 calls."""
 
+import functools
 from collections import OrderedDict
 
 import numpy as np
@@ -23,9 +24,7 @@ from sid.fixedpoint import (
     FX_MIN,
     FX_ONE,
     default_luts,
-    fx_add,
     fx_array,
-    fx_mul,
     saturate,
 )
 from sid.isa import (
@@ -68,7 +67,8 @@ from sid.models import (
 from sid.training import _project_capped_simplex, init_mlp, init_rnn, train_ocsvm
 
 from oracles import (
-    assemble, full_state, fx_sub, predict_series, project_capped_simplex_clip, stepped,
+    assemble, full_state, fx_add, fx_mul, fx_sub, lut_eval, predict_series,
+    project_capped_simplex_clip, stepped,
 )
 
 WORDS = 96  # data memory of the straight-line programs
@@ -109,7 +109,7 @@ def reference_run(program, image) -> list[int]:
         elif op is Opcode.VSSGT:
             out = [FX_ONE if mem[x + i] > mem[y] else 0 for i in range(n)]
         elif op in LUT_NAMES:
-            out = [LUTS[LUT_NAMES[op]].eval(mem[x + i]) for i in range(n)]
+            out = [lut_eval(LUTS[LUT_NAMES[op]], mem[x + i]) for i in range(n)]
         else:
             out = [ELEMENTWISE[op](mem[x + i], mem[y + i]) for i in range(n)]
         mem[z : z + len(out)] = out
@@ -661,6 +661,75 @@ def test_fused_mvmul_replay_matches_stepping(blocks, image):
         if exact:
             trace = next(reversed(machine._TRACES.values()))
             assert len(trace.runs) == 1 and len(trace.runs[0][1]) == len(program) - 1
+
+
+def test_long_rows_fold_only_large_mat_vecs():
+    """The LSTM-200 gate mat-vec folds into long rows of about 8K words; the
+    readout, the LSTM-16 gates, a prime row count and no columns keep one
+    product row per Z word."""
+    fold, starts = machine._fold(800, 206)
+    assert fold == 32 and starts.tolist() == list(range(0, 32 * 206, 206))
+    for rows, cols in ((6, 200), (64, 22), (199, 206), (800, 0)):
+        assert machine._fold(rows, cols)[0] == 1, (rows, cols)
+
+
+# Tall mat-vecs cut into Mvmul blocks of n_local rows, as codegen cuts them,
+# with long rows cut to 16 words and folding from 12: under 12 words, with a
+# prime row count past 16 words or with no columns `fold` is 1; 12 to 16 words
+# fold every row into one long row; more fold a proper divisor of a composite
+# row count.
+TALL_WORDS = 256
+TALL_X, TALL_Y, TALL_Z = 0, 192, 208
+
+
+def _tall_image(x, y, z):
+    image = [0] * TALL_WORDS
+    for addr, values in ((TALL_X, x), (TALL_Y, y), (TALL_Z, z)):
+        image[addr : addr + len(values)] = values
+    return image
+
+
+@st.composite
+def tall_mvmuls(draw):
+    rows = draw(st.one_of(st.sampled_from((7, 11, 13, 17, 19, 23)), st.integers(0, 24)))
+    cols, n_local = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    cells = draw(st.sampled_from((st.integers(-2**15, 2**15), words)))  # int32 path or not
+    x, y, z = (draw(st.lists(cells, min_size=n, max_size=n)) for n in (rows * cols, cols, rows))
+    program, first = [], 0
+    while first < rows:
+        width = min(n_local, rows - first)
+        program.append(_mvmul(width, cols, TALL_X + first * cols, TALL_Y, TALL_Z + first))
+        first += width
+    return program, n_local, _tall_image(x, y, z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tall_mvmuls())
+@example(case=([_mvmul(7, 4, 0, 192, 208)], 8, _tall_image(range(28), [FX_ONE] * 4, [1] * 7)))
+@example(case=([_mvmul(4, 2, 0, 192, 208), _mvmul(2, 2, 8, 192, 212)], 4,
+               _tall_image(range(-6, 6), [3 * FX_ONE, -FX_ONE], range(6))))
+@example(case=([_mvmul(8, 4, 0, 192, 208), _mvmul(4, 4, 32, 192, 216)], 8,
+               _tall_image(range(-24, 24), [HALF, 1, -HALF, 7], [5] * 12)))
+@example(case=([_mvmul(5, 0, 0, 192, 208)], 8, _tall_image([], [], [9, -9, 0, 1, 2])))
+def test_tall_mvmul_matches_scalar_reference(case):
+    """A tall mat-vec, recorded and then replayed as one fused call, leaves
+    the memory `reference_run` computes and the scratchpad its blocks leave
+    one by one, whether its int32 product folds into long rows or not."""
+    program, n_local, image = case
+    want, pad = reference_run(program, image), [0] * n_local
+    for inst in program:
+        pad[: inst.width] = want[inst.addr_z : inst.addr_z + inst.width]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(machine, "_LONG_ROW", 16)
+        patch.setattr(machine, "_FOLD_MIN", 12)
+        patch.setattr(machine, "_fold", functools.cache(machine._fold.__wrapped__))
+        for n_track in (1, 2, 4, 8):
+            config = MachineConfig(n_track=n_track, n_local=n_local, data_mem_words=TALL_WORDS)
+            for _ in range(2):  # recorded, then replayed
+                state = load(config, program + [halt()], image)
+                run(state)
+                assert (state.memory.tolist(), state.scratchpad.tolist()) == (want, pad), n_track
+            assert len(next(reversed(machine._TRACES.values())).runs) == bool(program)
 
 
 # Runs of element-wise blocks as `codegen` emits the LSTM's gate sigmoids and
