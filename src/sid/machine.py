@@ -51,7 +51,17 @@ exact: its body holds no Mvmul, guard, regstore or moving run; its Z ranges
 are fixed, nonempty and disjoint; and every read is loop-invariant, strided
 and clear of every Z, or exactly the Z an earlier run of the same iteration
 wrote, so the accumulator is read only by its accumulate. The KS inner loop
-and the kernel-machine support-vector loop batch.
+and the kernel-machine support-vector loop batch. Where T is a VSGT or VSSGT
+stack, each term is 0 or FX_ONE, so K * FX_ONE bounds the terms' sum.
+
+Last, `Trace.fold` folds in what the recording proves for every state that
+replays the trace. A regstore whose pairs are all constants (the loop
+registers always are) writes one precomputed array; a VSUB whose X is its Y,
+neither moved by an offset, fills Z with 0, since saturate(a - a) is 0 (the
+KS histogram reset); and a regload guard is dropped where the words it read
+are those a fixed constant regstore wrote to its slot with no Z since meeting
+it (a moving Z may meet anything), so it cannot fail (the KS loop-register
+spill). The 20-reference KS+vote trace replays 104 runs.
 
 A state may hold read-only word ranges, fixed at `load` (a compiled
 program's weights and constants). A data Z range or a regstore slot that
@@ -499,8 +509,10 @@ def _batched(s, body, x, y, z):
     its X and Y words stacked over the iterations, a source being an earlier
     map's stack (its index), a fixed range (a slice) or one range per
     iteration (a (K, n) array of word indices). The accumulate (source, Z)
-    adds its stack onto Z through the exact running sum. Every Z word and
-    the scratchpad end as the last iteration leaves them."""
+    adds its stack onto Z through the exact running sum, bounded by the
+    extrema of its terms, or by FX_ONE a term where the source is a compare
+    map's stack. Every Z word and the scratchpad end as the last iteration
+    leaves them."""
     count, maps, (t, acc) = body
     mem = s.words
     stacks = []
@@ -513,14 +525,15 @@ def _batched(s, body, x, y, z):
     for values, sources, _, _ in maps:
         stacks.append(values(*map(stack, sources)))
     start, terms = mem[acc].astype(np.int64), stack(t)
+    # Each term of a compare's stack is 0 or FX_ONE: no extrema scan.
+    peak = FX_ONE if type(t) is int and maps[t][0] in _COMPARES else _max_abs(terms)
     if len(terms) < count:  # the same T every iteration
         terms = np.broadcast_to(terms, (count, len(start)))
-    terms = terms.T
     for (_, _, z, scalar), out in zip(maps, stacks):
         mem[z] = out[-1]
         if scalar:
             s.scratchpad[:1] = out[-1]
-    mem[acc] = _saturating_running_sum(start, terms, _max_abs(start) + count * _max_abs(terms))
+    mem[acc] = _saturating_running_sum(start, terms.T, _max_abs(start) + count * peak)
 
 
 def _put_registers(s, inst, x, y, z):
@@ -529,9 +542,15 @@ def _put_registers(s, inst, x, y, z):
     s.words[z] = [_signed32(delta + (getattr(s, reg) if reg else 0)) for reg, delta in y]
 
 
+def _put_words(s, inst, x, y, z):
+    """A run whose Z words the recording proves (`Trace.fold`): Z = `y`."""
+    s.words[z] = y
+
+
 _KERNELS = {op: (_scalar if op in _Z_SCALAR else _map)(values) for op, values in _MAPS.items()}
 _KERNELS[Opcode.MVMUL] = _mvmul
 _MAP_VALUES = {_KERNELS[op]: values for op, values in _MAPS.items()}
+_COMPARES = frozenset({_MAPS[Opcode.VSGT], _MAPS[_VSSGT]})
 _SCALAR_KERNELS = frozenset(_KERNELS[op] for op in _Z_SCALAR)
 # Kernels whose consecutive blocks a trace may join: not VSSGT, whose Y is one
 # scalar word, nor VMAXABS or VSQNORM, which write one Z word and the scratchpad.
@@ -684,7 +703,9 @@ class Trace:
     `end` point. `add` joins consecutive blocks of one kernel into one call
     (see `_join`); a fixed run of such a kernel holds its blocks' tuple.
     `batch_loops`, once the run has halted, replaces a loop's iterations by
-    one `_batched` run where `_batch` finds that exact.
+    one `_batched` run where `_batch` finds that exact, and `fold` then
+    turns constant regstores and zeroing VSUBs into `_put_words` runs and
+    drops the guards that cannot fail.
 
     A point is the loop registers and pc, the offsets, and the counters
     relative to the run's start. An offset is (register, delta): delta plus
@@ -797,6 +818,38 @@ class Trace:
             self.runs = kept + self.runs[done:]
             self.moving = [(i, *moves[id(run)]) for i, run in enumerate(self.runs)
                            if id(run) in moves]
+
+    def fold(self) -> None:
+        """Fold in what the recording proves for every state that replays it.
+        A regstore of constants (each pair (None, value)) writes its words;
+        a VSUB whose X is its Y, neither moving, fills Z with 0; and a fixed
+        guard is dropped where the last write to its slot was a fixed constant
+        regstore of its very words (a moving Z may have met the slot).
+        Remaps `moving` as `batch_loops` does."""
+        moves, known = {i: flags for i, *flags in self.moving}, {}
+        runs, self.moving = [], []
+        for i, (kernel, inst, x, y, z) in enumerate(self.runs):
+            flags = moves.get(i, (False, False, False))
+            if kernel is _guard:
+                if not flags[2] and known.get((z.start, z.stop)) == y[0]:
+                    continue
+            elif flags[2]:
+                known = {}
+            else:
+                zs = [m[2] for m in inst[1]] + [inst[2][1]] if kernel is _batched else [z]
+                known = {slot: words for slot, words in known.items()
+                         if all(r.stop <= slot[0] or slot[1] <= r.start for r in zs)}
+            if kernel is _put_registers and all(reg is None for reg, _ in y):
+                y = [_signed32(delta) for _, delta in y]
+                if not flags[2]:
+                    known[z.start, z.stop] = y
+                kernel, y = _put_words, np.array(y, dtype=np.int32)
+            elif kernel is _KERNELS[Opcode.VSUB] and x == y and not (flags[0] or flags[1]):
+                kernel, y = _put_words, 0  # saturate(a - a) is 0
+            if i in moves:
+                self.moving.append((len(runs), *flags))
+            runs.append((kernel, inst, x, y, z))
+        self.runs = runs
 
     def bind(self, state: MachineState) -> tuple[list, int] | None:
         """`runs` with the moving ranges shifted to `state`'s start offsets,
@@ -934,6 +987,7 @@ def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
     if trace is not None:
         trace.end = trace.point(_point(state))
         trace.batch_loops()
+        trace.fold()
         _TRACES[key] = trace
         if len(_TRACES) > _TRACE_KEYS:
             _TRACES.popitem(last=False)

@@ -581,10 +581,12 @@ def _counted(state):
 
 
 def test_ks_vote_replays_one_batched_run_per_reference(monkeypatch):
-    # Per reference: the loop-register spill, zeroing the histogram, the 40
-    # compare-and-add iterations as one batched run, the spill's guard, the
-    # difference and its max|.|. With the entry guard, the reject compare and
-    # the vote, 124 runs where the recorded run took 1,704 steps.
+    # Per reference: the loop-register spill, its constant words stored;
+    # the histogram reset, VSUB acc, acc, acc, as a zero-fill; the 40
+    # compare-and-add iterations as one batched run; the difference and its
+    # max|.|. The spill's guard reads back words nothing since has written,
+    # so it is dropped. With the entry guard, the reject compare and the
+    # vote, 104 runs where the recorded run took 1,704 steps.
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
     rng = np.random.default_rng(19)
     cfg = KsDecisionConfig()
@@ -597,12 +599,16 @@ def test_ks_vote_replays_one_batched_run_per_reference(monkeypatch):
         run(replayed)
         assert _counted(replayed) == _counted(stepped(reference))
     (trace,) = machine._TRACES.values()
-    assert len(trace.runs) == 124
+    assert len(trace.runs) == 104
     batched = [i for i, (kernel, *_) in enumerate(trace.runs) if kernel is machine._batched]
-    assert batched == list(range(3, 123, 6))
+    assert batched == list(range(3, 103, 5))
+    assert [kernel for kernel, *_ in trace.runs].count(machine._guard) == 1  # the entry's
     bins, errs, tmp = cfg.bins, prog.addr("errors"), prog.addr("tmp")
-    hist = prog.addr("observed_hist")
+    hist, save = prog.addr("observed_hist"), prog.addr("save_loop")
     for r, i in enumerate(batched):
+        (put, _, _, spill, slot), (fill, _, _, zero, reset) = trace.runs[i - 2 : i]
+        assert (put, slot, spill.dtype) == (machine._put_words, slice(save, save + 3), np.int32)
+        assert (fill, zero, reset) == (machine._put_words, 0, slice(hist, hist + bins))
         count, ((_, (x, y), z, scalar),), accumulate = trace.runs[i][1]
         row = prog.addr("boundaries") + r * bins
         assert (count, x, z, scalar) == (40, slice(row, row + bins), slice(tmp, tmp + bins), False)

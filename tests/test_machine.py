@@ -385,14 +385,21 @@ def test_nested_run_matches_stepping_and_profile(monkeypatch):
     (trace,) = machine._TRACES.values()  # what the run recorded
     # A fixed data run holds the tuple of its blocks; none of these join. The
     # inner loop's two vadds, each adding word 65 onto word 64, replay as one
-    # batched run with no maps before its accumulate.
+    # batched run with no maps before its accumulate. The loop registers are
+    # constants, so each loop-group regstore writes its words and its guard,
+    # reading them back, is dropped. The first offset spill stores entry-
+    # relative offsets and keeps its guard; once that set the offsets, the
+    # later spills are constants too.
+    put, vadd = machine._put_words, machine._KERNELS[Opcode.VADD]
     kernels = [kernel for kernel, *_ in trace.runs]
-    assert kernels == ([machine._put_registers] * 2 + [machine._batched] + [machine._guard] * 2
-                       + [machine._KERNELS[Opcode.VADD]]) * 3
+    assert kernels == ([put, machine._put_registers, machine._batched, machine._guard, vadd]
+                       + [put, put, machine._batched, vadd] * 2)
     insts = [inst[0] if type(inst) is tuple else inst
-             for kernel, inst, *_ in trace.runs[:6] if kernel is not machine._batched]
-    assert [program.index(inst) for inst in insts] == [1, 2, 6, 7, 8]
+             for kernel, inst, *_ in trace.runs[:5] if kernel is not machine._batched]
+    assert [program.index(inst) for inst in insts] == [1, 2, 7, 8]
     assert [z for *_, z in trace.runs[:2]] == [slice(200, 203), slice(204, 207)]
+    assert [trace.runs[i][3].tolist() for i in (0, 5, 6, 9)] == [
+        [1, 8, 2], [1, 8, 1], [0, 0, 0], [1, 8, 0]]  # loop_begin, loop_end, loop_n
     assert trace.runs[2][1] == (2, (), (slice(65, 66), slice(64, 65)))
     rows = profile(fresh(program, [(65, [1.0])]))
     totals = [sum(row[i] for row in rows.values()) for i in range(4)]

@@ -943,6 +943,20 @@ def _batch_image(pairs):
                         (BATCH_SLOT, [BATCH_BASE, BATCH_BASE, 0])]),
     shift=1, max_cycles=None,
 )
+@example(  # VADD terms, not compare results, that saturate a sum from 0
+    loop=(assemble("""
+    regload group=offset addr=394
+    loop end=4 n=3
+    vadd length=2 x=0 y=20 z=256 offx
+    vadd length=2 x=261 y=256 z=261
+    regaddi reg=off_x imm=2
+    halt
+    """), True),
+    image=_batch_image([(20, [FX_ONE, -FX_ONE]),
+                        (BATCH_BASE, [FX_MAX // 2, FX_MIN // 2] * 4),
+                        (BATCH_SLOT, [BATCH_BASE, BATCH_BASE, 0])]),
+    shift=1, max_cycles=None,
+)
 def test_batched_loop_replay_matches_stepping(loop, image, shift, max_cycles):
     """`run`, recording a loop and then replaying it, leaves exactly what
     stepping leaves, traps included, and batches the loop where it must. A
@@ -963,6 +977,103 @@ def test_batched_loop_replay_matches_stepping(loop, image, shift, max_cycles):
                     break
                 trace = next(reversed(machine._TRACES.values()))
                 assert any(kernel is machine._batched for kernel, *_ in trace.runs) == exact
+                for state in states:
+                    state.pc, state.halted = 0, False
+
+
+# Folded traces: programs shaped like the KS stage. An outer loop spills its
+# loop registers, resets a range with VSUB a, a, a, counts with a compare and a
+# VADD accumulate in an inner loop (maybe after a VSUB b, b into another range),
+# reloads the spill and moves the offsets on. A data write into the spill slot,
+# an operand moved by the entry-relative offsets, and accumulator words near
+# FX_MAX that no reset zeroes decide which runs the recording may fold.
+FOLD_WORDS = 104
+FOLD_ERRS, FOLD_ACC, FOLD_TMP, FOLD_OTHER, FOLD_B, FOLD_C = 24, 40, 48, 56, 64, 72
+FOLD_SLOT, FOLD_ZEROS = 88, 96  # the loop spill; zeros for the entry regload
+
+
+@st.composite
+def folded_programs(draw):
+    """(program, spill write kind, whether the spill's guard must stay, a
+    zero-fill must be folded, the inner loop must batch)."""
+    n, count, refs = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    entry = draw(st.booleans())  # offsets <- 0, so nothing moves and the inner loop batches
+    write = draw(st.sampled_from(("none", "none", "same", "other")))
+    # A VADD onto slot words, of data or, "same", of the zeros, which an
+    # offset moved by a second start before the inner loop changes to data.
+    k, before = draw(st.integers(0, 2)), draw(st.booleans())
+    spill_write = _map_op(Opcode.VADD, draw(st.integers(1, 3 - k)), FOLD_SLOT + k,
+                          FOLD_SLOT + k, FOLD_ZEROS if write == "same" else FOLD_B,
+                          off_y=write == "same" and before)
+    moves = [draw(st.booleans()) for _ in range(3)]  # the reset's offset flags
+    reset = draw(st.sampled_from((FOLD_ACC, FOLD_OTHER)))
+    compare = _map_op(draw(st.sampled_from((Opcode.VSGT, Opcode.VSSGT))), n, 0, FOLD_TMP,
+                      FOLD_ERRS, off_x=True, off_y=True)
+    accumulate = (_map_op(Opcode.VADD, n, FOLD_ACC, FOLD_ACC, FOLD_TMP) if draw(st.booleans())
+                  else _map_op(Opcode.VADD, n, FOLD_TMP, FOLD_ACC, FOLD_ACC))
+    inner = [*[_map_op(Opcode.VSUB, n, FOLD_B, FOLD_C, FOLD_B)] * draw(st.booleans()),
+             compare, accumulate, regaddi(1, 1)]
+    spill = [spill_write] if write != "none" else []
+    program = [regload(GROUP_OFFSET, FOLD_ZEROS)] * entry
+    outer = len(program)
+    program += [None, regstore(GROUP_LOOP, FOLD_SLOT), *spill * before,
+                _map_op(Opcode.VSUB, n, reset, reset, reset, *moves)]
+    program.append(loop(len(program) + len(inner), count - 1))
+    program += [*inner, *spill * (not before), regload(GROUP_LOOP, FOLD_SLOT),
+                regaddi(1, -count), regaddi(0, draw(st.integers(0, n)))]
+    program[outer] = loop(len(program) - 1, refs - 1)
+    program.append(halt())
+    kept = write != "none" or (not entry and moves[2])  # a moving Z may meet the slot
+    return program, write, kept, entry or not (moves[0] or moves[1]), entry and count > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=folded_programs(),
+    image=st.lists(words, min_size=FOLD_WORDS, max_size=FOLD_WORDS),
+    near_max=st.lists(st.integers(0, 2 * FX_ONE), min_size=4, max_size=4),
+    start=st.tuples(*[st.integers(0, 4)] * 3),
+    max_cycles=st.one_of(st.none(), st.none(), st.integers(0, 600)),
+)
+@example(  # no reset of the accumulator: 3 x 6 compares of FX_ONE onto FX_MAX - 1
+    case=([regload(GROUP_OFFSET, FOLD_ZEROS), loop(10, 2), regstore(GROUP_LOOP, FOLD_SLOT),
+           _map_op(Opcode.VSUB, 4, FOLD_OTHER, FOLD_OTHER, FOLD_OTHER), loop(7, 5),
+           _map_op(Opcode.VSGT, 4, 0, FOLD_TMP, FOLD_ERRS, off_x=True, off_y=True),
+           _map_op(Opcode.VADD, 4, FOLD_ACC, FOLD_ACC, FOLD_TMP), regaddi(1, 1),
+           regload(GROUP_LOOP, FOLD_SLOT), regaddi(1, -6), regaddi(0, 4), halt()],
+          "none", False, True, True),
+    image=[FX_MIN] * FOLD_WORDS, near_max=[1] * 4, start=(0, 0, 0), max_cycles=None,
+)
+def test_folded_replay_matches_stepping(case, image, near_max, start, max_cycles):
+    """`run`, recording and then replaying a trace with folded runs, leaves
+    exactly what stepping leaves, traps included: a spill's guard is dropped
+    only with no write into its slot since its regstore, a VSUB of X from
+    itself is a zero-fill only where X and Y do not move, and the loop after
+    a folded reset still batches, its compare-fed sums saturating."""
+    program, write, kept, folded, batched = case
+    image[FOLD_ACC : FOLD_ACC + 4] = [FX_MAX - d for d in near_max]
+    image[FOLD_ZEROS : FOLD_ZEROS + 3] = [0, 0, 0]
+    if max_cycles is None and write == "other":
+        max_cycles = 5_000  # loop registers made of data can loop without end
+    for n_track in (1, 2, 4, 8):
+        config = MachineConfig(n_track=n_track, data_mem_words=FOLD_WORDS)
+        for offsets in ((0, 0, 0), start):
+            states = [load(config, program, image) for _ in range(2)]
+            for state in states:
+                state.off_x, state.off_y, state.off_z = offsets
+            for again in range(2):
+                got = _outcome(run, states[0], max_cycles)
+                assert got == _outcome(stepped, states[1], max_cycles), f"n_track={n_track}"
+                if got[0] is not None:
+                    break
+                if not again and offsets == (0, 0, 0):
+                    runs = next(reversed(machine._TRACES.values())).runs
+                    assert any(k is machine._guard and z == slice(FOLD_SLOT, FOLD_SLOT + 3)
+                               for k, _, _, _, z in runs) == kept
+                    assert any(k is machine._put_words and type(y) is int and z.start != FOLD_C
+                               for k, _, _, y, z in runs) == folded  # the reset's
+                    if write != "other":
+                        assert any(k is machine._batched for k, *_ in runs) == batched
                 for state in states:
                     state.pc, state.halted = 0, False
 
