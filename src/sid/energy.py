@@ -79,7 +79,8 @@ def energy_ratio(platform_a, platform_b, period: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def parse_profiles(text: str) -> dict[str, DeviceProfile]:
-    profiles = {}
+    """One profile per device; a device named on two lines is an error."""
+    profiles, named_on = {}, {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,11 @@ def parse_profiles(text: str) -> dict[str, DeviceProfile]:
             values = [float(v) for v in parts[1:]]
         except ValueError:
             raise EnergyError(f"line {line_no}: bad number in {line!r}") from None
+        if parts[0] in named_on:
+            raise EnergyError(
+                f"line {line_no}: device {parts[0]!r} is already named on line {named_on[parts[0]]}"
+            )
+        named_on[parts[0]] = line_no
         try:
             profiles[parts[0]] = DeviceProfile(parts[0], *values)
         except EnergyError as exc:

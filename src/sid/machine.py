@@ -16,15 +16,23 @@ words (`_MAPS`), which one kernel body applies to a block (VMAXABS and
 VSQNORM also set scratchpad word 0), and the loop batching below to a stack.
 
 Control flow depends on data only through what `regload` reads: loop counts
-and `regaddi` steps are immediates. So the first `run` of a program records,
-as it interprets, each step a replay must redo: the kernels and regstores
-over their resolved ranges, and a guard per regload holding the words it
-read. Later runs replay the steps; where a guard reads other words, replay
-restores the registers and counters just before that regload and the
-interpreter goes on from there, so a trap is raised at the same pc with the
-same partial memory.
+and `regaddi` steps are immediates. So the first `run` of a program from
+given registers (pc, the loop registers and the three offsets) records, as
+it interprets, each step a replay must redo: the kernels over their resolved
+ranges, each regstore as the words it wrote, and a guard per regload holding
+the words it read. Later runs from the same registers replay the steps;
+where a guard reads other words, replay restores the registers and counters
+just before that regload and the interpreter goes on from there, so a trap
+is raised at the same pc with the same partial memory. Every range of a
+trace is fixed, so a program whose start offsets differ from run to run
+records once per distinct start: `codegen.StepRunner`'s error pointer
+(off_z) moves one word per step, so a window of a step program records one
+trace per error slot, and every later window over it replays them. The
+cache holds 1,024 traces, least recently used dropped first: windows of more
+than about five 200-reading step programs interleaved step by step
+re-record every step, so a driver of several should step one at a time.
 
-As it records, the trace joins into one call consecutive fixed blocks of one
+As it records, the trace joins into one call consecutive blocks of one
 kernel that continue each other's ranges and read no Z of the blocks before:
 Mvmul row blocks over one Y range (a tall mat-vec, such as the four gate
 mat-vecs of an LSTM step), and adjacent VADD, VSUB, VMUL, VSGT or same-table
@@ -38,7 +46,7 @@ rows of several mat-vec rows, and one multiply by Y tiled, one shift and one
 segmented reduce (`np.add.reduceat`) sum every row.
 
 `_record` then batches the loops of the run it caches. A loop whose
-iterations replay the same fixed runs, each range moved by a fixed stride
+iterations replay the same runs, each range moved by a fixed stride
 per iteration, and whose body is a chain of maps (VSUB, VADD, VMUL, VSGT,
 VSSGT, the LUTs, and the row-wise VSQNORM and VMAXABS) ending in one VADD
 accumulate Z = Z + T over a fixed Z, replays as one call over all K
@@ -47,7 +55,7 @@ per-block kernel runs, on a (K, n) stack, and the accumulate adds the K
 rows of T through `_saturating_running_sum`, exact sequential saturation.
 Every intermediate Z word and the scratchpad end as the last iteration
 leaves them. A loop stays unbatched, replayed run by run, unless that is
-exact: its body holds no Mvmul, guard, regstore or moving run; its Z ranges
+exact: its body holds no Mvmul, guard or regstore; its Z ranges
 are fixed, nonempty and disjoint; and every read is loop-invariant, strided
 and clear of every Z, or exactly the Z an earlier run of the same iteration
 wrote, so the accumulator is read only by its accumulate. The KS inner loop
@@ -55,22 +63,20 @@ and the kernel-machine support-vector loop batch. Where T is a VSGT or VSSGT
 stack, each term is 0 or FX_ONE, so K * FX_ONE bounds the terms' sum.
 
 Last, `Trace.fold` folds in what the recording proves for every state that
-replays the trace. A regstore whose pairs are all constants (the loop
-registers always are) writes one precomputed array; a VSUB whose X is its Y,
-neither moved by an offset, fills Z with 0, since saturate(a - a) is 0 (the
-KS histogram reset); and a regload guard is dropped where the words it read
-are those a fixed constant regstore wrote to its slot with no Z since meeting
-it (a moving Z may meet anything), so it cannot fail (the KS loop-register
-spill). The 20-reference KS+vote trace replays 104 runs.
+replays the trace. A VSUB whose X is its Y fills Z with 0, since
+saturate(a - a) is 0 (the KS histogram reset); and a regload guard is dropped
+where the words it read are those a regstore wrote to its slot with no Z
+since meeting it, so it cannot fail (the KS loop-register spill). The
+20-reference KS+vote trace replays 104 runs.
 
 A state may hold read-only word ranges, fixed at `load` (a compiled
 program's weights and constants). A data Z range or a regstore slot that
-meets one traps, naming the range, before anything is written; replay hands
-a run whose shifted Z meets one to the interpreter, which raises that trap
-at the same pc. `state.memory` is a read-only view, and the kernels and
-`codegen.write_symbol` write through its base, `state.words`. Since no
-instruction can change a read-only range, each state caches max|X| of the
-Mvmul X ranges inside one, so a gate matrix is scanned once per state.
+meets one traps, naming the range, before anything is written; the ranges
+are part of a trace's key, so no replayed Z meets one. `state.memory` is
+a read-only view, and the kernels and `codegen.write_symbol` write through
+its base, `state.words`. Since no instruction can change a read-only
+range, each state caches max|X| of the Mvmul X ranges inside one, so a gate
+matrix is scanned once per state.
 
 A state's words are its image, zero-extended to data memory: `load` copies
 the image only, and the first access past it, once its checks pass, grows the
@@ -254,20 +260,13 @@ def _cover(s, *ranges: slice) -> None:
         s.grow()
 
 
-def _read_only_met(readonly: tuple, z: slice):
-    """The read-only range that the nonempty word range `z` meets, or None."""
-    if z.start < z.stop:
-        for start, stop in readonly:
-            if z.start < stop and start < z.stop:
-                return start, stop
-    return None
-
-
 def _check_writable(s, z: slice) -> None:
-    met = _read_only_met(s.readonly, z)
-    if met:
-        raise MachineTrap(
-            s.pc, f"write to [{z.start}, {z.stop}) meets read-only range [{met[0]}, {met[1]})")
+    """Trap if the nonempty word range `z` meets a read-only range."""
+    if z.start < z.stop:
+        for start, stop in s.readonly:
+            if z.start < stop and start < z.stop:
+                raise MachineTrap(
+                    s.pc, f"write to [{z.start}, {z.stop}) meets read-only range [{start}, {stop})")
 
 
 _Y_UNREAD = frozenset({*_LUT_NAMES, Opcode.VMAXABS, Opcode.VSQNORM})
@@ -536,14 +535,9 @@ def _batched(s, body, x, y, z):
     mem[acc] = _saturating_running_sum(start, terms.T, _max_abs(start) + count * peak)
 
 
-def _put_registers(s, inst, x, y, z):
-    """Memory effect of regstore: `y` holds one (register, delta) pair per
-    word, stored as delta plus that register of `s` (None: plus 0)."""
-    s.words[z] = [_signed32(delta + (getattr(s, reg) if reg else 0)) for reg, delta in y]
-
-
 def _put_words(s, inst, x, y, z):
-    """A run whose Z words the recording proves (`Trace.fold`): Z = `y`."""
+    """A run whose Z words the recording proves, a regstore's or a zero-fill
+    (`Trace.fold`): Z = `y`."""
     s.words[z] = y
 
 
@@ -586,10 +580,10 @@ def _regstore(s, inst):
     names, z = _reg_slot(s, inst)
     _check_writable(s, z)
     _cover(s, z)
-    pairs = [(name, 0) for name in names]
-    _put_registers(s, inst, None, pairs, z)
+    words = np.array([_signed32(getattr(s, name)) for name in names], dtype=np.int32)
+    _put_words(s, inst, None, words, z)
     s.writes += 3
-    return _put_registers, inst, None, pairs, z
+    return _put_words, inst, None, words, z
 
 
 # What a guard restores: the registers and counters of a state.
@@ -699,85 +693,59 @@ _TRACE_CAP = 1 << 16  # runs one trace may hold
 
 class Trace:
     """What replay must redo of one interpreted run: its `runs` in order
-    (data kernels, regstores and regload guards, operands resolved) and its
-    `end` point. `add` joins consecutive blocks of one kernel into one call
-    (see `_join`); a fixed run of such a kernel holds its blocks' tuple.
-    `batch_loops`, once the run has halted, replaces a loop's iterations by
-    one `_batched` run where `_batch` finds that exact, and `fold` then
-    turns constant regstores and zeroing VSUBs into `_put_words` runs and
-    drops the guards that cannot fail.
+    (data kernels, regstores as the words they wrote and regload guards,
+    operands resolved) and its `end` point. `add` joins consecutive blocks
+    of one kernel into one call (see `_join`); a run of such a kernel holds
+    its blocks' tuple. `batch_loops`, once the run has halted, replaces a
+    loop's iterations by one `_batched` run where `_batch` finds that exact,
+    and `fold` then turns zeroing VSUBs into `_put_words` runs and drops the
+    guards that cannot fail.
 
-    A point is the loop registers and pc, the offsets, and the counters
-    relative to the run's start. An offset is (register, delta): delta plus
-    the start value of that offset register, while only regaddi has moved
-    it, or (None, value) once a regload set it. The ranges that `moving`
-    names ((index, x, y, z) flags) use such relative offsets, and a
-    regstore's pairs store them likewise, so the trace replays from other
-    start offsets.
-
-    `reach` is the largest stop of a nonempty range the run touched, and
-    `fixed_reach` that of the ranges `bind` never moves, so a replay grows
-    the state first where it reaches past the state's words.
+    A point is the registers as the run held them (pc, the loop registers
+    and the offsets) and the counters relative to the run's start. A trace
+    replays only from the registers it was recorded from, so every range is
+    fixed. `reach` is the largest stop of a nonempty range the run touched,
+    so a replay grows the state first where it reaches past the state's
+    words.
     """
 
     def __init__(self, state: MachineState):
         self.program = state.program
-        self.starts = {name: getattr(state, name) for name in _OFFSETS}
         self.counts = (state.cycles, state.reads, state.writes)
         self.runs = []
-        self.moving = []
-        self.relative = True  # no regload has set the offsets yet
         self.ends = []  # (runs so far, loop_begin, loop_end) where an iteration ended
         self.end = None
-        self.reach = self.fixed_reach = 0
-
-    def _ref(self, name: str, value: int) -> tuple:
-        if self.relative and name in self.starts:
-            return name, value - self.starts[name]
-        return None, value
+        self.reach = 0
 
     def point(self, values: tuple) -> tuple:
         """The trace point of a `_point` tuple taken during the run."""
-        offsets = tuple(map(self._ref, _OFFSETS, values[4:7]))
-        return values[:4], offsets, tuple(v - c for v, c in zip(values[7:], self.counts))
+        return values[:7], tuple(v - c for v, c in zip(values[7:], self.counts))
 
     def add(self, state: MachineState, step: tuple):
         kernel, inst, x, y, z = step
-        moves = (False, False, inst.off_z)
-        if kernel is _put_registers:
-            y = [self._ref(name, getattr(state, name)) for name, _ in y]
-        elif kernel is _guard:
+        if kernel is _guard:
             y = (y[0], self.point(y[1]))
-        else:
-            moves = (inst.off_x, inst.off_y, inst.off_z)
-        moving = self.relative and any(moves)
-        for r, moved in zip((x, y, z), moves):  # a regstore's or guard's y is no range
+        for r in (x, y, z):  # a regstore's or guard's y is no range
             if type(r) is slice and r.stop > r.start:
                 self.reach = max(self.reach, r.stop)
-                if not (moving and moved):
-                    self.fixed_reach = max(self.fixed_reach, r.stop)
-        if moving:
-            self.moving.append((len(self.runs), *moves))
-        elif kernel in _JOINABLE:
+        if kernel in _JOINABLE:
             if self._join(kernel, inst, x, y, z):
                 return self
             inst = (inst,)
         self.runs.append((kernel, inst, x, y, z))
-        if kernel is _guard and inst.length == GROUP_OFFSET:
-            self.relative = False
         return self if len(self.runs) < _TRACE_CAP else None
 
     def _join(self, kernel, inst: MacroInstruction, x: slice, y: slice, z: slice) -> bool:
-        """Join a fixed block onto the last run if that is a fixed run of the
-        same kernel (so one opcode) whose X and Z ranges this block continues,
-        and its Y range too (an Mvmul row block reads the same Y), with this
-        block's X and Y clear of the Z joined so far. Then one kernel call,
-        which reads every operand before it writes Z, leaves what the blocks
-        one by one leave."""
+        """Join a block onto the last run if that is a run of the same kernel
+        (so one opcode) whose X and Z ranges this block continues, and its Y
+        range too (an Mvmul row block reads the same Y), with this block's X
+        and Y clear of the Z joined so far. Then one kernel call, which reads
+        every operand before it writes Z, leaves what the blocks one by one
+        leave."""
         if not self.runs:
             return False
         kernel0, blocks, x0, y0, z0 = self.runs[-1]
-        if kernel0 is not kernel or type(blocks) is not tuple:
+        if kernel0 is not kernel:
             return False
         want_y, ys = (y0, y0) if kernel is _mvmul else (
             slice(y0.stop, y.stop), slice(y0.start, y.stop))
@@ -799,79 +767,38 @@ class Trace:
         ends of one (loop_begin, loop_end), the same number of runs apart;
         its first iteration is taken to hold that many runs too, which
         `_batch` checks with the rest. Drops the iteration ends."""
-        moving = [i for i, *_ in self.moving]
         kept, done, iteration_ends, self.ends = [], 0, self.ends, []
         for _, group in itertools.groupby(iteration_ends, key=lambda end: end[1:]):
             ends = [end for end, *_ in group]
             length = ends[1] - ends[0] if len(ends) > 1 else 0
             start = ends[0] - length
-            if (length and start >= done
-                    and all(b - a == length for a, b in zip(ends, ends[1:]))
-                    and not any(start <= i < ends[-1] for i in moving)):
+            if length and start >= done and all(b - a == length for a, b in zip(ends, ends[1:])):
                 batched = _batch(self.runs[start : ends[-1]], length)
                 if batched is not None:
                     kept += self.runs[done:start]
                     kept.append(batched)
                     done = ends[-1]
-        if done:
-            moves = {id(self.runs[i]): flags for i, *flags in self.moving}
-            self.runs = kept + self.runs[done:]
-            self.moving = [(i, *moves[id(run)]) for i, run in enumerate(self.runs)
-                           if id(run) in moves]
+        self.runs = kept + self.runs[done:]
 
     def fold(self) -> None:
-        """Fold in what the recording proves for every state that replays it.
-        A regstore of constants (each pair (None, value)) writes its words;
-        a VSUB whose X is its Y, neither moving, fills Z with 0; and a fixed
-        guard is dropped where the last write to its slot was a fixed constant
-        regstore of its very words (a moving Z may have met the slot).
-        Remaps `moving` as `batch_loops` does."""
-        moves, known = {i: flags for i, *flags in self.moving}, {}
-        runs, self.moving = [], []
-        for i, (kernel, inst, x, y, z) in enumerate(self.runs):
-            flags = moves.get(i, (False, False, False))
+        """Fold in what the recording proves for every state that replays it:
+        a VSUB whose X is its Y fills Z with 0, and a guard is dropped where
+        the last write to its slot was a regstore of its very words."""
+        known, runs = {}, []
+        for kernel, inst, x, y, z in self.runs:
             if kernel is _guard:
-                if not flags[2] and known.get((z.start, z.stop)) == y[0]:
+                if known.get((z.start, z.stop)) == y[0]:
                     continue
-            elif flags[2]:
-                known = {}
             else:
                 zs = [m[2] for m in inst[1]] + [inst[2][1]] if kernel is _batched else [z]
                 known = {slot: words for slot, words in known.items()
                          if all(r.stop <= slot[0] or slot[1] <= r.start for r in zs)}
-            if kernel is _put_registers and all(reg is None for reg, _ in y):
-                y = [_signed32(delta) for _, delta in y]
-                if not flags[2]:
-                    known[z.start, z.stop] = y
-                kernel, y = _put_words, np.array(y, dtype=np.int32)
-            elif kernel is _KERNELS[Opcode.VSUB] and x == y and not (flags[0] or flags[1]):
-                kernel, y = _put_words, 0  # saturate(a - a) is 0
-            if i in moves:
-                self.moving.append((len(runs), *flags))
+                if kernel is _put_words:  # a regstore
+                    known[z.start, z.stop] = y.tolist()
+                elif kernel is _KERNELS[Opcode.VSUB] and x == y:
+                    kernel, y = _put_words, 0  # saturate(a - a) is 0
             runs.append((kernel, inst, x, y, z))
         self.runs = runs
-
-    def bind(self, state: MachineState) -> tuple[list, int] | None:
-        """`runs` with the moving ranges shifted to `state`'s start offsets,
-        and their reach; None if a shifted range leaves memory or a shifted
-        write meets a read-only range."""
-        shift = [getattr(state, name) - start for name, start in self.starts.items()]
-        if not self.moving or not any(shift):
-            return self.runs, self.reach
-        steps, words, reach = list(self.runs), state.config.data_mem_words, self.fixed_reach
-        for i, *moves in self.moving:
-            kernel, inst, *ranges = steps[i]
-            for j in range(3):
-                if moves[j]:
-                    r = ranges[j] = slice(ranges[j].start + shift[j], ranges[j].stop + shift[j])
-                    if r.stop > r.start:
-                        if r.start < 0 or r.stop > words:
-                            return None
-                        reach = max(reach, r.stop)
-            if moves[2] and kernel is not _guard and _read_only_met(state.readonly, ranges[2]):
-                return None
-            steps[i] = (kernel, inst, *ranges)
-        return steps, reach
 
 
 def _batch(runs: list, length: int):
@@ -933,13 +860,11 @@ def _batch(runs: list, length: int):
 
 
 def _restore(state: MachineState, point: tuple) -> None:
-    """Set `state` to a trace point; replay leaves its offsets and counters
+    """Set `state` to a trace point; replay leaves its registers and counters
     at their start values until then."""
-    registers, offsets, counts = point
-    state.pc, state.loop_begin, state.loop_end, state.loop_n = registers
-    state.off_x, state.off_y, state.off_z = [
-        delta + (getattr(state, reg) if reg else 0) for reg, delta in offsets
-    ]
+    registers, counts = point
+    (state.pc, state.loop_begin, state.loop_end, state.loop_n,
+     state.off_x, state.off_y, state.off_z) = registers
     state.cycles += counts[0]
     state.reads += counts[1]
     state.writes += counts[2]
@@ -948,17 +873,13 @@ def _restore(state: MachineState, point: tuple) -> None:
 def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
     """Redo `trace` on `state`, grown first if the trace reaches past its
     words. False where the interpreter must go on: from the untouched state
-    if a shifted range leaves memory or the run passes `max_cycles`, from
-    just before a regload whose guard failed."""
-    if max_cycles is not None and state.cycles + trace.end[2][0] > max_cycles:
+    if the run passes `max_cycles`, from just before a regload whose guard
+    failed."""
+    if max_cycles is not None and state.cycles + trace.end[1][0] > max_cycles:
         return False
-    bound = trace.bind(state)
-    if bound is None:
-        return False
-    steps, reach = bound
-    if reach > len(state.words):
+    if trace.reach > len(state.words):
         state.grow()
-    for kernel, inst, x, y, z in steps:
+    for kernel, inst, x, y, z in trace.runs:
         before = kernel(state, inst, x, y, z)
         if before is not None:
             _restore(state, before)
@@ -970,14 +891,19 @@ def _replay(state: MachineState, trace: Trace, max_cycles: int | None) -> bool:
 
 # Traces `run` has recorded, keyed by program (its hash; a trace of another
 # program under that hash is recorded over), data memory size, lane count and
-# scratchpad size, pc and loop registers: what fixes the control flow up
-# to the first regload; and the read-only ranges, which decide its traps.
-# Not the length of the state's words: bounds and traps are against data
-# memory, and a replay grows the state where the run reached past them. Shared
-# by every state, so fresh image-sized states of a compiled program find one
-# trace; bounded, oldest dropped first.
+# scratchpad size, pc, loop and offset registers: what fixes the control flow
+# and every range up to the first regload; and the read-only ranges, which
+# decide its traps. Not the length of the state's words: bounds and traps are
+# against data memory, and a replay grows the state where the run reached past
+# them. Shared by every state, so fresh image-sized states of a compiled
+# program find one trace per start; bounded, least recently used dropped first.
+# The traffic: a `StepRunner` window records one trace per error slot (off_z),
+# 200 for a 200-reading window and at most `codegen.STEP_ERRORS` (512), plus
+# one per KS or feed-forward program. A cyclic walk over more keys than the
+# cap re-records every step, so windows of more than about five step programs
+# interleaved step by step thrash it.
 _TRACES: OrderedDict = OrderedDict()
-_TRACE_KEYS = 32
+_TRACE_KEYS = 1024
 
 
 def _record(state: MachineState, max_cycles: int | None, key: tuple) -> None:
@@ -1003,7 +929,8 @@ def run(state: MachineState, max_cycles: int | None = None) -> RunReport:
         config = state.config
         key = (
             state.program_hash, config.data_mem_words, config.n_track, config.n_local,
-            state.pc, state.loop_begin, state.loop_end, state.loop_n, state.readonly,
+            state.pc, state.loop_begin, state.loop_end, state.loop_n,
+            state.off_x, state.off_y, state.off_z, state.readonly,
         )
         trace = _TRACES.get(key)
         if trace is None or trace.program != state.program:

@@ -84,10 +84,11 @@ def infer_lr(m: ModelBundle, x) -> float:
     return float(sigmoid(np.dot(w, x) + m.scalar("b")))
 
 
-def _rbf_kernel(m: ModelBundle, x) -> np.ndarray:
-    """k_i = exp(-gamma * ||sv_i - x||^2), one row per row of x; coef . k is the
-    kernel machines' unbiased score."""
-    return np.exp(-m.scalar("gamma") * ((m["sv"] - x[..., None, :]) ** 2).sum(axis=-1))
+def rbf_kernel(sv, x, gamma) -> np.ndarray:
+    """k_i = exp(-gamma * ||sv_i - x||^2), one row per row of x: coef . k is the
+    kernel machines' unbiased score, and rbf_kernel(X, X, gamma) the Gram
+    matrix their trainers fit."""
+    return np.exp(-gamma * ((sv - x[..., None, :]) ** 2).sum(axis=-1))
 
 
 def svm_score(m: ModelBundle, x) -> float:
@@ -96,7 +97,7 @@ def svm_score(m: ModelBundle, x) -> float:
         raise ShapeError("svm bundle needs one coefficient per support vector")
     x = _expect_vector(x, sv.shape[1], "svm input")
     if m.kind == "kernel_svm":
-        return float(np.dot(coef, _rbf_kernel(m, x)) + b)
+        return float(np.dot(coef, rbf_kernel(sv, x, m.scalar("gamma"))) + b)
     return float(np.dot(coef, sv @ x) + b)
 
 
@@ -134,7 +135,7 @@ def infer_mlp(m: ModelBundle, x) -> np.ndarray:
 
 def ocsvm_score(m: ModelBundle, x) -> float:
     x = _expect_vector(x, m["sv"].shape[1], "ocsvm input")
-    return float(np.dot(m["coef"], _rbf_kernel(m, x)) - m.scalar("rho"))
+    return float(np.dot(m["coef"], rbf_kernel(m["sv"], x, m.scalar("gamma"))) - m.scalar("rho"))
 
 
 def infer_ocsvm(m: ModelBundle, x):
@@ -142,7 +143,8 @@ def infer_ocsvm(m: ModelBundle, x):
     arrays, one flag and score per row from one kernel evaluation, each row's bits its own."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2 and x.shape[1] == m["sv"].shape[1]:
-        score = np.array([np.dot(m["coef"], k) for k in _rbf_kernel(m, x)]) - m.scalar("rho")
+        kernel = rbf_kernel(m["sv"], x, m.scalar("gamma"))
+        score = np.array([np.dot(m["coef"], k) for k in kernel]) - m.scalar("rho")
     else:
         score = ocsvm_score(m, x)
     return score < 0.0, score

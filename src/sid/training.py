@@ -24,8 +24,8 @@ gradient is one stacked product that allocates its own result.
 import numpy as np
 
 from .models import (
-    RNN_CELLS, RNN_GATES, ModelBundle, mT, rnn_hidden_size, sigmoid, split_gates,
-    stacked_weights,
+    RNN_CELLS, RNN_GATES, ModelBundle, mT, rbf_kernel, rnn_hidden_size, sigmoid,
+    split_gates, stacked_weights,
 )
 
 
@@ -166,17 +166,12 @@ def train_linear_svm(dataset, lr=0.05, epochs=200, lam=1e-3, seed=0) -> ModelBun
     return ModelBundle("linear_svm", {"coef": [1.0], "sv": [w], "b": b})
 
 
-def _rbf_gram(X, gamma):
-    """K[i, j] = exp(-gamma * ||X_i - X_j||^2)."""
-    return np.exp(-gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-
-
 def train_kernel_svm(dataset, gamma=0.5, lr=0.05, epochs=100, lam=1e-3, seed=0) -> ModelBundle:
     X, y = _as_xy(dataset)
     y = _as_pm1(y)
     rng = np.random.default_rng(seed)
     n = len(X)
-    K = _rbf_gram(X, gamma)
+    K = rbf_kernel(X, X, gamma)
     alpha = np.zeros(n)  # signed coefficients a_i = alpha_i * y_i folded in
     b = 0.0
     idx = np.arange(n)
@@ -244,7 +239,7 @@ def train_ocsvm(X, gamma=0.5, nu=0.2, iters=300, lr=0.1) -> ModelBundle:
     cap = 1.0 / max(nu * n, 1.0)
     if cap * n < 1.0:
         raise TrainingError(f"nu={nu} is infeasible for {n} samples")
-    K = _rbf_gram(X, gamma)
+    K = rbf_kernel(X, X, gamma)
     alpha = _project_capped_simplex(np.full(n, 1.0 / n), cap)
     for _ in range(iters):
         alpha = _project_capped_simplex(alpha - lr * (K @ alpha), cap)

@@ -372,6 +372,16 @@ def test_rejected_profile_row_names_its_line_and_device(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [f"error: line 3: cpu: {reason}"]
 
 
+def test_profile_file_naming_a_device_twice_exits_two(tmp_path, capsys):
+    profile = tmp_path / "profiles.txt"
+    profile.write_text("gpu 56 8 0 0\nsid 0.62 0.12 0 0\ngpu 1 0.2 0 0\n")
+    assert run_cli("energy", "--profiles", str(profile),
+                   "--platform-a", "gpu:0.001", "--platform-b", "sid:0.0016") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: line 3: device 'gpu' is already named on line 1"]
+
+
 def test_malformed_freqs_and_platform_values_exit_one(tmp_path, capsys):
     for argv in (("gen-data", "--freqs", "1.6,abc", "--out", str(tmp_path / "d")),
                  ("energy", "--platform-a", "gpu:abc"),

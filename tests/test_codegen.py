@@ -9,6 +9,7 @@ import pytest
 
 from sid import machine
 from sid.codegen import (
+    STEP_ERRORS,
     CompileError,
     StepRunner,
     compile_ks_stage,
@@ -326,21 +327,24 @@ def test_rnn_step_matches_oracle(kind, hidden, config):
 
 
 def _replayed_step_trace(monkeypatch, prog):
-    """Run three readings through `prog`, recorded then replayed, and check
-    that each leaves the memory and scratchpad that stepping leaves; return
-    the step program's trace."""
+    """Run three readings through `prog` twice, a window that records one
+    trace per error slot, then one that replays them, and check that each
+    step leaves the memory and scratchpad that stepping leaves; return the
+    last step's trace, whose kernels every step's trace repeats."""
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
-    runner, reference = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
-    dim = prog.length("input")
-    for reading in quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, dim))):
-        runner.step(reading)  # records the trace, then replays it
-        write_symbol(reference, prog, "input", reading)
-        reference.pc, reference.halted = 0, False
-        stepped(reference)
-        assert runner.state.memory.tolist() == reference.memory.tolist()
-        assert runner.state.scratchpad.tolist() == reference.scratchpad.tolist()
-    (trace,) = machine._TRACES.values()
-    return trace
+    readings = quantize(np.random.default_rng(21).uniform(-2, 2, size=(3, prog.length("input"))))
+    for _ in range(2):
+        runner, reference = StepRunner(prog, CONFIG), fresh_state(prog, CONFIG)
+        for reading in readings:
+            runner.step(reading)
+            write_symbol(reference, prog, "input", reading)
+            reference.pc, reference.halted = 0, False
+            stepped(reference)
+            assert runner.state.memory.tolist() == reference.memory.tolist()
+            assert runner.state.scratchpad.tolist() == reference.scratchpad.tolist()
+    traces = list(machine._TRACES.values())
+    assert len(traces) == 3 and len({tuple(k for k, *_ in t.runs) for t in traces}) == 1
+    return traces[-1]
 
 
 def _runs_of(trace, mode):
@@ -398,15 +402,18 @@ def test_parameters_load_as_read_only_ranges(monkeypatch):
     for name in ("Wcat_z", "ones"):
         with pytest.raises(CompileError, match=f"^symbol '{name}' is read-only$"):
             write_symbol(runner.state, prog, name, [0.0])
-    for reading in quantize(np.random.default_rng(4).uniform(-1, 1, size=(3, 6))):
-        runner.step(reading)
-    # Each state scans each read-only Mvmul X range once: the recording run
-    # the z and r gate matrices one by one, replay the two joined; Wh, Ur_cand
-    # and Wout.
-    spans = [("Wcat_z", 8 * 14), ("Wcat_r", 8 * 14), ("Wcat_z", 2 * 8 * 14), ("Wh", 8 * 6),
-             ("Ur_cand", 8 * 8), ("Wout", 6 * 8)]
-    assert set(runner.state.x_peaks) == {(prog.addr(name), prog.addr(name) + n)
-                                         for name, n in spans}
+    # Each state scans each read-only Mvmul X range once. Every step of the
+    # first window records (its error pointer is new), running the z and r
+    # gate matrices one by one; a second window replays them joined. Both
+    # scan Wh, Ur_cand and Wout.
+    readings = quantize(np.random.default_rng(4).uniform(-1, 1, size=(3, 6)))
+    for runner, gates in ((runner, [("Wcat_z", 8 * 14), ("Wcat_r", 8 * 14)]),
+                          (StepRunner(prog, CONFIG), [("Wcat_z", 2 * 8 * 14)])):
+        for reading in readings:
+            runner.step(reading)
+        spans = gates + [("Wh", 8 * 6), ("Ur_cand", 8 * 8), ("Wout", 6 * 8)]
+        assert set(runner.state.x_peaks) == {(prog.addr(name), prog.addr(name) + n)
+                                             for name, n in spans}
 
 
 @pytest.mark.parametrize("kind", ["lstm", "gru"])
@@ -422,6 +429,28 @@ def test_step_runner_stops_at_error_capacity(kind):
         runner.step([0.5, -0.25])
     assert runner.steps == capacity
     assert not read_symbol(runner.state, prog, "zerovec").any()
+
+
+def test_second_window_of_a_step_program_records_nothing(monkeypatch):
+    # A window records one trace per error slot, one per step up to the
+    # capacity of `errors`; the trace cache holds them all, so a second
+    # window over the same readings replays every step.
+    monkeypatch.setattr(machine, "_TRACES", OrderedDict())
+    records = []
+    record = machine._record
+    monkeypatch.setattr(machine, "_record", lambda *args: records.append(1) or record(*args))
+    prog = compile_model(init_rnn("lstm", 2, 2, seed=3), CONFIG)
+    capacity = prog.length("errors")
+    readings = quantize(np.random.default_rng(5).uniform(-1, 1, size=(capacity, 2)))
+    windows = []
+    for _ in range(2):
+        runner = StepRunner(prog, CONFIG)
+        for reading in readings:
+            runner.step(reading)
+        windows.append((len(records), runner.errors().tolist()))
+    assert capacity == STEP_ERRORS == 512
+    assert windows[0][0] == windows[1][0] == capacity
+    assert windows[0][1] == windows[1][1]
 
 
 def test_read_symbol_rejects_counts_outside_the_symbol():

@@ -85,6 +85,13 @@ def test_parse_profiles():
         parse_profiles("gpu 56 8")
 
 
+def test_parse_profiles_rejects_a_device_named_twice():
+    # The later row would silently replace the first.
+    with pytest.raises(EnergyError, match="^line 4: device 'gpu' is already named on line 2$"):
+        parse_profiles("# name P_run P_idle E_wake E_sleep\ngpu 56 8 0 0\nsid 0.62 0.12 0 0\n"
+                       "gpu 1 0.2 0 0\n")
+
+
 def test_profile_validation():
     with pytest.raises(EnergyError):
         DeviceProfile("bad", 0.1, 0.5)

@@ -383,23 +383,21 @@ def test_nested_run_matches_stepping_and_profile(monkeypatch):
     report = run(state)
     assert snapshot(state) == snapshot(stepped(fresh(program, [(65, [1.0])])))
     (trace,) = machine._TRACES.values()  # what the run recorded
-    # A fixed data run holds the tuple of its blocks; none of these join. The
-    # inner loop's two vadds, each adding word 65 onto word 64, replay as one
-    # batched run with no maps before its accumulate. The loop registers are
-    # constants, so each loop-group regstore writes its words and its guard,
-    # reading them back, is dropped. The first offset spill stores entry-
-    # relative offsets and keeps its guard; once that set the offsets, the
-    # later spills are constants too.
+    # A data run holds the tuple of its blocks; none of these join. The inner
+    # loop's two vadds, each adding word 65 onto word 64, replay as one
+    # batched run with no maps before its accumulate. Each regstore writes
+    # the words it stored, and each guard, reading back those words with no
+    # write to its slot since, is dropped.
     put, vadd = machine._put_words, machine._KERNELS[Opcode.VADD]
     kernels = [kernel for kernel, *_ in trace.runs]
-    assert kernels == ([put, machine._put_registers, machine._batched, machine._guard, vadd]
-                       + [put, put, machine._batched, vadd] * 2)
+    assert kernels == [put, put, machine._batched, vadd] * 3
     insts = [inst[0] if type(inst) is tuple else inst
-             for kernel, inst, *_ in trace.runs[:5] if kernel is not machine._batched]
-    assert [program.index(inst) for inst in insts] == [1, 2, 7, 8]
+             for kernel, inst, *_ in trace.runs[:4] if kernel is not machine._batched]
+    assert [program.index(inst) for inst in insts] == [1, 2, 8]
     assert [z for *_, z in trace.runs[:2]] == [slice(200, 203), slice(204, 207)]
-    assert [trace.runs[i][3].tolist() for i in (0, 5, 6, 9)] == [
-        [1, 8, 2], [1, 8, 1], [0, 0, 0], [1, 8, 0]]  # loop_begin, loop_end, loop_n
+    assert [trace.runs[i][3].tolist() for i in range(0, 12, 4)] == [
+        [1, 8, 2], [1, 8, 1], [1, 8, 0]]  # loop_begin, loop_end, loop_n
+    assert all(trace.runs[i][3].tolist() == [0, 0, 0] for i in range(1, 12, 4))  # the offsets
     assert trace.runs[2][1] == (2, (), (slice(65, 66), slice(64, 65)))
     rows = profile(fresh(program, [(65, [1.0])]))
     totals = [sum(row[i] for row in rows.values()) for i in range(4)]
@@ -435,9 +433,11 @@ def test_invalid_trace_falls_back_to_interpreter(monkeypatch):
     assert outcomes[0][0] == "trap at pc=3: cycle budget 60 exceeded"
 
 
-def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
+def test_each_start_offset_records_one_trace(monkeypatch):
     # StepRunner's pattern: re-arm pc and run again, the error pointer (off_z)
-    # one word further each time, until it leaves memory.
+    # one word further each time, until it leaves memory. The start offsets
+    # are part of the trace key, so each start records once, and a fresh
+    # state walking the same starts replays every run.
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
     records = []
     record = machine._record
@@ -458,14 +458,19 @@ def test_second_run_of_a_state_reuses_one_trace(monkeypatch):
         stepped(reference)
     assert str(trap.value) == str(want.value) == "trap at pc=0: address range [64, 65) out of bounds"
     assert snapshot(replayed) == snapshot(reference)
-    run(load(config, program, fx_array([1.0, 2.0])))  # a fresh state of the same program
-    assert len(records) == 1
+    assert len(records) == 5 and len(machine._TRACES) == 4  # a trapped run keeps no trace
+    again = load(config, program, fx_array([1.0, 2.0]))  # a fresh state of the same program
+    for _ in range(4):
+        run(again)
+        again.pc, again.halted = 0, False
+    assert again.memory.tolist() == replayed.memory.tolist()
+    assert len(records) == 5
 
 
 def test_trace_recorded_inside_an_image_replays_past_it(monkeypatch):
-    # Recorded where the sum lands inside the six-word image; from off_z=10 the
-    # shifted write lies past the image but inside data memory, so the trace
-    # still replays, the state grown first.
+    # Recorded on a state holding the whole data memory, where the sum at
+    # off_z=10 lands inside its words; a fresh state's six-word image ends
+    # before that write, so replay grows the state first.
     monkeypatch.setattr(machine, "_TRACES", OrderedDict())
     interprets = []
     interpret = machine._interpret
@@ -474,15 +479,17 @@ def test_trace_recorded_inside_an_image_replays_past_it(monkeypatch):
     program = [vec_op(Opcode.VADD, 2, 0, 2, 4, off_z=True), halt()]
     config = MachineConfig(data_mem_words=64)
     image = fx_array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0])
-    for off_z, words in ((0, 6), (10, 64)):
-        replayed, reference = load(config, program, image), full_state(config, program, image)
-        for state in (replayed, reference):
-            state.off_z = off_z
-        run(replayed)
-        stepped(reference)
-        assert len(replayed.memory) == words
-        memory, *rest = snapshot(replayed)
-        assert [memory + [0] * (64 - words), *rest] == list(snapshot(reference))
+    recorded, reference = (full_state(config, program, image) for _ in range(2))
+    replayed = load(config, program, image)
+    for state in (recorded, replayed, reference):
+        state.off_z = 10
+    run(recorded)
+    (trace,) = machine._TRACES.values()
+    assert trace.reach == 16 and len(replayed.memory) == 6
+    run(replayed)
+    stepped(reference)
+    assert len(replayed.memory) == 64
+    assert snapshot(replayed) == snapshot(recorded) == snapshot(reference)
     assert real_array(replayed.memory[14:16]).tolist() == [4.0, 6.0]
     assert len(interprets) == 1
 

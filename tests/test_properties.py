@@ -376,7 +376,7 @@ def _outcome(execute, state, max_cycles):
     starts=st.lists(st.tuples(*[st.integers(-6, 24)] * 3), min_size=2, max_size=2),
     max_cycles=st.one_of(st.none(), st.integers(0, 400)),
 )
-@example(  # the second state's offset moves the first state's Z range out of memory
+@example(  # from the second start the Z range leaves memory
     program=[MacroInstruction(mode=Opcode.VADD, length=4, addr_z=56, off_z=True), halt()],
     image=[0] * LOOPED_WORDS, zeros=[0, 0, 0], starts=[(0, 0, 0), (0, 0, 6)], max_cycles=None,
 )
@@ -392,8 +392,8 @@ def _outcome(execute, state, max_cycles):
     starts=[(0, 0, 0), (0, 0, -1)], max_cycles=None,
 )
 @example(  # the vadd writes a spilled loop count from an input word that the
-    # second start's off_x picks: the regload's guard reads a count of 1, not 0,
-    # and the interpreter loops on into the cycle budget
+    # second start's off_x picks: from there the regload reads a count of 1, not
+    # 0, and the run loops on into the cycle budget
     program=[loop(3, 1), regstore(GROUP_LOOP, LOOP_SLOTS[0]),
              MacroInstruction(mode=Opcode.VADD, length=1, addr_x=0, addr_y=2,
                               addr_z=LOOP_SLOTS[0] + 2, off_x=True),
@@ -409,15 +409,15 @@ def _outcome(execute, state, max_cycles):
     image=[0, 5] + [0] * (LOOPED_WORDS - 2), zeros=[0, 0, 0],
     starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
 )
-@example(  # two Mvmul blocks codegen would emit, but moved by off_z: not fused, and
-    # the second start replays both shifted
+@example(  # two Mvmul blocks codegen would emit, addressed through off_z: each
+    # start records them fused at its own offset
     program=[MacroInstruction(mode=Opcode.MVMUL, length=2, width=1, addr_x=2 * row, addr_y=8,
                               addr_z=20 + row, off_z=True) for row in range(2)] + [halt()],
     image=[(i % 5 - 2) * FX_ONE for i in range(LOOPED_WORDS)], zeros=[0, 0, 0],
     starts=[(0, 0, 0), (0, 0, 3)], max_cycles=None,
 )
-@example(  # the same blocks with only the first moved by off_z: a fixed block is
-    # never joined onto a moving one, so the second start moves the first alone
+@example(  # the same blocks with only the first addressed through off_z: fused
+    # from the first start, where they continue each other, not from the second
     program=[MacroInstruction(mode=Opcode.MVMUL, length=2, width=1, addr_x=2 * row, addr_y=8,
                               addr_z=20 + row, off_z=row == 0) for row in range(2)] + [halt()],
     image=[(i % 5 - 2) * FX_ONE for i in range(LOOPED_WORDS)], zeros=[0, 0, 0],
@@ -426,9 +426,9 @@ def _outcome(execute, state, max_cycles):
 def test_replay_matches_stepping(program, image, zeros, starts, max_cycles):
     """`run` (trace replay, or its fallback) leaves exactly what stepping one
     instruction at a time leaves, traps included. States of one program start
-    from two sets of offsets, so the second can replay the first's trace
-    moved; each state runs again from where its first run left the
-    registers, as `StepRunner` does."""
+    from two sets of offsets, each recording its own trace; each state runs
+    again from where its first run left the registers, as `StepRunner` does,
+    replaying where those registers were recorded from."""
     image[ZEROS_SLOT : ZEROS_SLOT + 3] = zeros
     if max_cycles is None and any(i.mode is Opcode.REGLOAD for i in program):
         max_cycles = 2_000  # a data write into a loop slot can make a loop endless
@@ -465,8 +465,8 @@ def read_only_ranges(draw):
     starts=st.lists(st.tuples(*[st.integers(-6, 24)] * 3), min_size=2, max_size=2),
     max_cycles=st.one_of(st.none(), st.integers(0, 400)),
 )
-@example(  # the first start's Z misses [30, 34); the second start's replay would
-    # shift it in, so the interpreter runs it and traps
+@example(  # the first start's Z misses [30, 34); the second start's meets it and
+    # traps
     program=[MacroInstruction(mode=Opcode.VADD, length=2, addr_x=1, addr_y=2, addr_z=20,
                               off_z=True), halt()],
     image=list(range(LOOPED_WORDS)), readonly=[(30, 32), (32, 34)],
@@ -485,11 +485,12 @@ def read_only_ranges(draw):
     starts=[(0, 0, 0), (0, 0, 5)], max_cycles=None,
 )
 def test_read_only_ranges_trap_as_stepping_does(program, image, readonly, starts, max_cycles):
-    """With read-only ranges loaded, `run` (recorded, then replayed from a
-    second start) leaves exactly what stepping leaves: a data Z range or a
-    regstore slot that meets a range traps at the same pc with the same
-    partial memory, and the ranges keep their words. A run whose writes miss
-    every range leaves what it leaves with none."""
+    """With read-only ranges loaded, `run` (recorded from each of two starts,
+    replayed where a run repeats its start) leaves exactly what stepping
+    leaves: a data Z range or a regstore slot that meets a range traps at
+    the same pc with the same partial memory, and the ranges keep their
+    words. A run whose writes miss every range leaves what it leaves with
+    none."""
     image[ZEROS_SLOT : ZEROS_SLOT + 3] = [0, 0, 0]  # entry regloads zero the offsets
     if max_cycles is None and any(i.mode is Opcode.REGLOAD for i in program):
         max_cycles = 2_000  # a data write into a loop slot can make a loop endless
@@ -535,8 +536,7 @@ def _zero_extended(outcome, words: int) -> tuple:
     image=[FX_ONE, 2 * FX_ONE], data_mem_words=LOOPED_WORDS, readonly=[],
     starts=[(0, 0, 0), (0, 0, 1)], max_cycles=None,
 )
-@example(  # recorded inside the image; replayed from the second start, the same
-    # trace writes past it
+@example(  # inside the image from the first start, past it from the second
     program=[MacroInstruction(mode=Opcode.VADD, length=2, addr_z=4, off_z=True), halt()],
     image=[FX_ONE] * 6, data_mem_words=LOOPED_WORDS, readonly=[],
     starts=[(0, 0, 0), (0, 0, 10)], max_cycles=None,
@@ -555,8 +555,8 @@ def _zero_extended(outcome, words: int) -> tuple:
 def test_image_sized_state_matches_full_size_state(
         program, image, data_mem_words, readonly, starts, max_cycles):
     """A state loaded over a short image holds only its words until a run
-    reaches past them. Recorded, then replayed from a second start and again
-    from the first, and re-armed as `StepRunner` does, it leaves what stepping
+    reaches past them. Recorded from each of two starts, replayed from the
+    first again, and re-armed as `StepRunner` does, it leaves what stepping
     a state holding the whole data memory leaves: memory once zero-extended,
     scratchpad, registers, counters and traps, bounds against data memory."""
     image = image[:data_mem_words]
@@ -735,9 +735,11 @@ def test_tall_mvmul_matches_scalar_reference(case):
 # Runs of element-wise blocks as `codegen` emits the LSTM's gate sigmoids and
 # gate products: one opcode, X, Y and Z each continuing the block before (an
 # unread Y stays put, as codegen leaves it at 0), X and Y clear of the Z before;
-# in place or not. Or not quite, with a gap in X, Y or Z, another opcode, Z
-# reaching the next block's X or Y, or a block addressed through the offset
-# registers, which replay must not join. Full-range words saturate some sums.
+# in place or not, or one block addressed through the offset registers to the
+# same words, which a trace keyed by its start offsets joins as well. Or not
+# quite, with a gap in X, Y or Z, another opcode, or Z reaching the next
+# block's X or Y, which replay must not join. Full-range words saturate some
+# sums.
 JOINABLE_OPS = sorted([*ELEMENTWISE, *LUT_NAMES])
 
 
@@ -769,7 +771,7 @@ def elementwise_runs(draw):
             addr_x=x - shift[0], addr_y=y - shift[1], addr_z=z - shift[2],
             off_x=any(shift), off_y=any(shift), off_z=any(shift)))
         x, y, z = x + n, y + n * (mode not in LUT_NAMES), z + n
-    return program + [halt()], offsets, change in ("none", "in place")
+    return program + [halt()], offsets, change in ("none", "in place", "offset")
 
 
 def _block(mode, n, x, y, z):
@@ -818,11 +820,12 @@ def test_joined_elementwise_replay_matches_stepping(blocks, image):
 # entry regload sets the offsets, then each of 1 to 40 iterations runs a chain
 # of maps over strided inputs (off_x, off_y), fixed inputs and the Z of an
 # earlier map, ends in a VADD accumulate Z = Z + T onto a fixed Z and moves the
-# offsets by regaddi; a moving Vadd before the loop and a Vsgt after it. Replay
-# must batch such a loop into one call. One change of UNBATCHED keeps it
-# unbatched: a map that reads the accumulator, a map that reads a Z before the
-# iteration writes it, a Z moved by off_z, a Z over a strided input, or a
-# regload in the body. Full-range words saturate some sums part-way.
+# offsets by regaddi; a Vadd through off_z before the loop and a Vsgt after
+# it. Replay must batch such a loop into one call. One change of UNBATCHED
+# keeps it unbatched: a map that reads the accumulator, a map that reads a Z
+# before the iteration writes it, a Z moved by off_z, a Z over a strided
+# input, or a regload in the body. Full-range words saturate some sums
+# part-way.
 BATCH_WORDS = 400
 BATCH_INPUTS = 256  # inputs below, fixed Z ranges from here, one word apart
 BATCH_BASE = 120  # off_x and off_y after the entry regload; off_z is 0
@@ -985,7 +988,7 @@ def test_batched_loop_replay_matches_stepping(loop, image, shift, max_cycles):
 # loop registers, resets a range with VSUB a, a, a, counts with a compare and a
 # VADD accumulate in an inner loop (maybe after a VSUB b, b into another range),
 # reloads the spill and moves the offsets on. A data write into the spill slot,
-# an operand moved by the entry-relative offsets, and accumulator words near
+# a reset operand that the offsets move apart, and accumulator words near
 # FX_MAX that no reset zeroes decide which runs the recording may fold.
 FOLD_WORDS = 104
 FOLD_ERRS, FOLD_ACC, FOLD_TMP, FOLD_OTHER, FOLD_B, FOLD_C = 24, 40, 48, 56, 64, 72
@@ -994,10 +997,11 @@ FOLD_SLOT, FOLD_ZEROS = 88, 96  # the loop spill; zeros for the entry regload
 
 @st.composite
 def folded_programs(draw):
-    """(program, spill write kind, whether the spill's guard must stay, a
-    zero-fill must be folded, the inner loop must batch)."""
+    """(program, spill write kind, whether the spill's guard must stay, the
+    resets folded to zero-fills, whether the inner loop must batch), the last
+    two from start offsets (0, 0, 0) and where no data reaches the spill."""
     n, count, refs = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    entry = draw(st.booleans())  # offsets <- 0, so nothing moves and the inner loop batches
+    entry = draw(st.booleans())  # offsets <- 0
     write = draw(st.sampled_from(("none", "none", "same", "other")))
     # A VADD onto slot words, of data or, "same", of the zeros, which an
     # offset moved by a second start before the inner loop changes to data.
@@ -1019,12 +1023,13 @@ def folded_programs(draw):
     program += [None, regstore(GROUP_LOOP, FOLD_SLOT), *spill * before,
                 _map_op(Opcode.VSUB, n, reset, reset, reset, *moves)]
     program.append(loop(len(program) + len(inner), count - 1))
+    step = draw(st.integers(0, n))  # off_x per reference; off_y is 0 at each reset
     program += [*inner, *spill * (not before), regload(GROUP_LOOP, FOLD_SLOT),
-                regaddi(1, -count), regaddi(0, draw(st.integers(0, n)))]
+                regaddi(1, -count), regaddi(0, step)]
     program[outer] = loop(len(program) - 1, refs - 1)
     program.append(halt())
-    kept = write != "none" or (not entry and moves[2])  # a moving Z may meet the slot
-    return program, write, kept, entry or not (moves[0] or moves[1]), entry and count > 1
+    folds = refs if step == 0 or not moves[0] else 1  # the resets whose X is their Y
+    return program, write, write != "none", folds, count > 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -1041,16 +1046,16 @@ def folded_programs(draw):
            _map_op(Opcode.VSGT, 4, 0, FOLD_TMP, FOLD_ERRS, off_x=True, off_y=True),
            _map_op(Opcode.VADD, 4, FOLD_ACC, FOLD_ACC, FOLD_TMP), regaddi(1, 1),
            regload(GROUP_LOOP, FOLD_SLOT), regaddi(1, -6), regaddi(0, 4), halt()],
-          "none", False, True, True),
+          "none", False, 3, True),
     image=[FX_MIN] * FOLD_WORDS, near_max=[1] * 4, start=(0, 0, 0), max_cycles=None,
 )
 def test_folded_replay_matches_stepping(case, image, near_max, start, max_cycles):
     """`run`, recording and then replaying a trace with folded runs, leaves
     exactly what stepping leaves, traps included: a spill's guard is dropped
     only with no write into its slot since its regstore, a VSUB of X from
-    itself is a zero-fill only where X and Y do not move, and the loop after
-    a folded reset still batches, its compare-fed sums saturating."""
-    program, write, kept, folded, batched = case
+    itself is a zero-fill only where the offsets leave X at Y, and the loop
+    after a folded reset still batches, its compare-fed sums saturating."""
+    program, write, kept, folds, batched = case
     image[FOLD_ACC : FOLD_ACC + 4] = [FX_MAX - d for d in near_max]
     image[FOLD_ZEROS : FOLD_ZEROS + 3] = [0, 0, 0]
     if max_cycles is None and write == "other":
@@ -1070,9 +1075,9 @@ def test_folded_replay_matches_stepping(case, image, near_max, start, max_cycles
                     runs = next(reversed(machine._TRACES.values())).runs
                     assert any(k is machine._guard and z == slice(FOLD_SLOT, FOLD_SLOT + 3)
                                for k, _, _, _, z in runs) == kept
-                    assert any(k is machine._put_words and type(y) is int and z.start != FOLD_C
-                               for k, _, _, y, z in runs) == folded  # the reset's
-                    if write != "other":
+                    if write != "other":  # else data may change the loop registers
+                        assert sum(k is machine._put_words and type(y) is int and z.start != FOLD_C
+                                   for k, _, _, y, z in runs) == folds  # the resets'
                         assert any(k is machine._batched for k, *_ in runs) == batched
                 for state in states:
                     state.pc, state.halted = 0, False
